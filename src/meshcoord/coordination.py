@@ -10,7 +10,7 @@ together with the round structure, into simulated decision time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Sequence
 
@@ -74,6 +74,17 @@ def _resolve_actions(
     return menus
 
 
+def _scores(obj: Objective, menu: Sequence[GroundElement], state) -> list[tuple[float, GroundElement]]:
+    """f(context + a) for each action a, one evaluation each."""
+    return [(obj.evaluate((a,), state), a) for a in menu]
+
+
+def _greedy_pick(values: list[tuple[float, GroundElement]]) -> tuple[float, GroundElement]:
+    """The best score, taken by the lowest action id among the maxima."""
+    best_value = max(v for v, _ in values)
+    return min((v, a) for v, a in values if v == best_value)
+
+
 def run_rag(
     obj: Objective,
     g: MeshGraph,
@@ -135,24 +146,25 @@ def run_rag(
 
         recomputed = frozenset(i for i in undecided if dirty[i])
         for i in recomputed:
-            ctx = frozenset(context[i].values())
-            values = [(obj.evaluate(ctx | {a}), a) for a in menus[i]]
+            state = obj.context(context[i].values())
+            values = _scores(obj, menus[i], state)
             eval_counts[i] += len(menus[i])
-            best_value = max(v for v, _ in values)
             if eta < 1:
-                ctx_value = obj.evaluate(ctx) if ctx else 0.0
-                if ctx:
+                ctx_value = obj.evaluate((), state) if context[i] else 0.0
+                if context[i]:
                     eval_counts[i] += 1
-                best_gain = best_value - ctx_value
+                best_gain = max(v for v, _ in values) - ctx_value
+                if not best_gain >= 0:
+                    raise ValueError(
+                        f"agent {i}: best marginal gain is {best_gain!r}; approximate"
+                        " greedy (eta < 1) needs non-negative, non-NaN gains"
+                    )
                 eligible = [
                     (v, a) for v, a in values if v - ctx_value >= eta * best_gain
                 ]
                 score[i], choice[i] = eligible[rng.randrange(len(eligible))]
             else:
-                # lowest action id among the maxima
-                score[i], choice[i] = min(
-                    (v, a) for v, a in values if v == best_value
-                )
+                score[i], choice[i] = _greedy_pick(values)
             dirty[i] = False
 
         pools = {i: g.in_neighbors[i] & undecided for i in undecided}
@@ -233,6 +245,7 @@ def run_sg(
         raise ValueError("graph and objective disagree on the number of agents")
 
     chosen: dict[int, GroundElement] = {}
+    state = obj.context()
     eval_counts = [0] * n
     committed_at = [0] * n
     committed_nbrs = [frozenset()] * n
@@ -250,13 +263,11 @@ def run_sg(
                     )
                 hops = found
             relay += pos * hops
-        ctx = frozenset(chosen.values())
-        values = [(obj.evaluate(ctx | {a}), a) for a in menus[i]]
+        value, action = _greedy_pick(_scores(obj, menus[i], state))
         eval_counts[i] += len(menus[i])
-        best_value = max(v for v, _ in values)
-        value, action = min((v, a) for v, a in values if v == best_value)
         committed_nbrs[i] = frozenset(chosen.keys())
         chosen[i] = action
+        state = obj.extend(state, action)
         committed_at[i] = pos + 1
         prev_value = value
         events.append(
@@ -308,11 +319,9 @@ def run_dsm(
     committed_nbrs = [frozenset()] * n
     events: list[IterationEvent] = []
     for pos, i in enumerate(dag.order):
-        ctx = frozenset(chosen[j] for j in dag.access[pos])
-        values = [(obj.evaluate(ctx | {a}), a) for a in menus[i]]
+        state = obj.context(chosen[j] for j in dag.access[pos])
+        _, action = _greedy_pick(_scores(obj, menus[i], state))
         eval_counts[i] += len(menus[i])
-        best_value = max(v for v, _ in values)
-        _, action = min((v, a) for v, a in values if v == best_value)
         committed_nbrs[i] = frozenset(dag.access[pos])
         chosen[i] = action
         committed_at[i] = pos + 1
@@ -350,18 +359,7 @@ def run_dfs_sg(
     """Sequential greedy in depth-first preorder of g, with relay accounting on g."""
     dag = dfs_order(g, start)
     outcome = run_sg(obj, dag.order, g=g, per_agent_actions=per_agent_actions)
-    return CoordinationOutcome(
-        algorithm="dfs-sg",
-        actions=outcome.actions,
-        value=outcome.value,
-        selection_order=outcome.selection_order,
-        events=outcome.events,
-        eval_counts=outcome.eval_counts,
-        gain_rounds=outcome.gain_rounds,
-        action_rounds=outcome.action_rounds,
-        relay_action_transmissions=outcome.relay_action_transmissions,
-        committed_in_neighbors=outcome.committed_in_neighbors,
-    )
+    return replace(outcome, algorithm="dfs-sg")
 
 
 def run_random_baseline(

@@ -28,10 +28,17 @@ class Objective:
     """Normalized non-negative set function over GroundElements.
 
     Subclasses implement _value(frozenset) -> float, which must be
-    deterministic and return 0.0 for the empty set. evaluate() increments
+    deterministic, depend only on the members (not on the iteration order)
+    and return 0.0 for the empty set. evaluate() increments
     eval_count by exactly 1 per call; that counter is the only mutable
     state, so concurrent workers should run on their own copies and merge
     tallies afterwards.
+
+    A context state stands for a fixed selection that many candidates are
+    scored against: context() builds one, extend() adds an element, and
+    evaluate(extra, state) returns f(state + extra). The base state is the
+    selection as a frozenset; subclasses with a cheaper representation
+    override context, extend and _value_in together.
     """
 
     def __init__(self, action_counts: Sequence[int]):
@@ -51,12 +58,50 @@ class Objective:
     def ground(self) -> list[GroundElement]:
         return [e for i in range(self.n_agents) for e in self.actions(i)]
 
-    def evaluate(self, selection: Iterable[GroundElement]) -> float:
+    def context(self, selection: Iterable[GroundElement] = ()):
+        """A context state standing for selection; charges no evaluation."""
+        return frozenset(selection)
+
+    def extend(self, state, element: GroundElement):
+        """A new state for state + element; charges nothing and leaves state as it was."""
+        return state | {element}
+
+    def evaluate(self, selection: Iterable[GroundElement], state=None) -> float:
+        """f(selection), or f(state + selection) given a context state; one evaluation."""
         self.eval_count += 1
-        return self._value(frozenset(selection))
+        return self._value_in(self.context() if state is None else state, selection)
 
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
+
+    def _value_in(self, state, extra: Iterable[GroundElement]) -> float:
+        return self._value(state.union(extra))
+
+
+class _UnionMaskObjective(Objective):
+    """An objective whose value depends only on the OR of per-element bitmasks.
+
+    The context state is that union, so scoring a candidate against a
+    context of any size costs one OR and one popcount. The value is the
+    union's bit count times cell_area.
+    """
+
+    _masks: dict[GroundElement, int]
+    cell_area: float
+
+    def context(self, selection: Iterable[GroundElement] = ()) -> int:
+        union = 0
+        for e in selection:
+            union |= self._masks[e]
+        return union
+
+    def extend(self, state: int, element: GroundElement) -> int:
+        return state | self._masks[element]
+
+    def _value_in(self, state: int, extra: Iterable[GroundElement]) -> float:
+        for e in extra:
+            state |= self._masks[e]
+        return state.bit_count() * self.cell_area
 
 
 class CallableObjective(Objective):
@@ -74,7 +119,7 @@ class CallableObjective(Objective):
         return float(self._fn(selection))
 
 
-class GridCoverageObjective(Objective):
+class GridCoverageObjective(_UnionMaskObjective):
     """Counts road cells covered by the union of the selection's footprints.
 
     road_mask rows use '#' for road and '.' for empty. footprints[i][a] is an
@@ -82,6 +127,8 @@ class GridCoverageObjective(Objective):
     the road (or off the grid) contribute nothing. Values are exact integer
     counts returned as floats.
     """
+
+    cell_area = 1.0
 
     def __init__(
         self,
@@ -122,16 +169,10 @@ class GridCoverageObjective(Objective):
         return self._cells[element]
 
     def covered_cells(self, selection: Iterable[GroundElement]) -> int:
-        union = 0
-        for e in selection:
-            union |= self._masks[e]
-        return union.bit_count()
-
-    def _value(self, selection: frozenset[GroundElement]) -> float:
-        return float(self.covered_cells(selection))
+        return self.context(selection).bit_count()
 
 
-class DiskCoverageObjective(Objective):
+class DiskCoverageObjective(_UnionMaskObjective):
     """Rasterized area (m^2) of the union of sensing disks, clipped to an arena.
 
     centers[i][a] is the disk center (meters) for agent i's action a; every
@@ -188,12 +229,6 @@ class DiskCoverageObjective(Objective):
                     mask |= 1 << (row_base + ix)
         return mask
 
-    def _value(self, selection: frozenset[GroundElement]) -> float:
-        union = 0
-        for e in selection:
-            union |= self._masks[e]
-        return union.bit_count() * self.cell_area
-
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -246,17 +281,10 @@ def exhaustive_curvature(obj: Objective) -> float:
     elements = obj.ground()
     _size_guard(len(elements), 16)
     table = subset_value_table(obj, elements)
-    worst = math.inf
     for j, a in enumerate(elements):
-        f_single = table[1 << j]
-        if f_single == 0:
+        if table[1 << j] == 0:
             raise ValueError(f"curvature undefined: f({a}) = 0")
-        bit = 1 << j
-        for mask in range(1 << len(elements)):
-            if mask & bit:
-                continue
-            worst = min(worst, (table[mask | bit] - table[mask]) / f_single)
-    return _clamp_unit(1.0 - worst, "curvature")
+    return _table_curvature(table, len(elements))
 
 
 def total_curvature(obj: Objective) -> float:
@@ -268,26 +296,7 @@ def total_curvature(obj: Objective) -> float:
     """
     elements = obj.ground()
     _size_guard(len(elements), 16)
-    table = subset_value_table(obj, elements)
-    worst = math.inf
-    skipped = 0
-    for j in range(len(elements)):
-        bit = 1 << j
-        lo = math.inf
-        hi = -math.inf
-        for mask in range(1 << len(elements)):
-            if mask & bit:
-                continue
-            gain = table[mask | bit] - table[mask]
-            lo = min(lo, gain)
-            hi = max(hi, gain)
-        if hi == 0:
-            skipped += 1
-            continue
-        worst = min(worst, lo / hi)
-    if skipped == len(elements):
-        raise ValueError("total curvature undefined: every element has zero gain everywhere")
-    return _clamp_unit(1.0 - worst, "total curvature")
+    return _table_total_curvature(subset_value_table(obj, elements), len(elements))
 
 
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:

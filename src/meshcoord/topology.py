@@ -7,9 +7,13 @@ directed and disconnected; the undirected generators emit symmetric edges.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -23,11 +27,12 @@ class MeshGraph:
             raise ValueError("need one in-neighborhood per agent")
         ins = []
         outs: list[set[int]] = [set() for _ in range(n)]
+        agents = frozenset(range(n))
         for i, nbrs in enumerate(in_neighbors):
             fs = frozenset(int(j) for j in nbrs)
             if i in fs:
                 raise ValueError(f"agent {i} lists itself as a neighbor")
-            if not fs <= set(range(n)):
+            if not fs <= agents:
                 raise ValueError(f"agent {i} lists unknown agent ids")
             ins.append(fs)
             for j in fs:
@@ -88,19 +93,42 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
 
     Fewer than k in range means it takes everyone in range. Distance ties are
     broken toward the lower agent id.
+
+    Agents are bucketed into square cells of side |comm_range|, so only the
+    3x3 block of cells around an agent is ranked. The side is padded by a
+    relative 1e-9, which absorbs the rounding of the distance test as long
+    as no coordinate lies more than 10^6 ranges from the origin. Beyond
+    that, or when comm_range squared is not a positive normal float (a zero,
+    infinite, NaN or underflowing range), every agent shares one cell.
     """
     if k < 0:
         raise ValueError("k may not be negative")
     n = len(positions)
+    for i, (x, y) in enumerate(positions):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"agent {i} has a non-finite position ({x!r}, {y!r})")
     range2 = comm_range * comm_range
+    side = math.sqrt(range2) * (1 + 1e-9)
+    extent = max((max(abs(x), abs(y)) for x, y in positions), default=0.0)
+    if not (sys.float_info.min <= range2 < math.inf and extent <= 1e6 * side):
+        side = math.inf
+    cells = [(math.floor(x / side), math.floor(y / side)) for x, y in positions]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for j, cell in enumerate(cells):
+        buckets.setdefault(cell, []).append(j)
     ins = []
     for i, (xi, yi) in enumerate(positions):
-        ranked = sorted(
-            ((xj - xi) ** 2 + (yj - yi) ** 2, j)
-            for j, (xj, yj) in enumerate(positions)
-            if j != i
-        )
-        ins.append([j for d2, j in ranked if d2 <= range2][:k])
+        cx, cy = cells[i]
+        ranked = []
+        for bx in (cx - 1, cx, cx + 1):
+            for by in (cy - 1, cy, cy + 1):
+                for j in buckets.get((bx, by), ()):
+                    xj, yj = positions[j]
+                    d2 = (xj - xi) ** 2 + (yj - yi) ** 2
+                    if d2 <= range2 and j != i:
+                        ranked.append((d2, j))
+        ranked.sort()
+        ins.append([j for _, j in ranked[:k]])
     return MeshGraph(n, ins)
 
 
@@ -145,15 +173,19 @@ def strongly_connected_line_plus(n: int, extra_edges: int, seed: int) -> MeshGra
     """
     if n < 2:
         raise ValueError("need at least two agents for a line")
-    candidates = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if j != i + 1
-    ]
-    if extra_edges > len(candidates):
+    # the non-line pairs (i, j), i + 1 < j, in lexicographic order: row i holds
+    # (i, i+2) .. (i, n-1) and starts[i] is the index of its first pair
+    starts = list(accumulate((n - 2 - i for i in range(n - 2)), initial=0))
+    if extra_edges > starts[-1]:
         raise ValueError(
-            f"cannot add {extra_edges} extra edges; only {len(candidates)} non-line pairs exist"
+            f"cannot add {extra_edges} extra edges; only {starts[-1]} non-line pairs exist"
         )
-    rng = random.Random(seed)
-    chosen = rng.sample(candidates, extra_edges)
+    # sampling indices draws exactly what sampling the list of pairs would,
+    # without building that O(n^2) list
+    chosen = []
+    for index in random.Random(seed).sample(range(starts[-1]), extra_edges):
+        i = bisect_right(starts, index) - 1
+        chosen.append((i, i + 2 + index - starts[i]))
     return from_undirected_edges(n, [(i, i + 1) for i in range(n - 1)] + chosen)
 
 
@@ -221,17 +253,19 @@ def dfs_order(g: MeshGraph, start: int) -> InfoDag:
         raise ValueError("start must be a valid agent id")
     if not is_strongly_connected(g):
         raise ValueError("graph is not strongly connected")
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def visit(u: int) -> None:
-        seen.add(u)
-        order.append(u)
-        for v in sorted(g.out_neighbors[u]):
+    order = [start]
+    seen = {start}
+    # one iterator over the unexplored out-neighbors of each agent on the path
+    stack = [iter(sorted(g.out_neighbors[start]))]
+    while stack:
+        for v in stack[-1]:
             if v not in seen:
-                visit(v)
-
-    visit(start)
+                seen.add(v)
+                order.append(v)
+                stack.append(iter(sorted(g.out_neighbors[v])))
+                break
+        else:
+            stack.pop()
     return full_access_dag(order)
 
 
@@ -263,6 +297,8 @@ def graph_from_text(text: str) -> MeshGraph:
             raise ValueError(f"line {idx}: edge endpoints must be integers, got {ln!r}") from None
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"line {idx}: edge {src}->{dst} is out of range for n={n}")
+        if src == dst:
+            raise ValueError(f"line {idx}: self-loop {src}->{dst} is not allowed")
         ins[dst].add(src)
     return MeshGraph(n, ins)
 

@@ -171,6 +171,15 @@ def test_eta_mode_still_returns_a_full_selection(seed):
     assert again.actions == out.actions  # deterministic given the rng seed
 
 
+def test_eta_mode_rejects_negative_and_nan_best_gains():
+    falling = CallableObjective([2, 2], lambda s: -float(len(s)))
+    with pytest.raises(ValueError, match=r"agent \d: best marginal gain is -1\.0"):
+        run_rag(falling, complete_graph(2), eta=0.5, rng=random.Random(0))
+    undefined = CallableObjective([1, 1], lambda s: math.nan if s else 0.0)
+    with pytest.raises(ValueError, match=r"agent \d: best marginal gain is nan"):
+        run_rag(undefined, complete_graph(2), eta=0.5, rng=random.Random(0))
+
+
 def test_eta_one_equals_default_mode_selection():
     obj, g, _ = reference_line_instance()
     assert run_rag(obj, g, eta=1.0).actions == run_rag(obj, g).actions
@@ -330,6 +339,25 @@ def test_all_rules_stay_within_the_optimum(seed):
     ]
     for out in outcomes:
         assert out.value <= opt + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_rules_score_bitmask_states_like_frozenset_states(seed):
+    # the same coverage function behind the base class's frozenset state
+    obj, g = coverage_instance(seed)
+    plain = CallableObjective(obj.action_counts, lambda s: float(obj.covered_cells(s)))
+    order = list(range(obj.n_agents))
+    random.Random(seed).shuffle(order)
+    rules = [
+        lambda o: run_rag(o, g),
+        lambda o: run_rag(o, g, eta=0.5, rng=random.Random(seed)),
+        lambda o: run_sg(o, order),
+        lambda o: run_dsm(o, full_access_dag(order)),
+    ]
+    for rule in rules:
+        assert rule(obj) == rule(plain)
+    assert obj.eval_count == plain.eval_count
 
 
 def test_format_outcome_mentions_the_essentials():

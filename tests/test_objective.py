@@ -47,6 +47,48 @@ def test_evaluate_is_normalized_and_counts_calls():
     assert obj.eval_count == 2
 
 
+def _objectives_of_each_kind(seed):
+    rng = random.Random(seed)
+    grid, _ = coverage_instance(seed)
+    disk = DiskCoverageObjective(
+        [
+            [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(2, 4))
+        ],
+        rng.uniform(0.5, 2.0),
+        arena=(0.0, 0.0, 6.0, 6.0),
+        resolution=4,
+    )
+    weights = {e: rng.uniform(-1, 2) for e in disk.ground()}
+    # fsum is exactly rounded, so the value does not depend on iteration order
+    weighted = CallableObjective(
+        disk.action_counts, lambda sel: math.fsum(weights[e] for e in sel) ** 2 / (1 + len(sel))
+    )
+    return [grid, disk, weighted]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.data())
+def test_context_state_evaluates_like_the_union_selection(seed, data):
+    for obj in _objectives_of_each_kind(seed):
+        ground = obj.ground()
+        ctx = data.draw(st.lists(st.sampled_from(ground), max_size=len(ground)))
+        extra = data.draw(st.lists(st.sampled_from(ground), max_size=3))
+        expected = obj.evaluate(set(ctx) | set(extra))
+        empty = obj.context()
+        built = obj.context(ctx)
+        grown = empty
+        for e in ctx:
+            grown = obj.extend(grown, e)
+        count = obj.eval_count
+        for state in (built, grown):
+            assert obj.evaluate(extra, state) == expected
+        assert obj.eval_count == count + 2  # one per call; context and extend are free
+        # extending returned new states and left the empty one as it was
+        assert obj.evaluate(extra, empty) == obj.evaluate(extra)
+        assert obj.evaluate((), built) == obj.evaluate(ctx)
+
+
 def test_shipped_objectives_are_normalized():
     grid = GridCoverageObjective(["##", ".#"], [[[(0, 0)]], [[(1, 1)]]])
     disk = DiskCoverageObjective([[(1.0, 1.0)]], 0.5, arena=(0.0, 0.0, 2.0, 2.0))

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,70 @@ def test_knn_rejects_negative_k():
         knn_graph([(0.0, 0.0)], k=-1, comm_range=1.0)
 
 
+def _knn_reference(positions, k, comm_range):
+    """The full sort over all other agents that the bucketed knn_graph replaces."""
+    range2 = comm_range * comm_range
+    ins = []
+    for i, (xi, yi) in enumerate(positions):
+        ranked = sorted(
+            ((xj - xi) ** 2 + (yj - yi) ** 2, j)
+            for j, (xj, yj) in enumerate(positions)
+            if j != i
+        )
+        ins.append([j for d2, j in ranked if d2 <= range2][:k])
+    return MeshGraph(len(positions), ins)
+
+
+@st.composite
+def _knn_inputs(draw):
+    # lattice points give duplicates, equal distances and pairs exactly one
+    # range apart; free floats give non-integer coordinates near cell edges
+    step = draw(st.sampled_from([1.0, 0.5, 2.5, 0.1, 0.3]))
+    offset = draw(st.sampled_from([0.0, -7.25, 1e6, -3e7]))
+    lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(
+        lambda p: (offset + p[0] * step, offset + p[1] * step)
+    )
+    free = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
+    pts = draw(st.lists(st.one_of(lattice, free), min_size=1, max_size=30))
+    comm_range = draw(
+        st.one_of(
+            st.integers(-2, 5).map(lambda m: m * step),
+            st.floats(1e-3, 25),
+            st.sampled_from([0.0, -3.0, math.inf, -math.inf, math.nan, 1e-160, 1e200]),
+        )
+    )
+    k = draw(st.integers(0, len(pts) + 1))
+    return pts, k, comm_range
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_inputs())
+def test_bucketed_knn_equals_the_full_sort(inputs):
+    pts, k, comm_range = inputs
+    assert knn_graph(pts, k, comm_range) == _knn_reference(pts, k, comm_range)
+
+
+@pytest.mark.parametrize(
+    "pts,comm_range",
+    [
+        # the true gap exceeds the range but rounds to exactly 1.0, and the
+        # two points fall two unpadded cells apart
+        ([(-1e-17, 0.0), (1.0, 0.0)], 1.0),
+        # a subnormal squared range rounds away far more than the padding
+        ([(-5e-324, 0.0), (1.00001e-160, 0.0)], 1e-160),
+    ],
+)
+def test_knn_keeps_pairs_rounded_into_the_range(pts, comm_range):
+    assert knn_graph(pts, 1, comm_range) == _knn_reference(pts, 1, comm_range) == line_graph(2)
+
+
+def test_knn_rejects_non_finite_positions():
+    with pytest.raises(ValueError, match="agent 1"):
+        knn_graph([(0.0, 0.0), (math.nan, 0.0)], k=1, comm_range=1.0)
+    with pytest.raises(ValueError, match="agent 0"):
+        knn_graph([(0.0, math.inf)], k=1, comm_range=1.0)
+
+
 def test_line_graph_edges():
     g = line_graph(5)
     assert g.in_neighbors == (
@@ -148,6 +214,16 @@ def test_line_plus_is_deterministic_per_seed():
     assert a != c
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 10_000), st.data())
+def test_line_plus_draws_the_same_chords_as_from_the_full_pair_list(n, seed, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if j != i + 1]
+    extra = data.draw(st.integers(0, len(pairs)))
+    chords = random.Random(seed).sample(pairs, extra)
+    expected = from_undirected_edges(n, [(i, i + 1) for i in range(n - 1)] + chords)
+    assert strongly_connected_line_plus(n, extra, seed) == expected
+
+
 def test_line_plus_rejects_infeasible_extra_edges():
     # only n(n-1)/2 - (n-1) = 6 non-line pairs exist for n = 5
     with pytest.raises(ValueError):
@@ -198,6 +274,52 @@ def test_dfs_order_explores_ascending_ids():
     assert dag.order == (2, 1, 0, 3)
 
 
+def _dfs_reference(g, start):
+    """The recursive preorder that the iterative dfs_order replaces."""
+    order, seen = [], set()
+
+    def visit(u):
+        seen.add(u)
+        order.append(u)
+        for v in sorted(g.out_neighbors[u]):
+            if v not in seen:
+                visit(v)
+
+    visit(start)
+    return tuple(order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10_000))
+def test_iterative_dfs_order_equals_the_recursive_preorder(n, seed):
+    rng = random.Random(seed)
+    # a random directed Hamiltonian cycle keeps it strongly connected
+    cycle = list(range(n))
+    rng.shuffle(cycle)
+    ins = [set() for _ in range(n)]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if a != b:
+            ins[b].add(a)
+    for _ in range(rng.randrange(3 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            ins[b].add(a)
+    g = MeshGraph(n, ins)
+    start = rng.randrange(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 2 * n + 200))
+    try:
+        expected = _dfs_reference(g, start)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert dfs_order(g, start).order == expected
+
+
+def test_dfs_order_walks_paths_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 500
+    assert dfs_order(line_graph(n), start=0).order == tuple(range(n))
+
+
 def test_dfs_order_requires_strong_connectivity():
     with pytest.raises(ValueError, match="strongly connected"):
         dfs_order(edgeless_graph(3), start=0)
@@ -234,6 +356,8 @@ def test_graph_text_errors_name_the_line():
         graph_from_text("3\n0 1 2\n")
     with pytest.raises(ValueError, match="line 3"):
         graph_from_text("3\n0 1\n0 9\n")
+    with pytest.raises(ValueError, match="line 3: self-loop"):
+        graph_from_text("3\n0 1\n2 2\n")
     with pytest.raises(ValueError):
         graph_from_text("")
 
