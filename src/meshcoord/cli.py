@@ -4,7 +4,8 @@ Configs are flat `key = value` text files (blank lines and full-line `#`
 comments ignored); `meshcoord run --print-default-config` emits a commented
 template. Exit codes: 0 success, 1 property violation, 2 config or
 environment error. The MESHCOORD_WORKERS environment variable sizes the
-trial worker pool (default 1, serial).
+trial worker pool (default 1, serial); a run starts at most one pool, shared
+by all trials of all sweep variations.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from meshcoord.bounds import (
     aposteriori_bound,
     approx_greedy_bound,
     bound_report,
-    coin_sum,
 )
 from meshcoord.coordination import (
     BRUTE_FORCE_LIMIT,
@@ -49,12 +49,7 @@ from meshcoord.scenario import (
     trace_rows,
 )
 from meshcoord.timing import DelayModel, rag_decision_time, rag_time_bound, sg_decision_time
-from meshcoord.topology import (
-    full_access_dag,
-    line_graph,
-    star_graph,
-    strongly_connected_line_plus,
-)
+from meshcoord.topology import full_access_dag, strongly_connected_line_plus
 
 EMIT_CHOICES = ("traces", "aggregates", "bounds", "timings")
 
@@ -90,6 +85,13 @@ class ExperimentConfig:
             for k in ks
             for n in ns
             for r in rates
+        ]
+
+    def missions(self) -> list[MissionConfig]:
+        """One MissionConfig per sweep variation, in variations() order."""
+        return [
+            replace(self.mission, algorithm=a, k=k, n_agents=n, data_rate_mbps=r)
+            for a, k, n, r in self.variations()
         ]
 
 
@@ -240,16 +242,14 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             mission_kwargs[key] = parsed
 
     mission = MissionConfig(**mission_kwargs)
+    exp = ExperimentConfig(mission=mission, output_dir=output_dir, emit=emit, **sweeps)
     try:
         mission.validate()
+        for cfg in exp.missions():
+            cfg.validate()
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from None
-    return ExperimentConfig(
-        mission=mission,
-        output_dir=output_dir,
-        emit=emit,
-        **sweeps,
-    )
+    return exp
 
 
 def _workers_from_env() -> int:
@@ -340,19 +340,14 @@ def cmd_run(config_path: str) -> int:
         print(f"config error: output_dir {exp.output_dir!r} is not writable: {exc}", file=sys.stderr)
         return 2
 
-    all_runs = []
-    summary_rows = []
-    for algorithm, k, n, rate in exp.variations():
-        cfg = replace(
-            exp.mission, algorithm=algorithm, k=k, n_agents=n, data_rate_mbps=rate
-        )
-        runs, (summary,) = monte_carlo(cfg, [(algorithm, k)], workers=workers)
-        all_runs.extend(runs)
-        summary_rows.append((summary, n, rate))
+    missions = exp.missions()
+    all_runs, summaries = monte_carlo(missions, workers=workers)
+    summary_rows = [(s, cfg.n_agents, cfg.data_rate_mbps) for s, cfg in zip(summaries, missions)]
+    for s, n, rate in summary_rows:
         print(
-            f"{algorithm} k={k} n={n} rate={rate}Mbps: "
-            f"peak {summary.mean_peak_coverage:.1f}±{summary.std_peak_coverage:.1f} cells, "
-            f"step time {summary.mean_step_time_s:.4g}s"
+            f"{s.algorithm} k={s.k} n={n} rate={rate}Mbps: "
+            f"peak {s.mean_peak_coverage:.1f}±{s.std_peak_coverage:.1f} cells, "
+            f"step time {s.mean_step_time_s:.4g}s"
         )
 
     if "traces" in exp.emit:

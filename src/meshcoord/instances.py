@@ -26,6 +26,8 @@ from meshcoord.topology import (
     star_graph,
 )
 
+# the 8 cardinal/diagonal unit displacements; a mission agent's action menu
+# is these at the configured magnitude, so |V_i| = 8 throughout a mission
 MOVES = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
@@ -91,7 +93,7 @@ def _random_graph(rng: random.Random, n: int, positions: Sequence[tuple[int, int
     return MeshGraph(n, ins)
 
 
-def _nested_menus(block_start: int, size: int, n_actions: int, row_width: int) -> list[frozenset]:
+def _nested_menus(block_start: int, size: int, n_actions: int) -> list[frozenset]:
     """Action menus over one row-block: the full block, then shrinking prefixes.
 
     Within-agent footprints nest (so the argmax is unique) while staying
@@ -139,7 +141,7 @@ def _reference_instance(
     footprints = []
     start = 0
     for v in values:
-        footprints.append(_nested_menus(start, v, n_actions, width))
+        footprints.append(_nested_menus(start, v, n_actions))
         start += v
     obj = GridCoverageObjective(mask, footprints)
     return obj, g, tuple(values)

@@ -81,26 +81,33 @@ class Objective:
 class _UnionMaskObjective(Objective):
     """An objective whose value depends only on the OR of per-element bitmasks.
 
-    The context state is that union, so scoring a candidate against a
-    context of any size costs one OR and one popcount. The value is the
-    union's bit count times cell_area.
+    masks[i][a] is the bitmask of cells agent i's action a covers. The
+    context state is the union of the selection's masks, so scoring a
+    candidate against a context of any size costs one OR and one popcount.
+    The value is the union's bit count times cell_area.
     """
 
-    _masks: dict[GroundElement, int]
-    cell_area: float
+    cell_area = 1.0
+
+    def __init__(self, masks: Sequence[Sequence[int]]):
+        super().__init__([len(per_agent) for per_agent in masks])
+        self._masks = tuple(tuple(per_agent) for per_agent in masks)
 
     def context(self, selection: Iterable[GroundElement] = ()) -> int:
+        masks = self._masks
         union = 0
-        for e in selection:
-            union |= self._masks[e]
+        for i, a in selection:
+            union |= masks[i][a]
         return union
 
     def extend(self, state: int, element: GroundElement) -> int:
-        return state | self._masks[element]
+        i, a = element
+        return state | self._masks[i][a]
 
     def _value_in(self, state: int, extra: Iterable[GroundElement]) -> float:
-        for e in extra:
-            state |= self._masks[e]
+        masks = self._masks
+        for i, a in extra:
+            state |= masks[i][a]
         return state.bit_count() * self.cell_area
 
 
@@ -128,45 +135,33 @@ class GridCoverageObjective(_UnionMaskObjective):
     counts returned as floats.
     """
 
-    cell_area = 1.0
-
     def __init__(
         self,
         road_mask: Sequence[str],
         footprints: Sequence[Sequence[Iterable[Cell]]],
     ):
-        super().__init__([len(per_agent) for per_agent in footprints])
         rows = list(road_mask)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("road mask must be rectangular and non-empty")
         bad = set("".join(rows)) - {"#", "."}
         if bad:
             raise ValueError(f"road mask may contain only '#' and '.', got {sorted(bad)!r}")
-        self.width = len(rows[0])
-        self.height = len(rows)
+        self.width = width = len(rows[0])
+        self.height = height = len(rows)
         self.road_mask = tuple(rows)
-        road_bits = 0
-        for y, row in enumerate(rows):
-            for x, ch in enumerate(row):
-                if ch == "#":
-                    road_bits |= 1 << (y * self.width + x)
-        self.road_cell_count = road_bits.bit_count()
-        self._masks: dict[GroundElement, int] = {}
-        self._cells: dict[GroundElement, frozenset[Cell]] = {}
-        for i, per_agent in enumerate(footprints):
-            for a, cells in enumerate(per_agent):
-                cells = frozenset(cells)
+        roads = road_bits(rows)
+        self.road_cell_count = roads.bit_count()
+        masks = []
+        for per_agent in footprints:
+            menu = []
+            for cells in per_agent:
                 mask = 0
                 for x, y in cells:
-                    if 0 <= x < self.width and 0 <= y < self.height:
-                        mask |= 1 << (y * self.width + x)
-                e = GroundElement(i, a)
-                self._masks[e] = mask & road_bits
-                self._cells[e] = cells
-
-    def footprint(self, element: GroundElement) -> frozenset[Cell]:
-        """The raw footprint cells, including any off-road ones."""
-        return self._cells[element]
+                    if 0 <= x < width and 0 <= y < height:
+                        mask |= 1 << (y * width + x)
+                menu.append(mask & roads)
+            masks.append(menu)
+        super().__init__(masks)
 
     def covered_cells(self, selection: Iterable[GroundElement]) -> int:
         return self.context(selection).bit_count()
@@ -188,7 +183,6 @@ class DiskCoverageObjective(_UnionMaskObjective):
         arena: tuple[float, float, float, float],
         resolution: int = 10,
     ):
-        super().__init__([len(per_agent) for per_agent in centers])
         if sensing_radius <= 0:
             raise ValueError("sensing_radius must be positive")
         if resolution < 1:
@@ -202,11 +196,8 @@ class DiskCoverageObjective(_UnionMaskObjective):
         self._nx = math.ceil((xmax - xmin) * resolution)
         self._ny = math.ceil((ymax - ymin) * resolution)
         self.cell_area = 1.0 / (resolution * resolution)
-        self._masks: dict[GroundElement, int] = {}
         self.centers = tuple(tuple((float(x), float(y)) for x, y in per_agent) for per_agent in centers)
-        for i, per_agent in enumerate(self.centers):
-            for a, c in enumerate(per_agent):
-                self._masks[GroundElement(i, a)] = self._disk_mask(c)
+        super().__init__([[self._disk_mask(c) for c in per_agent] for per_agent in self.centers])
 
     def _disk_mask(self, center: tuple[float, float]) -> int:
         cx, cy = center
@@ -516,6 +507,14 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
     return ["".join("#" if c else "." for c in row) for row in road]
 
 
+_ROAD_DIGITS = str.maketrans("#.", "10")
+
+
+def road_bits(rows: Sequence[str]) -> int:
+    """The '#' cells of a rectangular road mask as an int, bit y * width + x per cell."""
+    return int("".join(rows)[::-1].translate(_ROAD_DIGITS), 2)
+
+
 def rect_footprint(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> frozenset[Cell]:
     """Cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid."""
     x0 = cx - fov_w // 2
@@ -525,6 +524,18 @@ def rect_footprint(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height:
         for y in range(max(0, y0), min(height, y0 + fov_h))
         for x in range(max(0, x0), min(width, x0 + fov_w))
     )
+
+
+def rect_mask(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> int:
+    """rect_footprint as a bitmask (bit y * width + x): one clipped row mask per clipped row."""
+    x0 = cx - fov_w // 2
+    y0 = cy - fov_h // 2
+    lo, hi = max(0, x0), min(width, x0 + fov_w)
+    row = ((1 << max(0, hi - lo)) - 1) << lo
+    mask = 0
+    for y in range(max(0, y0), min(height, y0 + fov_h)):
+        mask |= row << (y * width)
+    return mask
 
 
 def _size_guard(size: int, limit: int) -> None:

@@ -14,31 +14,35 @@ comparisons rely on.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterator, Sequence
 
 from meshcoord.coordination import (
-    CoordinationOutcome,
     run_dfs_sg,
     run_dsm,
     run_rag,
     run_random_baseline,
     run_sg,
 )
-from meshcoord.objective import GridCoverageObjective, parse_road_mask, random_road_mask, rect_footprint
+from meshcoord.instances import MOVES
+from meshcoord.objective import (
+    _UnionMaskObjective,
+    parse_road_mask,
+    random_road_mask,
+    rect_mask,
+    road_bits,
+)
 from meshcoord.timing import DelayModel, rag_decision_time, sg_decision_time, tau_c_from_rate
 from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 
-# the 8 cardinal/diagonal unit displacements; every agent's action menu is
-# these at the configured magnitude, so |V_i| = 8 throughout a mission
-MOVES = (
-    (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
-)
+# comm_range may be +inf (everyone in range); the others must be finite
+_FLOAT_FIELDS = ("road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps")
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,10 @@ class MissionConfig:
 
     def validate(self) -> None:
         """Raises ValueError naming the offending field."""
+        for name in _FLOAT_FIELDS:
+            v = getattr(self, name)
+            if not (math.isfinite(v) or (name == "comm_range" and v == math.inf)):
+                raise ValueError(f"{name} must be a finite number, got {v}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
         if self.world_width < 1 or self.world_height < 1:
@@ -192,6 +200,12 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     The world stream (mask + spawn) is keyed only by (seed, trial), the
     algorithm stream by (seed, trial, algorithm, k): two variations replayed
     at equal trial indices start from identical worlds.
+
+    The world is kept as ints (bit y * width + x per cell): the road mask,
+    the covered mask, and one road-clipped footprint mask per grid position,
+    cached for the mission. Each step's objective is the footprint masks of
+    the agents' candidate destinations ANDed with the still-uncovered road,
+    so it counts only newly seen road cells.
     """
     cfg.validate()
     rng_world = random.Random(f"{cfg.seed}:{trial}:world")
@@ -202,15 +216,16 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     width = len(mask[0])
     if cfg.fov_width > width or cfg.fov_height > height:
         raise ValueError("fov_width/fov_height must fit inside the world")
-    road_cells = frozenset(
-        (x, y) for y, row in enumerate(mask) for x, ch in enumerate(row) if ch == "#"
-    )
+    roads = road_bits(mask)
     positions = _spawn(cfg, rng_world, width, height)
     initial = tuple(positions)
 
     n = cfg.n_agents
     dm = cfg.delay_model()
     counts = [len(MOVES)] * n
+
+    # road footprint mask per grid position, built on first use
+    footprints: dict[tuple[int, int], int] = {}
 
     # per-trial randomness of the sequential rules: one decision order for
     # sg/dsm, one relay mesh and start for dfs-sg
@@ -227,31 +242,21 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
         )
         dfs_start = rng_alg.randrange(n)
 
-    covered: set[tuple[int, int]] = set()
+    covered = 0
     records: list[StepRecord] = []
     for step in range(1, cfg.steps + 1):
-        rows = [
-            "".join(
-                "#" if (x, y) in road_cells and (x, y) not in covered else "."
-                for x in range(width)
-            )
-            for y in range(height)
-        ]
         dests = [
-            [
-                _destination(positions[i], m, cfg.move_magnitude, width, height)
-                for m in range(len(MOVES))
-            ]
-            for i in range(n)
+            [_destination(p, m, cfg.move_magnitude, width, height) for m in range(len(MOVES))]
+            for p in positions
         ]
-        footprints = [
-            [
-                rect_footprint(dx, dy, cfg.fov_width, cfg.fov_height, width, height)
-                for dx, dy in dests[i]
-            ]
-            for i in range(n)
-        ]
-        obj = GridCoverageObjective(rows, footprints)
+        for row in dests:
+            for dest in row:
+                if dest not in footprints:
+                    footprints[dest] = roads & rect_mask(
+                        *dest, cfg.fov_width, cfg.fov_height, width, height
+                    )
+        uncovered = roads & ~covered
+        obj = _UnionMaskObjective([[footprints[d] & uncovered for d in row] for row in dests])
 
         pts = [(float(x), float(y)) for x, y in positions]
         if cfg.algorithm == "rag":
@@ -280,20 +285,13 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
             sim_time = 0.0
 
         for i, e in enumerate(outcome.actions):
-            dest = dests[i][e.action]
-            positions[i] = dest
-            covered.update(
-                c
-                for c in rect_footprint(
-                    dest[0], dest[1], cfg.fov_width, cfg.fov_height, width, height
-                )
-                if c in road_cells
-            )
+            positions[i] = dests[i][e.action]
+            covered |= footprints[positions[i]]
 
         records.append(
             StepRecord(
                 step=step,
-                covered_cells=len(covered),
+                covered_cells=covered.bit_count(),
                 step_sim_time_s=sim_time,
                 gain_rounds=outcome.gain_rounds,
                 action_rounds=outcome.action_rounds,
@@ -304,41 +302,34 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     return MissionTrace(
         algorithm=cfg.algorithm,
         k=cfg.k,
-        road_cell_count=len(road_cells),
+        road_cell_count=roads.bit_count(),
         initial_positions=initial,
         records=tuple(records),
     )
 
 
-def _run_task(args: tuple[MissionConfig, str, int, int]) -> TrialRun:
-    cfg, algorithm, k, trial = args
-    trace = run_mission(replace(cfg, algorithm=algorithm, k=k), trial=trial)
-    return TrialRun(algorithm=algorithm, k=k, trial=trial, trace=trace)
+def _run_task(task: tuple[MissionConfig, int]) -> TrialRun:
+    cfg, trial = task
+    return TrialRun(algorithm=cfg.algorithm, k=cfg.k, trial=trial, trace=run_mission(cfg, trial))
 
 
 def monte_carlo(
-    cfg: MissionConfig,
-    variations: Sequence[tuple[str, int]],
+    variations: Sequence[MissionConfig],
     workers: int = 1,
 ) -> tuple[list[TrialRun], list[VariationSummary]]:
-    """Paired trials of every (algorithm, k) variation, serial or pooled.
+    """Paired trials of every variation, serial or on one process pool.
 
-    Results are merged in (variation, trial) order however many workers run,
-    so outputs are deterministic either way.
+    Each variation is a full MissionConfig and runs its own cfg.trials
+    trials; all are validated before any mission starts. With workers > 1,
+    every (variation, trial) task of the whole batch is submitted to a single
+    pool up front. Results are merged in (variation, trial) order however
+    many workers run, so outputs are deterministic either way.
     """
-    cfg.validate()
     if not variations:
-        raise ValueError("need at least one (algorithm, k) variation")
-    for algorithm, k in variations:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if k < 0:
-            raise ValueError("k may not be negative")
-    tasks = [
-        (cfg, algorithm, k, trial)
-        for algorithm, k in variations
-        for trial in range(cfg.trials)
-    ]
+        raise ValueError("need at least one variation")
+    for cfg in variations:
+        cfg.validate()
+    tasks = [(cfg, trial) for cfg in variations for trial in range(cfg.trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -348,8 +339,10 @@ def monte_carlo(
         runs = [_run_task(t) for t in tasks]
 
     summaries = []
-    for idx, (algorithm, k) in enumerate(variations):
-        batch = runs[idx * cfg.trials : (idx + 1) * cfg.trials]
+    start = 0
+    for cfg in variations:
+        batch = runs[start : start + cfg.trials]
+        start += cfg.trials
         peaks = [r.trace.peak_coverage for r in batch]
         times = [r.trace.mean_step_time for r in batch]
         by_step = tuple(
@@ -358,8 +351,8 @@ def monte_carlo(
         )
         summaries.append(
             VariationSummary(
-                algorithm=algorithm,
-                k=k,
+                algorithm=cfg.algorithm,
+                k=cfg.k,
                 trials=cfg.trials,
                 mean_peak_coverage=fmean(peaks),
                 std_peak_coverage=pstdev(peaks),

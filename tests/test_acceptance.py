@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 from scipy import stats
@@ -204,7 +205,7 @@ def test_acceptance_6_coverage_trend():
             trials=30,
             seed=0,
         )
-        runs, summaries = monte_carlo(cfg, [("rag", k) for k in ks])
+        runs, summaries = monte_carlo([replace(cfg, algorithm="rag", k=k) for k in ks])
         peaks = [s.mean_peak_coverage for s in summaries]
         times = [s.mean_step_time_s for s in summaries]
 

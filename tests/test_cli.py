@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -192,14 +191,54 @@ def test_invalid_worker_env_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "MESHCOORD_WORKERS" in capsys.readouterr().err
 
 
-def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch):
-    path_a, out_a = write_config(tmp_path / "a")
-    path_b, out_b = write_config(tmp_path / "b")
-    monkeypatch.setenv("MESHCOORD_WORKERS", "1")
-    assert main(["run", str(path_a)]) == 0
-    monkeypatch.setenv("MESHCOORD_WORKERS", "2")
-    assert main(["run", str(path_b)]) == 0
-    assert (out_a / "traces.csv").read_bytes() == (out_b / "traces.csv").read_bytes()
+def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch, capsys):
+    sweep = dict(
+        sweep_algorithm="rag dfs-sg random",
+        sweep_k="0 2",
+        sweep_n_agents="2 3",
+        sweep_data_rate_mbps="0.25 1.0",
+        emit="traces aggregates bounds timings",
+    )
+    path_a, out_a = write_config(tmp_path / "a", **sweep)
+    path_b, out_b = write_config(tmp_path / "b", **sweep)
+    printed = []
+    for workers, path in (("1", path_a), ("2", path_b)):
+        monkeypatch.setenv("MESHCOORD_WORKERS", workers)
+        assert main(["run", str(path)]) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    for name in ("traces.csv", "aggregates.csv", "bounds.csv", "timings.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    summaries = []
+    for out in (out_a, out_b):
+        data = json.loads((out / "summary.json").read_text())
+        data["config"].pop("output_dir")
+        summaries.append(data)
+    assert summaries[0] == summaries[1]
+    # one line per variation, in sweep order, whatever the worker count
+    expected = [
+        f"{a} k={k} n={n} rate={r}Mbps:"
+        for a in ("rag", "dfs-sg", "random")
+        for k in (0, 2)
+        for n in (2, 3)
+        for r in (0.25, 1.0)
+    ]
+    for lines in printed:
+        assert [line.split(" peak")[0] for line in lines] == expected
+
+
+@pytest.mark.parametrize(
+    "key", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
+)
+def test_nan_config_values_are_rejected_by_name(key):
+    with pytest.raises(ConfigError, match=f"config error: {key} must be a finite number"):
+        parse_experiment_config(f"{key} = nan\n")
+
+
+def test_nan_sweep_rate_is_rejected_before_any_work(tmp_path, capsys):
+    path, out_dir = write_config(tmp_path, sweep_data_rate_mbps="0.25 nan")
+    assert main(["run", str(path)]) == 2
+    assert "data_rate_mbps must be a finite number" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_verify_passes_on_a_small_batch(capsys):

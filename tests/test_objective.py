@@ -20,6 +20,8 @@ from meshcoord.objective import (
     parse_road_mask,
     random_road_mask,
     rect_footprint,
+    rect_mask,
+    road_bits,
     subset_value_table,
     total_curvature,
     validate_structure,
@@ -478,3 +480,21 @@ def test_rect_footprint_clips_to_grid():
     assert rect_footprint(9, 9, 3, 3, 10, 10) == frozenset(
         {(8, 8), (9, 8), (8, 9), (9, 9)}
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 9), st.integers(-4, 12), st.integers(-4, 12),
+    st.integers(1, 11), st.integers(1, 11),
+)
+def test_rect_mask_is_the_footprint_as_bits(width, height, cx, cy, fov_w, fov_h):
+    cells = rect_footprint(cx, cy, fov_w, fov_h, width, height)
+    expected = sum(1 << (y * width + x) for x, y in cells)
+    assert rect_mask(cx, cy, fov_w, fov_h, width, height) == expected
+
+
+def test_road_bits_number_cells_row_major():
+    assert road_bits(["#..", ".#.", "..#"]) == 0b100010001
+    assert road_bits(["##.", "..."]) == 0b11
+    assert road_bits(["...."]) == 0
+

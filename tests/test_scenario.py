@@ -48,6 +48,30 @@ def test_validate_names_the_offending_field(field, value):
         bad.validate()
 
 
+@pytest.mark.parametrize(
+    "field", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
+)
+def test_validate_rejects_nan_in_every_float_field(field):
+    # NaN passes every < / <= range check; a mask file also skips road_density's
+    bad = dataclasses.replace(MissionConfig(road_mask_path="roads.txt"), **{field: math.nan})
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("field", ["tau_f", "tau_hash", "message_kib", "data_rate_mbps"])
+def test_validate_rejects_infinite_costs(field):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(MissionConfig(), **{field: math.inf}).validate()
+
+
+def test_infinite_comm_range_puts_everyone_in_range():
+    MissionConfig(comm_range=math.inf).validate()
+    with pytest.raises(ValueError, match="comm_range"):
+        MissionConfig(comm_range=-math.inf).validate()
+    trace = run_mission(cfg(comm_range=math.inf, k=3), trial=0)
+    assert all(r.gain_rounds > 0 for r in trace.records)
+
+
 def test_delay_model_uses_the_reference_link_budget():
     dm = MissionConfig().delay_model()
     assert dm.tau_c == 0.8192  # 25 KiB at 0.25 Mbps
@@ -119,7 +143,7 @@ def test_sequential_relay_cost_is_constant_per_step():
 
 def test_more_neighbors_cost_more_time():
     def mean_time(k):
-        runs, _ = monte_carlo(cfg(trials=3), [("rag", k)])
+        runs, _ = monte_carlo([cfg(trials=3, algorithm="rag", k=k)])
         return sum(r.trace.mean_step_time for r in runs) / len(runs)
 
     t0, t3 = mean_time(0), mean_time(3)
@@ -127,7 +151,7 @@ def test_more_neighbors_cost_more_time():
 
 
 def test_monte_carlo_single_trial_matches_the_trace():
-    runs, summaries = monte_carlo(cfg(trials=1), [("rag", 2)])
+    runs, summaries = monte_carlo([cfg(trials=1, algorithm="rag", k=2)])
     assert len(runs) == 1 and len(summaries) == 1
     s, r = summaries[0], runs[0]
     assert s.trials == 1
@@ -139,8 +163,8 @@ def test_monte_carlo_single_trial_matches_the_trace():
 
 
 def test_monte_carlo_orders_runs_by_variation_then_trial():
-    variations = [("rag", 2), ("random", 2)]
-    runs, summaries = monte_carlo(cfg(), variations)
+    variations = [cfg(algorithm="rag", k=2), cfg(algorithm="random", k=2)]
+    runs, summaries = monte_carlo(variations)
     assert [(r.algorithm, r.trial) for r in runs] == [
         ("rag", 0), ("rag", 1), ("random", 0), ("random", 1)
     ]
@@ -148,14 +172,14 @@ def test_monte_carlo_orders_runs_by_variation_then_trial():
 
 
 def test_parallel_workers_change_nothing():
-    variations = [("rag", 2), ("sg", 2)]
-    serial = monte_carlo(cfg(), variations, workers=1)
-    parallel = monte_carlo(cfg(), variations, workers=2)
+    variations = [cfg(algorithm="rag", k=2), cfg(algorithm="sg", k=2)]
+    serial = monte_carlo(variations, workers=1)
+    parallel = monte_carlo(variations, workers=2)
     assert serial == parallel
 
 
 def test_trace_rows_flatten_every_step():
-    runs, _ = monte_carlo(cfg(), [("random", 2)])
+    runs, _ = monte_carlo([cfg(algorithm="random", k=2)])
     rows = list(trace_rows(runs))
     assert len(rows) == 2 * 3  # trials * steps
     assert len(rows[0]) == len(TRACE_HEADER)
