@@ -60,9 +60,9 @@ from meshcoord.coordination import (
 )
 from meshcoord.timing import (
     DelayModel,
+    DecisionTime,
     tau_c_from_rate,
-    rag_decision_time,
-    sg_decision_time,
+    decision_time,
     rag_time_bound,
 )
 from meshcoord.bounds import (

@@ -17,6 +17,10 @@ from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
 from meshcoord.objective import (
     GroundElement,
     Objective,
+    _ground_table,
+    _size_guard,
+    _table_structure,
+    _table_total_curvature,
     coin,
     curvature,
     total_curvature,
@@ -78,7 +82,11 @@ def apriori_bound(
     if kappa is None:
         kappa = curvature(obj)
     opt = _optimum(obj, optimum_value)
-    return (opt - kappa * coin_sum(obj, g, outcome.actions)) / (1.0 + kappa)
+    return _apriori(opt, kappa, coin_sum(obj, g, outcome.actions))
+
+
+def _apriori(opt: float, kappa: float, coins: float) -> float:
+    return (opt - kappa * coins) / (1.0 + kappa)
 
 
 def aposteriori_bound(
@@ -122,7 +130,10 @@ def approx_greedy_bound(
     if kappa is None:
         kappa = curvature(obj)
     opt = _optimum(obj, optimum_value)
-    coins = coin_sum(obj, g, outcome.actions)
+    return _approx_greedy(opt, kappa, coin_sum(obj, g, outcome.actions), eta)
+
+
+def _approx_greedy(opt: float, kappa: float, coins: float, eta: float) -> float:
     return eta / (1.0 + eta * kappa) * (opt - (1.0 / eta - 1.0 + kappa) * coins)
 
 
@@ -144,13 +155,17 @@ def curvature_only_bound(
     if submodular is None:
         submodular = validate_structure(obj).is_submodular
     opt = _optimum(obj, optimum_value)
+    k = curvature(obj) if submodular else total_curvature(obj)
+    return _curvature_only(opt, is_complete(g), submodular, k)
+
+
+def _curvature_only(opt: float, complete: bool, submodular: bool, k: float) -> float:
+    """k is the curvature for submodular objectives, else the total curvature."""
     if submodular:
-        k = curvature(obj)
-        return opt / (1.0 + k) if is_complete(g) else (1.0 - k) * opt
-    c = total_curvature(obj)
-    if is_complete(g):
-        return (1.0 - c) / (1.0 + c - c * c) * opt
-    return (1.0 - c) ** 2 * opt
+        return opt / (1.0 + k) if complete else (1.0 - k) * opt
+    if complete:
+        return (1.0 - k) / (1.0 + k - k * k) * opt
+    return (1.0 - k) ** 2 * opt
 
 
 def fixed_action_gap(
@@ -192,33 +207,37 @@ def bound_report(
     objectives are submodular; assume_submodular short-circuits the
     exhaustive structure check for grounds beyond its size guard.
     """
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
     certified = optimum_value is None
     opt = _optimum(obj, optimum_value)
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
+    # one subset table serves the total curvature and the structure check
+    m = len(obj.ground())
     submodular = assume_submodular
     c_total: float | None = None
-    if len(obj.ground()) <= 16:
-        c_total = total_curvature(obj)
+    if m <= 16:
+        table, m = _ground_table(obj)
+        c_total = _table_total_curvature(table, m)
         if submodular is None:
-            submodular = validate_structure(obj).is_submodular
+            submodular = _table_structure(table, m).is_submodular
+    elif submodular is not None and not submodular:
+        _size_guard(m, 16)  # the non-submodular bound needs the total curvature
     curvature_only: float | None = None
     if submodular is not None:
-        curvature_only = curvature_only_bound(
-            obj, g, outcome, optimum_value=opt, submodular=submodular
-        )
+        k = kappa if submodular else c_total
+        curvature_only = _curvature_only(opt, is_complete(g), submodular, k)
 
     return BoundReport(
         algorithm_value=outcome.value,
         optimum_value=opt,
-        apriori=apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa),
+        apriori=_apriori(opt, kappa, coins),
         apriori_centralized=opt / (1.0 + kappa),
         apriori_decentralized_floor=(1.0 - kappa) * opt,
         aposteriori=aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa),
-        approx_greedy=approx_greedy_bound(
-            obj, g, outcome, eta, optimum_value=opt, kappa=kappa
-        ),
+        approx_greedy=_approx_greedy(opt, kappa, coins, eta),
         curvature_only=curvature_only,
         coin_sum=coins,
         kappa=kappa,

@@ -48,7 +48,7 @@ from meshcoord.scenario import (
     monte_carlo,
     trace_rows,
 )
-from meshcoord.timing import DelayModel, rag_decision_time, rag_time_bound, sg_decision_time
+from meshcoord.timing import DelayModel, decision_time, rag_time_bound
 from meshcoord.topology import full_access_dag, strongly_connected_line_plus
 
 EMIT_CHOICES = ("traces", "aggregates", "bounds", "timings")
@@ -300,20 +300,16 @@ def _timings_rows(dm: DelayModel) -> list[list]:
     for name, build in (("line", reference_line_instance), ("star", reference_star_instance)):
         obj, g, _ = build()
         counts = list(obj.action_counts)
-        rag = run_rag(obj, g)
-        rows.append([
-            "rag", name, counts[0],
-            rag_decision_time(rag, dm, counts),
-            rag_time_bound(g, dm, counts),
-        ])
         # natural ascending order: on the star instance the center (agent 1)
         # decides second, the documented worst-ish relay arrangement
-        sg = run_sg(obj, list(range(5)), g=g)
-        rows.append([
-            "sg", name, counts[0],
-            sg_decision_time(sg, dm, counts),
-            "",
-        ])
+        for outcome, bound in (
+            (run_rag(obj, g), rag_time_bound(g, dm, counts)),
+            (run_sg(obj, list(range(5)), g=g), ""),
+        ):
+            rows.append([
+                outcome.algorithm, name, counts[0],
+                decision_time(outcome, dm, counts).seconds, bound,
+            ])
     return rows
 
 
@@ -498,7 +494,7 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
             )
         dm = DelayModel(tau_f=0.001, tau_c=0.01, tau_hash=0.0005)
         counts = list(obj.action_counts)
-        if rag_decision_time(outcome, dm, counts) > rag_time_bound(g, dm, counts) + 1e-12:
+        if decision_time(outcome, dm, counts).seconds > rag_time_bound(g, dm, counts) + 1e-12:
             bad.setdefault("sim-time-within-bound", tag)
 
         for j in range(n):
@@ -537,13 +533,9 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
     for name, build in (("line", reference_line_instance), ("star", reference_star_instance)):
         obj, g, _ = build()
         counts = list(obj.action_counts)
-        rag = run_rag(obj, g)
+        got = decision_time(run_rag(obj, g), dm, counts).seconds
         expect = 2 * counts[0] * dm.tau_f + dm.tau_c + dm.tau_hash
-        c.check(
-            f"reference-{name}-timing-exact",
-            rag_decision_time(rag, dm, counts) == expect,
-            f"got {rag_decision_time(rag, dm, counts)}, want {expect}",
-        )
+        c.check(f"reference-{name}-timing-exact", got == expect, f"got {got}, want {expect}")
 
     obj, g, _ = reference_line_instance()
     sg = run_sg(obj, list(range(5)), g=g)
@@ -609,21 +601,14 @@ def cmd_figures(out: str) -> int:
         obj, g, _ = build()
         counts = list(obj.action_counts)
         nv = counts[0]
-        rag = run_rag(obj, g)
-        recs = [0] * obj.n_agents
-        for ev in rag.events:
-            for i in ev.recomputed:
-                recs[i] += 1
-        coef_f = max(recs)
-        rows.append([
-            "rag", name, nv, coef_f, rag.action_rounds, rag.gain_rounds,
-            coef_f * nv * dm.tau_f + rag.action_rounds * dm.tau_c + rag.gain_rounds * dm.tau_hash,
-        ])
-        sg = run_sg(obj, list(range(5)), g=g)  # star center (agent 1) decides second
-        rows.append([
-            "sg", name, nv, obj.n_agents, sg.relay_action_transmissions, 0,
-            obj.n_agents * nv * dm.tau_f + sg.relay_action_transmissions * dm.tau_c,
-        ])
+        # star center (agent 1) decides second under sg
+        for outcome in (run_rag(obj, g), run_sg(obj, list(range(5)), g=g)):
+            t = decision_time(outcome, dm, counts)
+            # every menu has nv actions; the figure counts tau_f in whole menus
+            rows.append([
+                outcome.algorithm, name, nv, t.tau_f_coefficient // nv,
+                t.tau_c_coefficient, t.tau_hash_coefficient, t.seconds,
+            ])
     _write_csv(
         out_dir / "fig4_timings.csv",
         (

@@ -10,12 +10,12 @@ together with the round structure, into simulated decision time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
 from meshcoord.objective import GroundElement, Objective
-from meshcoord.topology import InfoDag, MeshGraph, dfs_order, shortest_hops
+from meshcoord.topology import InfoDag, MeshGraph, dfs_order, full_access_dag, shortest_hops
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -222,6 +222,71 @@ def run_rag(
     )
 
 
+def _run_sequential(
+    algorithm: str,
+    obj: Objective,
+    dag: InfoDag,
+    menus: list[list[GroundElement]],
+    g: MeshGraph | None,
+    relayed: bool,
+) -> CoordinationOutcome:
+    """One agent at a time in dag.order, each conditioning on its access set.
+
+    An agent that sees every predecessor scores against the running state
+    (one free extend per commit), any other against a state built from its
+    access set; either way it costs |V_i| evaluations. Each hand-off relays
+    all commits so far along g's shortest directed path, or one hop without
+    a graph. relayed=False is the value-level rule: no relay model, and the
+    value, which no agent learns, is evaluated once at the end.
+    """
+    n = obj.n_agents
+    chosen: dict[int, GroundElement] = {}
+    running = obj.context()
+    eval_counts = [0] * n
+    committed_at = [0] * n
+    committed_nbrs = [frozenset()] * n
+    relay = 0
+    events: list[IterationEvent] = []
+    for pos, i in enumerate(dag.order):
+        if pos > 0 and relayed:
+            src = dag.order[pos - 1]
+            hops = 1 if g is None else shortest_hops(g, src, i)
+            if hops is None:
+                raise ValueError(f"no directed path from agent {src} to agent {i} for the hand-off")
+            relay += pos * hops
+        access = dag.access[pos]
+        state = running if len(access) == pos else obj.context(chosen[j] for j in access)
+        value, action = _greedy_pick(_scores(obj, menus[i], state))
+        eval_counts[i] += len(menus[i])
+        committed_nbrs[i] = access
+        chosen[i] = action
+        running = obj.extend(running, action)
+        committed_at[i] = pos + 1
+        events.append(
+            IterationEvent(
+                iteration=pos + 1,
+                recomputed=frozenset([i]),
+                gains_exchanged=False,
+                selectors=frozenset([i]),
+                broadcast_occurred=pos + 1 < n,
+            )
+        )
+
+    actions = tuple(chosen[i] for i in range(n))
+    return CoordinationOutcome(
+        algorithm=algorithm,
+        actions=actions,
+        value=value if relayed else obj.evaluate(actions),
+        selection_order=tuple(committed_at),
+        events=tuple(events),
+        eval_counts=tuple(eval_counts),
+        gain_rounds=0,
+        action_rounds=n - 1,
+        relay_action_transmissions=relay,
+        committed_in_neighbors=tuple(committed_nbrs),
+    )
+
+
 def run_sg(
     obj: Objective,
     order: Sequence[int],
@@ -237,62 +302,12 @@ def run_sg(
     every pick, so each agent costs exactly |V_i| evaluations.
     """
     menus = _resolve_actions(obj, per_agent_actions)
-    n = obj.n_agents
     order = list(order)
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(obj.n_agents)):
         raise ValueError("order must be a permutation of all agents")
-    if g is not None and g.n != n:
+    if g is not None and g.n != obj.n_agents:
         raise ValueError("graph and objective disagree on the number of agents")
-
-    chosen: dict[int, GroundElement] = {}
-    state = obj.context()
-    eval_counts = [0] * n
-    committed_at = [0] * n
-    committed_nbrs = [frozenset()] * n
-    relay = 0
-    events: list[IterationEvent] = []
-    prev_value = 0.0
-    for pos, i in enumerate(order):
-        if pos > 0:
-            hops = 1
-            if g is not None:
-                found = shortest_hops(g, order[pos - 1], i)
-                if found is None:
-                    raise ValueError(
-                        f"no directed path from agent {order[pos - 1]} to agent {i} for the hand-off"
-                    )
-                hops = found
-            relay += pos * hops
-        value, action = _greedy_pick(_scores(obj, menus[i], state))
-        eval_counts[i] += len(menus[i])
-        committed_nbrs[i] = frozenset(chosen.keys())
-        chosen[i] = action
-        state = obj.extend(state, action)
-        committed_at[i] = pos + 1
-        prev_value = value
-        events.append(
-            IterationEvent(
-                iteration=pos + 1,
-                recomputed=frozenset([i]),
-                gains_exchanged=False,
-                selectors=frozenset([i]),
-                broadcast_occurred=pos + 1 < n,
-            )
-        )
-
-    actions = tuple(chosen[i] for i in range(n))
-    return CoordinationOutcome(
-        algorithm="sg",
-        actions=actions,
-        value=prev_value,
-        selection_order=tuple(committed_at),
-        events=tuple(events),
-        eval_counts=tuple(eval_counts),
-        gain_rounds=0,
-        action_rounds=n - 1,
-        relay_action_transmissions=relay,
-        committed_in_neighbors=tuple(committed_nbrs),
-    )
+    return _run_sequential("sg", obj, full_access_dag(order), menus, g, relayed=True)
 
 
 def run_dsm(
@@ -309,45 +324,9 @@ def run_dsm(
     per agent, and the outcome value is evaluated once at the end.
     """
     menus = _resolve_actions(obj, per_agent_actions)
-    n = obj.n_agents
-    if len(dag.order) != n:
+    if len(dag.order) != obj.n_agents:
         raise ValueError("dag and objective disagree on the number of agents")
-
-    chosen: dict[int, GroundElement] = {}
-    eval_counts = [0] * n
-    committed_at = [0] * n
-    committed_nbrs = [frozenset()] * n
-    events: list[IterationEvent] = []
-    for pos, i in enumerate(dag.order):
-        state = obj.context(chosen[j] for j in dag.access[pos])
-        _, action = _greedy_pick(_scores(obj, menus[i], state))
-        eval_counts[i] += len(menus[i])
-        committed_nbrs[i] = frozenset(dag.access[pos])
-        chosen[i] = action
-        committed_at[i] = pos + 1
-        events.append(
-            IterationEvent(
-                iteration=pos + 1,
-                recomputed=frozenset([i]),
-                gains_exchanged=False,
-                selectors=frozenset([i]),
-                broadcast_occurred=pos + 1 < n,
-            )
-        )
-
-    actions = tuple(chosen[i] for i in range(n))
-    return CoordinationOutcome(
-        algorithm="dsm",
-        actions=actions,
-        value=obj.evaluate(actions),
-        selection_order=tuple(committed_at),
-        events=tuple(events),
-        eval_counts=tuple(eval_counts),
-        gain_rounds=0,
-        action_rounds=n - 1,
-        relay_action_transmissions=0,
-        committed_in_neighbors=tuple(committed_nbrs),
-    )
+    return _run_sequential("dsm", obj, dag, menus, None, relayed=False)
 
 
 def run_dfs_sg(
@@ -358,8 +337,10 @@ def run_dfs_sg(
 ) -> CoordinationOutcome:
     """Sequential greedy in depth-first preorder of g, with relay accounting on g."""
     dag = dfs_order(g, start)
-    outcome = run_sg(obj, dag.order, g=g, per_agent_actions=per_agent_actions)
-    return replace(outcome, algorithm="dfs-sg")
+    menus = _resolve_actions(obj, per_agent_actions)
+    if g.n != obj.n_agents:  # the walk's order covers g's agents
+        raise ValueError("order must be a permutation of all agents")
+    return _run_sequential("dfs-sg", obj, dag, menus, g, relayed=True)
 
 
 def run_random_baseline(

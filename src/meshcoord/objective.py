@@ -269,13 +269,7 @@ def curvature(obj: Objective) -> float:
 
 def exhaustive_curvature(obj: Objective) -> float:
     """Brute-force curvature: 1 - min over a and all contexts A of f(a|A)/f({a})."""
-    elements = obj.ground()
-    _size_guard(len(elements), 16)
-    table = subset_value_table(obj, elements)
-    for j, a in enumerate(elements):
-        if table[1 << j] == 0:
-            raise ValueError(f"curvature undefined: f({a}) = 0")
-    return _table_curvature(table, len(elements))
+    return _table_curvature(*_ground_table(obj, "curvature undefined"))
 
 
 def total_curvature(obj: Objective) -> float:
@@ -285,9 +279,7 @@ def total_curvature(obj: Objective) -> float:
     subsets of ground \\ {v}. Elements whose denominator is zero for every B
     are skipped; if all are skipped the measure is undefined.
     """
-    elements = obj.ground()
-    _size_guard(len(elements), 16)
-    return _table_total_curvature(subset_value_table(obj, elements), len(elements))
+    return _table_total_curvature(*_ground_table(obj))
 
 
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:
@@ -305,6 +297,21 @@ def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> lis
     return table
 
 
+def _ground_table(obj: Objective, zero_singleton: str | None = None) -> tuple[list[float], int]:
+    """The subset table over the size-guarded ground set, and its size.
+
+    With zero_singleton set, an element of value 0 raises a ValueError with
+    that prefix.
+    """
+    elements = obj.ground()
+    _size_guard(len(elements), 16)
+    table = subset_value_table(obj, elements)
+    for j, a in enumerate(elements):
+        if zero_singleton is not None and table[1 << j] == 0:
+            raise ValueError(f"{zero_singleton}: f({a}) = 0")
+    return table, len(elements)
+
+
 def validate_structure(obj: Objective) -> StructureReport:
     """Exhaustively checks monotonicity, submodularity, and 2nd-order submodularity.
 
@@ -317,14 +324,10 @@ def validate_structure(obj: Objective) -> StructureReport:
     the function is not monotone (they presume non-negative gains). Zero-value
     singletons are rejected (curvature is undefined there).
     """
-    elements = obj.ground()
-    m = len(elements)
-    _size_guard(m, 16)
-    table = subset_value_table(obj, elements)
-    for j, a in enumerate(elements):
-        if table[1 << j] == 0:
-            raise ValueError(f"structure validation rejected: f({a}) = 0")
+    return _table_structure(*_ground_table(obj, "structure validation rejected"))
 
+
+def _table_structure(table: list[float], m: int) -> StructureReport:
     full = 1 << m
     bits = [1 << j for j in range(m)]
     monotone = True

@@ -36,7 +36,7 @@ from meshcoord.objective import (
     rect_mask,
     road_bits,
 )
-from meshcoord.timing import DelayModel, rag_decision_time, sg_decision_time, tau_c_from_rate
+from meshcoord.timing import DelayModel, decision_time
 from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
@@ -82,8 +82,6 @@ class MissionConfig:
         if self.fov_width < 1 or self.fov_height < 1:
             raise ValueError("fov_width and fov_height must be positive")
         if self.road_mask_path is None:
-            if self.fov_width > self.world_width or self.fov_height > self.world_height:
-                raise ValueError("fov_width/fov_height must fit inside the world")
             if not 0 < self.road_density <= 1:
                 raise ValueError("road_density must be in (0, 1]")
             if self.corridor_width < 1:
@@ -110,12 +108,19 @@ class MissionConfig:
             v = getattr(self, name)
             if v is not None and v < 1:
                 raise ValueError(f"{name} must be positive when set")
+        if self.algorithm == "dfs-sg" and self.n_agents < 2:
+            raise ValueError("n_agents must be at least 2 for algorithm dfs-sg")
+        # last, since it may read the mask file, which then sets the world size
+        width, height = self.world_width, self.world_height
+        if self.road_mask_path is not None:
+            rows = _read_road_mask(self.road_mask_path)
+            width, height = len(rows[0]), len(rows)
+        if self.fov_width > width or self.fov_height > height:
+            raise ValueError(f"fov_width/fov_height must fit inside the {width}x{height} world")
 
     def delay_model(self) -> DelayModel:
-        return DelayModel(
-            tau_f=self.tau_f,
-            tau_c=tau_c_from_rate(self.message_kib * 1024.0, self.data_rate_mbps * 1e6),
-            tau_hash=self.tau_hash,
+        return DelayModel.from_rate(
+            self.tau_f, self.tau_hash, self.message_kib * 1024.0, self.data_rate_mbps * 1e6
         )
 
 
@@ -169,9 +174,16 @@ class VariationSummary:
     mean_coverage_by_step: tuple[float, ...]
 
 
+def _read_road_mask(path: str) -> list[str]:
+    try:
+        return parse_road_mask(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"road_mask_path {path!r} is not a usable road mask: {exc}") from None
+
+
 def _load_world(cfg: MissionConfig, rng: random.Random) -> list[str]:
     if cfg.road_mask_path is not None:
-        return parse_road_mask(Path(cfg.road_mask_path).read_text())
+        return _read_road_mask(cfg.road_mask_path)
     return random_road_mask(
         rng, cfg.world_width, cfg.world_height, cfg.road_density, cfg.corridor_width
     )
@@ -214,8 +226,6 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     mask = _load_world(cfg, rng_world)
     height = len(mask)
     width = len(mask[0])
-    if cfg.fov_width > width or cfg.fov_height > height:
-        raise ValueError("fov_width/fov_height must fit inside the world")
     roads = road_bits(mask)
     positions = _spawn(cfg, rng_world, width, height)
     initial = tuple(positions)
@@ -234,8 +244,6 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     dfs_graph = None
     dfs_start = 0
     if cfg.algorithm == "dfs-sg":
-        if n == 1:
-            raise ValueError("dfs-sg needs at least 2 agents")
         max_extra = n * (n - 1) // 2 - (n - 1)
         dfs_graph = strongly_connected_line_plus(
             n, min(2 * n, max_extra), seed=rng_alg.randrange(2**32)
@@ -262,14 +270,10 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
         if cfg.algorithm == "rag":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             outcome = run_rag(obj, g)
-            sim_time = rag_decision_time(outcome, dm, counts)
         elif cfg.algorithm == "sg":
             outcome = run_sg(obj, order)
-            sim_time = sg_decision_time(outcome, dm, counts)
         elif cfg.algorithm == "dfs-sg":
-            assert dfs_graph is not None
             outcome = run_dfs_sg(obj, dfs_graph, dfs_start)
-            sim_time = sg_decision_time(outcome, dm, counts)
         elif cfg.algorithm == "dsm":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             seen: set[int] = set()
@@ -278,11 +282,9 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
                 access.append(frozenset(seen & g.in_neighbors[agent]))
                 seen.add(agent)
             outcome = run_dsm(obj, InfoDag(order=tuple(order), access=tuple(access)))
-            # value-level rule: compute only, no relay model
-            sim_time = dm.tau_f * sum(counts)
         else:
             outcome = run_random_baseline(obj, rng_alg)
-            sim_time = 0.0
+        sim_time = decision_time(outcome, dm, counts).seconds
 
         for i, e in enumerate(outcome.actions):
             positions[i] = dests[i][e.action]

@@ -9,6 +9,7 @@ rules pay compute in sequence plus per-action-per-hop relays.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,48 +50,59 @@ class DelayModel:
         return cls(tau_f=tau_f, tau_c=tau_c_from_rate(message_bytes, data_rate_bps), tau_hash=tau_hash)
 
 
-def _action_counts(outcome: CoordinationOutcome, per_agent_action_count: Sequence[int]) -> list[int]:
+def _action_counts(per_agent_action_count: Sequence[int], n_agents: int) -> list[int]:
     counts = [int(c) for c in per_agent_action_count]
-    if len(counts) != len(outcome.eval_counts):
+    if len(counts) != n_agents:
         raise ValueError("need one action count per agent")
     if any(c < 1 for c in counts):
         raise ValueError("action counts must be positive")
     return counts
 
 
-def rag_decision_time(
-    outcome: CoordinationOutcome,
-    dm: DelayModel,
-    per_agent_action_count: Sequence[int],
-) -> float:
-    """Simulated wall time of a distributed run.
+@dataclass(frozen=True)
+class DecisionTime:
+    """Simulated decision time of one run, split into its three delay terms.
 
-    Agents compute in parallel on their own processors, so the compute term
-    is the busiest agent's total work: tau_f * max_i(recomputations_i * |V_i|).
-    Scalar exchanges and action broadcasts run on parallel channels, one
-    tau_hash / tau_c per round.
+    seconds = tau_f * tau_f_coefficient + tau_hash * tau_hash_coefficient
+    + tau_c * tau_c_coefficient, summed over the terms the rule pays.
     """
-    if outcome.algorithm != "rag":
-        raise ValueError(f"expected a distributed-greedy outcome, got {outcome.algorithm!r}")
-    counts = _action_counts(outcome, per_agent_action_count)
-    recomputations = [0] * len(counts)
-    for ev in outcome.events:
-        for i in ev.recomputed:
-            recomputations[i] += 1
-    busiest = max(r * c for r, c in zip(recomputations, counts))
-    return dm.tau_f * busiest + dm.tau_hash * outcome.gain_rounds + dm.tau_c * outcome.action_rounds
+
+    tau_f_coefficient: int
+    tau_c_coefficient: int
+    tau_hash_coefficient: int
+    seconds: float
 
 
-def sg_decision_time(
+def decision_time(
     outcome: CoordinationOutcome,
     dm: DelayModel,
     per_agent_action_count: Sequence[int],
-) -> float:
-    """Simulated wall time of a sequential run: summed compute plus relayed hand-offs."""
-    if outcome.algorithm not in ("sg", "dfs-sg"):
-        raise ValueError(f"expected a sequential-greedy outcome, got {outcome.algorithm!r}")
-    counts = _action_counts(outcome, per_agent_action_count)
-    return dm.tau_f * sum(counts) + dm.tau_c * outcome.relay_action_transmissions
+) -> DecisionTime:
+    """Simulated wall time of a run of any rule, with its tau coefficients.
+
+    rag: agents compute in parallel, so the compute term is the busiest
+    agent's work, max_i(recomputations_i * |V_i|) evaluations; scalar
+    exchanges and action broadcasts cost one tau_hash / tau_c per round.
+    sg, dfs-sg: summed compute plus every relayed action transmission.
+    dsm: summed compute only (a value-level rule with no relay model).
+    random: nothing.
+    """
+    counts = _action_counts(per_agent_action_count, len(outcome.eval_counts))
+    algorithm = outcome.algorithm
+    if algorithm == "rag":
+        recomputations = Counter(i for ev in outcome.events for i in ev.recomputed)
+        busiest = max(recomputations[i] * c for i, c in enumerate(counts))
+        hashes, actions = outcome.gain_rounds, outcome.action_rounds
+        seconds = dm.tau_f * busiest + dm.tau_hash * hashes + dm.tau_c * actions
+        return DecisionTime(busiest, actions, hashes, seconds)
+    if algorithm in ("sg", "dfs-sg"):
+        evals, relays = sum(counts), outcome.relay_action_transmissions
+        return DecisionTime(evals, relays, 0, dm.tau_f * evals + dm.tau_c * relays)
+    if algorithm == "dsm":
+        return DecisionTime(sum(counts), 0, 0, dm.tau_f * sum(counts))
+    if algorithm == "random":
+        return DecisionTime(0, 0, 0, 0.0)
+    raise ValueError(f"no time model for algorithm {algorithm!r}")
 
 
 def rag_time_bound(
@@ -98,7 +110,7 @@ def rag_time_bound(
     dm: DelayModel,
     per_agent_action_count: Sequence[int],
 ) -> float:
-    """Closed-form worst case for rag_decision_time on a given graph.
+    """Closed-form worst case for decision_time of a rag run on a given graph.
 
     Compute: an agent recomputes at most once per in-neighbor commit plus its
     first pass, so the busiest agent costs at most |V_i| * (|N_i| + 1) [just
@@ -107,11 +119,7 @@ def rag_time_bound(
     its committers have no undecided in-neighbors and no undecided
     listeners), and none on an edgeless graph.
     """
-    counts = [int(c) for c in per_agent_action_count]
-    if len(counts) != g.n:
-        raise ValueError("need one action count per agent")
-    if any(c < 1 for c in counts):
-        raise ValueError("action counts must be positive")
+    counts = _action_counts(per_agent_action_count, g.n)
     busiest = max(
         c * (len(g.in_neighbors[i]) + 1) if g.in_neighbors[i] else c
         for i, c in enumerate(counts)

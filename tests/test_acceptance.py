@@ -37,12 +37,7 @@ from meshcoord.instances import (
 )
 from meshcoord.objective import DiskCoverageObjective, coin, coin_ring_bound, validate_structure
 from meshcoord.scenario import MissionConfig, monte_carlo
-from meshcoord.timing import (
-    DelayModel,
-    rag_decision_time,
-    rag_time_bound,
-    sg_decision_time,
-)
+from meshcoord.timing import DelayModel, decision_time, rag_time_bound
 from meshcoord.topology import knn_graph, worst_case_cycle
 
 DM = DelayModel(tau_f=0.001, tau_c=0.8192, tau_hash=0.000256)  # 25 KiB at 0.25 Mbps
@@ -66,16 +61,16 @@ def test_acceptance_1_reference_timings_exact():
         for make in (reference_line_instance, reference_star_instance):
             obj, g, _ = make()
             out = run_rag(obj, g)
-            t = rag_decision_time(out, DM, [4] * 5)
+            t = decision_time(out, DM, [4] * 5).seconds
             assert t == 2 * 4 * DM.tau_f + DM.tau_c + DM.tau_hash
 
         obj, g, _ = reference_line_instance()
-        line = sg_decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5)
+        line = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5).seconds
         assert line == 5 * 4 * DM.tau_f + 10 * DM.tau_c
 
         obj, g, _ = reference_star_instance()
         # natural order puts the hub (agent 1) second in the sequence
-        star = sg_decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5)
+        star = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5).seconds
         assert star == 5 * 4 * DM.tau_f + 17 * DM.tau_c
 
 
@@ -140,7 +135,7 @@ def test_acceptance_4_complexity_counters(certified_corpus):
             round_cap = n - 1 if g.has_edges() else 0
             assert out.gain_rounds <= round_cap, i
             assert out.action_rounds <= round_cap, i
-            t = rag_decision_time(out, DM, list(obj.action_counts))
+            t = decision_time(out, DM, list(obj.action_counts)).seconds
             assert t <= rag_time_bound(g, DM, list(obj.action_counts)) + 1e-12, i
 
 
@@ -155,7 +150,7 @@ def test_acceptance_5_scaling_ratios():
                 obj, positions = scaling_instance(rng, n)
                 g = knn_graph(positions, 3, math.inf)
                 out = run_rag(obj, g)
-                times.append(rag_decision_time(out, DM, list(obj.action_counts)))
+                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
             return statistics.fmean(times)
 
         rag_ratio = rag_mean(45) / rag_mean(15)
@@ -169,7 +164,7 @@ def test_acceptance_5_scaling_ratios():
                 order = list(range(n))
                 rng.shuffle(order)
                 out = run_sg(obj, order)  # deciders relay along the order: 1 hop each
-                times.append(sg_decision_time(out, DM, list(obj.action_counts)))
+                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
             return statistics.fmean(times)
 
         sg_ratio = sg_line_mean(45) / sg_line_mean(15)
@@ -182,7 +177,7 @@ def test_acceptance_5_scaling_ratios():
                 rng = random.Random(f"sg-cycle:{t}:{n}")
                 obj, _ = scaling_instance(rng, n)
                 out = run_sg(obj, list(range(n)), g=g)
-                times.append(sg_decision_time(out, DM, list(obj.action_counts)))
+                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
             return statistics.fmean(times)
 
         cycle_ratio = sg_cycle_mean(45) / sg_cycle_mean(15)

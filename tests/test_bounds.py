@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coverage_instance
+from meshcoord import bounds, objective
 from meshcoord.bounds import (
+    BoundReport,
+    _optimum,
     aposteriori_bound,
     apriori_bound,
     approx_greedy_bound,
@@ -22,7 +25,13 @@ from meshcoord.instances import (
     reference_line_instance,
     supermodular_toy,
 )
-from meshcoord.objective import CallableObjective, GroundElement, curvature
+from meshcoord.objective import (
+    CallableObjective,
+    GroundElement,
+    curvature,
+    total_curvature,
+    validate_structure,
+)
 from meshcoord.topology import complete_graph, edgeless_graph, line_graph
 
 
@@ -221,3 +230,127 @@ def test_coin_sum_zero_off_complete_when_footprints_are_disjoint():
     out = run_rag(obj, g)
     assert coin_sum(obj, edgeless_graph(5), out.actions) == 0.0
     assert apriori_bound(obj, g, out) == apriori_bound(obj, complete_graph(5), out)
+
+
+def old_bound_report(obj, g, outcome, eta=1.0, optimum_value=None, assume_submodular=None):
+    """bound_report as it was: two subset tables and three coin sums (verbatim)."""
+    certified = optimum_value is None
+    opt = _optimum(obj, optimum_value)
+    kappa = curvature(obj)
+    coins = coin_sum(obj, g, outcome.actions)
+
+    submodular = assume_submodular
+    c_total = None
+    if len(obj.ground()) <= 16:
+        c_total = total_curvature(obj)
+        if submodular is None:
+            submodular = validate_structure(obj).is_submodular
+    curvature_only = None
+    if submodular is not None:
+        curvature_only = curvature_only_bound(
+            obj, g, outcome, optimum_value=opt, submodular=submodular
+        )
+
+    return BoundReport(
+        algorithm_value=outcome.value,
+        optimum_value=opt,
+        apriori=apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa),
+        apriori_centralized=opt / (1.0 + kappa),
+        apriori_decentralized_floor=(1.0 - kappa) * opt,
+        aposteriori=aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa),
+        approx_greedy=approx_greedy_bound(
+            obj, g, outcome, eta, optimum_value=opt, kappa=kappa
+        ),
+        curvature_only=curvature_only,
+        coin_sum=coins,
+        kappa=kappa,
+        c_total=c_total,
+        eta=eta,
+        certified=certified,
+    )
+
+
+def report_and_evals(obj, report):
+    before = obj.eval_count
+    try:
+        rep = report()
+    except ValueError as exc:
+        return ("error", str(exc)), 0
+    return rep, obj.eval_count - before
+
+
+def assert_report_matches_the_old_path(obj, g, out, **kwargs):
+    new, new_evals = report_and_evals(obj, lambda: bound_report(obj, g, out, **kwargs))
+    old, old_evals = report_and_evals(obj, lambda: old_bound_report(obj, g, out, **kwargs))
+    assert new == old
+    assert new_evals <= old_evals
+    if isinstance(new, BoundReport) and new.c_total is not None:
+        assert new.c_total == total_curvature(obj)
+    return new
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([None, True, False]),
+    st.sampled_from([1.0, 0.5]),
+    st.booleans(),
+)
+def test_bound_report_matches_the_two_table_path(seed, assume, eta, surrogate):
+    obj, g = coverage_instance(seed, max_agents=4)
+    out = run_rag(obj, g)
+    optimum = out.value if surrogate else None
+    assert_report_matches_the_old_path(
+        obj, g, out, eta=eta, optimum_value=optimum, assume_submodular=assume
+    )
+
+
+def complementary_pair_toy() -> CallableObjective:
+    """Monotone, not submodular: agents 0 and 1 are worth more together."""
+    values = {0: 0.0, 1: 2.0, 2: 2.0, 4: 2.0, 3: 5.0, 5: 4.0, 6: 4.0, 7: 6.5}
+    return CallableObjective(
+        [1, 1, 1], lambda s: values[sum(1 << e.agent for e in s if e.action == 0)]
+    )
+
+
+@pytest.mark.parametrize("make", [complementary_pair_toy, supermodular_toy, logdet_toy])
+@pytest.mark.parametrize("assume", [None, True, False])
+def test_bound_report_matches_the_two_table_path_off_submodularity(make, assume):
+    obj = make()
+    for g in (complete_graph(3), line_graph(3)):
+        out = run_rag(obj, g)
+        rep = assert_report_matches_the_old_path(obj, g, out, assume_submodular=assume)
+        if make is complementary_pair_toy:
+            assert not validate_structure(obj).is_submodular
+            assert isinstance(rep, BoundReport) and rep.curvature_only is not None
+
+
+def test_bound_report_matches_the_old_path_on_its_errors():
+    obj, g, _ = reference_line_instance()  # 20 elements, past the table guard
+    out = run_rag(obj, g)
+    rep = assert_report_matches_the_old_path(obj, g, out, assume_submodular=False)
+    assert rep[0] == "error" and "exhaustive-check limit" in rep[1]
+    rep = assert_report_matches_the_old_path(obj, g, out, eta=1.5)
+    assert rep == ("error", "eta must be in (0, 1]")
+
+
+def test_bound_report_builds_one_table_and_one_coin_sum(monkeypatch):
+    calls = {"table": 0, "coins": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(objective, "subset_value_table", counted("table", objective.subset_value_table))
+    monkeypatch.setattr(bounds, "coin_sum", counted("coins", bounds.coin_sum))
+    reports = 0
+    for seed in range(30):
+        obj, g = coverage_instance(seed, max_agents=4)
+        if len(obj.ground()) > 16:
+            continue
+        bound_report(obj, g, run_rag(obj, g))
+        reports += 1
+        assert calls == {"table": reports, "coins": reports}
+    assert reports >= 10

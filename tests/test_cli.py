@@ -241,6 +241,51 @@ def test_nan_sweep_rate_is_rejected_before_any_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        dict(algorithm="dfs-sg", n_agents=1),
+        dict(n_agents=1, sweep_algorithm="rag dfs-sg"),
+        dict(algorithm="dfs-sg", sweep_n_agents="3 1"),
+    ],
+)
+def test_single_agent_dfs_sg_is_rejected_before_any_work(tmp_path, capsys, extra):
+    path, out_dir = write_config(tmp_path, **extra)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: n_agents must be at least 2 for algorithm dfs-sg" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "case,content,message",
+    [
+        ("missing", None, "road_mask_path"),
+        ("unreadable", "directory", "road_mask_path"),
+        ("malformed", "#x#\n###\n", "invalid characters"),
+        ("ragged", "####\n##\n", "has length 2, expected 4"),
+        ("empty", "\n", "empty"),
+        ("smaller than the field of view", "##\n##\n", "fov_width/fov_height must fit inside the 2x2 world"),
+    ],
+)
+def test_unusable_road_mask_is_rejected_before_any_work(tmp_path, capsys, case, content, message):
+    mask = tmp_path / "roads.txt"
+    if content == "directory":
+        mask.mkdir()
+    elif content is not None:
+        mask.write_text(content)
+    path, out_dir = write_config(tmp_path, road_mask_path=mask)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:"), case
+    assert message in err, case
+    if content != "##\n##\n":
+        assert f"road_mask_path {str(mask)!r} is not a usable road mask" in err, case
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_verify_passes_on_a_small_batch(capsys):
     assert main(["verify", "--seed", "0", "--count", "8"]) == 0
     out = capsys.readouterr().out

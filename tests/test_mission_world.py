@@ -28,7 +28,7 @@ from meshcoord.scenario import (
     _spawn,
     run_mission,
 )
-from meshcoord.timing import rag_decision_time, sg_decision_time
+from meshcoord.timing import decision_time
 from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 
@@ -89,13 +89,13 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
         pts = [(float(x), float(y)) for x, y in positions]
         if cfg.algorithm == "rag":
             outcome = run_rag(obj, knn_graph(pts, cfg.k, cfg.comm_range))
-            sim_time = rag_decision_time(outcome, dm, counts)
+            sim_time = decision_time(outcome, dm, counts).seconds
         elif cfg.algorithm == "sg":
             outcome = run_sg(obj, order)
-            sim_time = sg_decision_time(outcome, dm, counts)
+            sim_time = decision_time(outcome, dm, counts).seconds
         elif cfg.algorithm == "dfs-sg":
             outcome = run_dfs_sg(obj, dfs_graph, dfs_start)
-            sim_time = sg_decision_time(outcome, dm, counts)
+            sim_time = decision_time(outcome, dm, counts).seconds
         elif cfg.algorithm == "dsm":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             seen: set[int] = set()

@@ -1,21 +1,36 @@
+import dataclasses
 import math
+import random
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coverage_instance
-from meshcoord.coordination import run_rag, run_sg
+from meshcoord.coordination import (
+    CoordinationOutcome,
+    run_dfs_sg,
+    run_dsm,
+    run_rag,
+    run_random_baseline,
+    run_sg,
+)
 from meshcoord.instances import reference_line_instance, reference_star_instance
 from meshcoord.objective import CallableObjective
 from meshcoord.timing import (
     DelayModel,
-    rag_decision_time,
+    decision_time,
     rag_time_bound,
-    sg_decision_time,
     tau_c_from_rate,
 )
-from meshcoord.topology import complete_graph, edgeless_graph, line_graph
+from meshcoord.topology import (
+    complete_graph,
+    edgeless_graph,
+    full_access_dag,
+    line_graph,
+    strongly_connected_line_plus,
+)
 
 # all three delays are powers of two, so the reference sums are float-exact
 EXACT = DelayModel(tau_f=2**-10, tau_c=2**-1, tau_hash=2**-13)
@@ -48,7 +63,7 @@ def test_reference_line_decision_time_is_exact():
     counts = [len(obj.actions(i)) for i in range(5)]
     # two recomputations of a 4-action menu, one gain round, one action round
     expected = 2 * 4 * EXACT.tau_f + EXACT.tau_c + EXACT.tau_hash
-    assert rag_decision_time(out, EXACT, counts) == expected
+    assert decision_time(out, EXACT, counts).seconds == expected
 
 
 def test_reference_star_decision_time_is_exact():
@@ -56,7 +71,7 @@ def test_reference_star_decision_time_is_exact():
     out = run_rag(obj, g)
     counts = [len(obj.actions(i)) for i in range(5)]
     expected = 2 * 4 * EXACT.tau_f + EXACT.tau_c + EXACT.tau_hash
-    assert rag_decision_time(out, EXACT, counts) == expected
+    assert decision_time(out, EXACT, counts).seconds == expected
 
 
 def test_staggered_commits_charge_the_busiest_agent_not_each_iteration():
@@ -70,7 +85,7 @@ def test_staggered_commits_charge_the_busiest_agent_not_each_iteration():
     assert out.gain_rounds == 4 and out.action_rounds == 4
 
     unit = DelayModel(tau_f=1.0, tau_c=1.0, tau_hash=1.0)
-    t = rag_decision_time(out, unit, [1] * 5)
+    t = decision_time(out, unit, [1] * 5).seconds
     bound = rag_time_bound(line_graph(5), unit, [1] * 5)
     # summing the slowest recomputation per iteration would give 13 here,
     # which overshoots the worst-case bound; the busiest agent gives 10
@@ -81,23 +96,33 @@ def test_staggered_commits_charge_the_busiest_agent_not_each_iteration():
 
 def test_rag_decision_time_rejects_other_algorithms():
     obj, g, _ = reference_line_instance()
+    rag = run_rag(obj, g)
     sg = run_sg(obj, [0, 1, 2, 3, 4], g=g)
+    # the reference formula below refuses a sequential-greedy outcome ...
     with pytest.raises(ValueError):
         rag_decision_time(sg, EXACT, [4] * 5)
+    # ... and decision_time refuses a distributed-greedy trace it has no model for
+    with pytest.raises(ValueError, match="no time model"):
+        decision_time(dataclasses.replace(rag, algorithm="annealing"), EXACT, [4] * 5)
 
 
-def test_sg_decision_time_line_natural_order():
+def test_decision_time_sg_line_natural_order():
     obj, g, _ = reference_line_instance()
     out = run_sg(obj, [0, 1, 2, 3, 4], g=g)
     # every agent evaluates its 4 actions once; 10 relayed action messages
-    assert sg_decision_time(out, EXACT, [4] * 5) == 20 * EXACT.tau_f + 10 * EXACT.tau_c
+    assert decision_time(out, EXACT, [4] * 5).seconds == 20 * EXACT.tau_f + 10 * EXACT.tau_c
 
 
 def test_sg_decision_time_rejects_other_algorithms():
     obj, g, _ = reference_line_instance()
     rag = run_rag(obj, g)
+    sg = run_sg(obj, [0, 1, 2, 3, 4], g=g)
+    # the reference formula below refuses a distributed-greedy outcome ...
     with pytest.raises(ValueError):
         sg_decision_time(rag, EXACT, [4] * 5)
+    # ... and decision_time refuses a sequential trace it has no model for
+    with pytest.raises(ValueError, match="no time model"):
+        decision_time(dataclasses.replace(sg, algorithm="annealing"), EXACT, [4] * 5)
 
 
 def test_time_bound_line_five_with_unit_delays():
@@ -124,7 +149,7 @@ def test_simulated_time_never_exceeds_the_bound(seed):
     out = run_rag(obj, g)
     dm = DelayModel(tau_f=0.001, tau_c=0.8192, tau_hash=0.000256)
     counts = list(obj.action_counts)
-    t = rag_decision_time(out, dm, counts)
+    t = decision_time(out, dm, counts).seconds
     assert t <= rag_time_bound(g, dm, counts) + 1e-12
 
 
@@ -142,5 +167,124 @@ def test_decision_time_decomposes_into_the_three_terms(seed):
     dm = DelayModel(tau_f=0.25, tau_c=0.5, tau_hash=0.125)
     expected = (dm.tau_f * compute + dm.tau_hash * out.gain_rounds
                 + dm.tau_c * out.action_rounds)
-    assert math.isclose(rag_decision_time(out, dm, counts), expected,
+    assert math.isclose(decision_time(out, dm, counts).seconds, expected,
                         rel_tol=1e-12)
+
+
+# --- the per-rule time formulas that decision_time replaced, kept verbatim as
+# the reference for the differential test below
+
+
+def _action_counts(outcome: CoordinationOutcome, per_agent_action_count: Sequence[int]) -> list[int]:
+    counts = [int(c) for c in per_agent_action_count]
+    if len(counts) != len(outcome.eval_counts):
+        raise ValueError("need one action count per agent")
+    if any(c < 1 for c in counts):
+        raise ValueError("action counts must be positive")
+    return counts
+
+
+def rag_decision_time(
+    outcome: CoordinationOutcome,
+    dm: DelayModel,
+    per_agent_action_count: Sequence[int],
+) -> float:
+    if outcome.algorithm != "rag":
+        raise ValueError(f"expected a distributed-greedy outcome, got {outcome.algorithm!r}")
+    counts = _action_counts(outcome, per_agent_action_count)
+    recomputations = [0] * len(counts)
+    for ev in outcome.events:
+        for i in ev.recomputed:
+            recomputations[i] += 1
+    busiest = max(r * c for r, c in zip(recomputations, counts))
+    return dm.tau_f * busiest + dm.tau_hash * outcome.gain_rounds + dm.tau_c * outcome.action_rounds
+
+
+def sg_decision_time(
+    outcome: CoordinationOutcome,
+    dm: DelayModel,
+    per_agent_action_count: Sequence[int],
+) -> float:
+    if outcome.algorithm not in ("sg", "dfs-sg"):
+        raise ValueError(f"expected a sequential-greedy outcome, got {outcome.algorithm!r}")
+    counts = _action_counts(outcome, per_agent_action_count)
+    return dm.tau_f * sum(counts) + dm.tau_c * outcome.relay_action_transmissions
+
+
+def reference_time(outcome, dm, counts) -> float:
+    """The old mission-layer dispatch: two functions, an inline dsm formula, 0.0."""
+    if outcome.algorithm == "rag":
+        return rag_decision_time(outcome, dm, counts)
+    if outcome.algorithm in ("sg", "dfs-sg"):
+        return sg_decision_time(outcome, dm, counts)
+    if outcome.algorithm == "dsm":
+        return dm.tau_f * sum(counts)
+    return 0.0
+
+
+def five_rule_outcomes(obj, g, seed):
+    n = obj.n_agents
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    outcomes = [
+        run_rag(obj, g),
+        run_sg(obj, order),
+        run_dsm(obj, full_access_dag(order)),
+        run_random_baseline(obj, rng),
+    ]
+    if n >= 2:
+        mesh = strongly_connected_line_plus(n, min(2, n * (n - 1) // 2 - (n - 1)), seed=seed)
+        outcomes.append(run_sg(obj, order, g=mesh))
+        outcomes.append(run_dfs_sg(obj, mesh, rng.randrange(n)))
+    return outcomes
+
+
+taus = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), taus, taus, taus)
+def test_decision_time_equals_the_old_formulas_for_every_rule(seed, tau_f, tau_c, tau_hash):
+    obj, g = coverage_instance(seed)
+    dm = DelayModel(tau_f=tau_f, tau_c=tau_c, tau_hash=tau_hash)
+    counts = list(obj.action_counts)
+    rules = set()
+    for out in five_rule_outcomes(obj, g, seed):
+        rules.add(out.algorithm)
+        t = decision_time(out, dm, counts)
+        assert t.seconds == reference_time(out, dm, counts), out.algorithm
+        # the coefficients rebuild the seconds term by term
+        assert t.seconds == (
+            dm.tau_f * t.tau_f_coefficient
+            + dm.tau_hash * t.tau_hash_coefficient
+            + dm.tau_c * t.tau_c_coefficient
+        ), out.algorithm
+    assert rules >= {"rag", "sg", "dsm", "random"}
+
+
+def test_decision_time_terms_per_rule():
+    obj, g, _ = reference_line_instance()
+    counts = [4] * 5
+    by_rule = {out.algorithm: decision_time(out, EXACT, counts) for out in five_rule_outcomes(obj, g, 3)}
+    assert by_rule["rag"].tau_f_coefficient == 8  # two recomputations of a 4-action menu
+    assert (by_rule["rag"].tau_c_coefficient, by_rule["rag"].tau_hash_coefficient) == (1, 1)
+    for rule in ("sg", "dfs-sg"):
+        assert by_rule[rule].tau_f_coefficient == 20
+        assert by_rule[rule].tau_hash_coefficient == 0
+    assert (by_rule["dsm"].tau_f_coefficient, by_rule["dsm"].tau_c_coefficient) == (20, 0)
+    assert by_rule["random"] == decision_time(
+        run_random_baseline(obj, random.Random(0)), EXACT, counts
+    )
+    assert by_rule["random"].seconds == 0.0
+
+
+@pytest.mark.parametrize("counts,message", [([4] * 4, "one action count per agent"),
+                                            ([4, 4, 0, 4, 4], "must be positive")])
+def test_decision_time_and_time_bound_share_the_count_check(counts, message):
+    obj, g, _ = reference_line_instance()
+    out = run_rag(obj, g)
+    with pytest.raises(ValueError, match=message):
+        decision_time(out, EXACT, counts)
+    with pytest.raises(ValueError, match=message):
+        rag_time_bound(g, EXACT, counts)
