@@ -19,12 +19,11 @@ from meshcoord.objective import (
     Objective,
     _ground_table,
     _size_guard,
-    _table_structure,
+    _table_submodular,
     _table_total_curvature,
     coin,
     curvature,
     total_curvature,
-    validate_structure,
 )
 from meshcoord.topology import MeshGraph, is_complete
 
@@ -149,11 +148,11 @@ def curvature_only_bound(
     Submodular objectives: f(opt) / (1 + kappa) on a complete graph, else
     (1 - kappa) * f(opt). Non-submodular monotone objectives use total
     curvature c: (1-c) / (1 + c - c^2) * f(opt) on a complete graph, else
-    (1-c)^2 * f(opt). When submodular is None the structure is decided by
-    the exhaustive validator (size-guarded).
+    (1-c)^2 * f(opt). When submodular is None it is decided exhaustively
+    (size-guarded, zero-value singletons rejected as by validate_structure).
     """
     if submodular is None:
-        submodular = validate_structure(obj).is_submodular
+        submodular = _table_submodular(*_ground_table(obj, "structure validation rejected"))
     opt = _optimum(obj, optimum_value)
     k = curvature(obj) if submodular else total_curvature(obj)
     return _curvature_only(opt, is_complete(g), submodular, k)
@@ -205,7 +204,8 @@ def bound_report(
     report certified; passing a surrogate (e.g. a sequential-greedy value on
     instances beyond the oracle guard) marks it uncertified. Shipped coverage
     objectives are submodular; assume_submodular short-circuits the
-    exhaustive structure check for grounds beyond its size guard.
+    exhaustive submodularity check, which costs O(2^m * m^2) arithmetic on
+    the report's subset table, and stands in for it beyond the size guard.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
@@ -214,7 +214,7 @@ def bound_report(
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
-    # one subset table serves the total curvature and the structure check
+    # one subset table serves the total curvature and the submodularity check
     m = len(obj.ground())
     submodular = assume_submodular
     c_total: float | None = None
@@ -222,7 +222,7 @@ def bound_report(
         table, m = _ground_table(obj)
         c_total = _table_total_curvature(table, m)
         if submodular is None:
-            submodular = _table_structure(table, m).is_submodular
+            submodular = _table_submodular(table, m)
     elif submodular is not None and not submodular:
         _size_guard(m, 16)  # the non-submodular bound needs the total curvature
     curvature_only: float | None = None

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain, compress, cycle, repeat
+from operator import sub, truediv
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Cell = tuple[int, int]
 
@@ -322,41 +324,33 @@ def validate_structure(obj: Objective) -> StructureReport:
       2nd-order:   f(s | A) - f(s | A + x) >= f(s | A + y) - f(s | A + x + y)
     Also computes exhaustive curvature and total curvature; both are NaN when
     the function is not monotone (they presume non-negative gains). Zero-value
-    singletons are rejected (curvature is undefined there).
+    singletons are rejected (curvature is undefined there). Costs 2^m
+    evaluations and O(2^m * m^3) arithmetic for a ground set of m elements.
     """
     return _table_structure(*_ground_table(obj, "structure validation rejected"))
 
 
 def _table_structure(table: list[float], m: int) -> StructureReport:
-    full = 1 << m
-    bits = [1 << j for j in range(m)]
     monotone = True
-    submodular = True
     second_order = True
-    for mask in range(full):
-        free = [j for j in range(m) if not mask & bits[j]]
-        base = table[mask]
-        for sj in free:
-            s = bits[sj]
-            gain_s = table[mask | s] - base
-            if gain_s < -_EPS:
-                monotone = False
-            for yj in free:
-                if yj == sj:
-                    continue
-                y = bits[yj]
-                gain_s_y = table[mask | y | s] - table[mask | y]
-                if gain_s - gain_s_y < -_EPS:
-                    submodular = False
-                # x < y suffices: the 2nd-order inequality is symmetric in x, y
-                for xj in free:
-                    if xj >= yj or xj == sj:
-                        continue
-                    x = bits[xj]
-                    lhs = gain_s - (table[mask | x | s] - table[mask | x])
-                    rhs = gain_s_y - (table[mask | x | y | s] - table[mask | x | y])
-                    if lhs - rhs < -_EPS:
-                        second_order = False
+    for s in range(m):
+        if not (monotone or second_order):
+            break
+        gains = list(_differences(table, s))  # f(s | A) for every A without s
+        if monotone and _least(gains) < -_EPS:
+            monotone = False
+        # lhs - rhs of the 2nd-order inequality is the third difference of f
+        # along s, x and y, which is symmetric in all three: checking it once
+        # per set s < x < y covers every ordering. Bit x of the gains' index
+        # is element x + 1, bit y of gains_x's is element y + 2.
+        for x in range(s, m - 1):
+            if not second_order:
+                break
+            gains_x = list(_differences(gains, x))
+            for y in range(x, m - 2):
+                if _least(_differences(gains_x, y)) < -_EPS:
+                    second_order = False
+                    break
 
     if monotone:
         kappa = _table_curvature(table, m)
@@ -368,20 +362,58 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
         kappa=kappa,
         c_total=c_total,
         is_monotone=monotone,
-        is_submodular=submodular,
+        is_submodular=_table_submodular(table, m),
         is_second_order_submodular=second_order,
     )
+
+
+def _table_submodular(table: list[float], m: int) -> bool:
+    """f(A + s) + f(A + y) >= f(A) + f(A + s + y) for every A and pair s < y outside A.
+
+    This is f(s | A) >= f(s | A + y) rearranged into a form symmetric in s
+    and y, so one check per unordered pair covers both orders. The check is
+    f(s | A) - f(s | A + y) >= -_EPS as computed for the smaller element s; in
+    floating point the other order may round differently, which matters only
+    for a difference within rounding of the tolerance. O(2^m * m^2)
+    arithmetic; returns at the first violation.
+    """
+    for s in range(m):
+        gains = list(_differences(table, s))
+        for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
+            if _greatest(_differences(gains, y)) > _EPS:
+                return False
+    return True
+
+
+def _differences(values: Sequence[float], k: int) -> Iterator[float]:
+    """values[A + 2^k] - values[A] for every index A without bit k, in order of A.
+
+    values is indexed by bitmask. Listed, the result is indexed by A with bit
+    k deleted, so the bits above k move down by one: differencing again along
+    an element j > k of the original index uses bit j - 1.
+    """
+    half = 1 << k
+    keep = (True,) * half + (False,) * half
+    return map(sub, compress(values[half:], cycle(keep)), compress(values, cycle(keep)))
+
+
+def _least(values: Iterable[float], start: float = math.inf) -> float:
+    """The smallest of start and values, skipping NaNs as a loop of min(least, v) would.
+
+    A plain min(values) would return a leading NaN, hiding everything after it.
+    """
+    return min(chain((start,), values))
+
+
+def _greatest(values: Iterable[float]) -> float:
+    """The largest of values, or -inf; NaNs are skipped as in _least."""
+    return max(chain((-math.inf,), values))
 
 
 def _table_curvature(table: list[float], m: int) -> float:
     worst = math.inf
     for j in range(m):
-        bit = 1 << j
-        f_single = table[bit]
-        for mask in range(1 << m):
-            if mask & bit:
-                continue
-            worst = min(worst, (table[mask | bit] - table[mask]) / f_single)
+        worst = _least(map(truediv, _differences(table, j), repeat(table[1 << j])), worst)
     return _clamp_unit(1.0 - worst, "curvature")
 
 
@@ -389,19 +421,12 @@ def _table_total_curvature(table: list[float], m: int) -> float:
     worst = math.inf
     skipped = 0
     for j in range(m):
-        bit = 1 << j
-        lo = math.inf
-        hi = -math.inf
-        for mask in range(1 << m):
-            if mask & bit:
-                continue
-            gain = table[mask | bit] - table[mask]
-            lo = min(lo, gain)
-            hi = max(hi, gain)
+        gains = list(_differences(table, j))
+        hi = _greatest(gains)
         if hi == 0:
             skipped += 1
             continue
-        worst = min(worst, lo / hi)
+        worst = min(worst, _least(gains) / hi)
     if skipped == m:
         raise ValueError("total curvature undefined: every element has zero gain everywhere")
     return _clamp_unit(1.0 - worst, "total curvature")

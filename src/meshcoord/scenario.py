@@ -102,6 +102,10 @@ class MissionConfig:
             raise ValueError("message_kib must be positive")
         if self.data_rate_mbps <= 0:
             raise ValueError("data_rate_mbps must be positive")
+        try:  # finite values can still overflow the derived per-action delay
+            self.delay_model()
+        except ValueError as exc:
+            raise ValueError(f"message_kib and data_rate_mbps give an unusable delay: {exc}") from None
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for name in ("spawn_width", "spawn_height"):

@@ -9,6 +9,7 @@ rules pay compute in sequence plus per-action-per-hop relays.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,7 +29,7 @@ def tau_c_from_rate(message_bytes: float, data_rate_bps: float) -> float:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """(tau_f, tau_c, tau_hash) in seconds; all non-negative."""
+    """(tau_f, tau_c, tau_hash) in seconds; all finite and non-negative."""
 
     tau_f: float
     tau_c: float
@@ -36,7 +37,10 @@ class DelayModel:
 
     def __post_init__(self):
         for name in ("tau_f", "tau_c", "tau_hash"):
-            if getattr(self, name) < 0:
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v}")
+            if v < 0:
                 raise ValueError(f"{name} may not be negative")
 
     @classmethod

@@ -354,3 +354,50 @@ def test_bound_report_builds_one_table_and_one_coin_sum(monkeypatch):
         reports += 1
         assert calls == {"table": reports, "coins": reports}
     assert reports >= 10
+
+
+def test_bound_report_never_runs_the_triple_pass(monkeypatch):
+    def triple_pass(*args):
+        raise AssertionError("bound_report ran the full structure check")
+
+    reports = 0
+    for seed in range(40):
+        obj, g = coverage_instance(seed, max_agents=5, max_actions=3)
+        if len(obj.ground()) > 16:
+            continue
+        out = run_rag(obj, g)
+        old = old_bound_report(obj, g, out)
+        with monkeypatch.context() as patched:
+            patched.setattr(objective, "_table_structure", triple_pass)
+            # also the name, in case bounds imports it
+            patched.setattr(bounds, "_table_structure", triple_pass, raising=False)
+            assert bound_report(obj, g, out, assume_submodular=None) == old
+        reports += 1
+    assert reports >= 10
+
+
+def zero_singleton_toy() -> CallableObjective:
+    """Agent 1's only action is worth nothing."""
+    return CallableObjective([1, 1], lambda s: float(any(e.agent == 0 for e in s)))
+
+
+def test_curvature_only_bound_decides_submodularity_without_the_triple_pass(monkeypatch):
+    cases = [(supermodular_toy(), complete_graph(3)), (complementary_pair_toy(), line_graph(3))]
+    cases += [coverage_instance(seed, max_agents=3, max_actions=2) for seed in range(10)]
+    expected = []
+    for obj, g in cases:
+        out = run_rag(obj, g)
+        expected.append((out, curvature_only_bound(obj, g, out, submodular=validate_structure(obj).is_submodular)))
+    monkeypatch.setattr(objective, "_table_structure", lambda *args: pytest.fail("triple pass ran"))
+    for (obj, g), (out, bound) in zip(cases, expected):
+        assert curvature_only_bound(obj, g, out) == bound
+
+
+def test_curvature_only_bound_rejects_a_zero_singleton_by_name():
+    obj = zero_singleton_toy()
+    out = run_random_baseline(obj, random.Random(0))
+    with pytest.raises(ValueError) as exc:
+        curvature_only_bound(obj, complete_graph(2), out)
+    assert str(exc.value) == (
+        "structure validation rejected: f(GroundElement(agent=1, action=0)) = 0"
+    )

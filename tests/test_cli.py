@@ -241,6 +241,13 @@ def test_nan_sweep_rate_is_rejected_before_any_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_overflowing_sweep_link_is_rejected_before_any_work(tmp_path, capsys):
+    path, out_dir = write_config(tmp_path, message_kib="1e306", sweep_data_rate_mbps="0.25 1.0")
+    assert main(["run", str(path)]) == 2
+    assert "message_kib and data_rate_mbps give an unusable delay" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "extra",
     [

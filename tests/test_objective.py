@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coverage_instance
+from meshcoord import objective
 from meshcoord.instances import logdet_toy, modular_objective, supermodular_toy
 from meshcoord.objective import (
     CallableObjective,
     DiskCoverageObjective,
     GridCoverageObjective,
     GroundElement,
+    StructureReport,
     coin,
     coin_ring_bound,
     curvature,
@@ -317,6 +319,200 @@ def test_fully_quantified_oracle_agrees_on_supermodular_toy():
     table = subset_value_table(obj, obj.ground())
     assert not _full_submodular(table, 3)
     assert _full_second_order(table, 3)
+
+
+def old_table_curvature(table, m):
+    """_table_curvature as it was: one comparison per element and context (verbatim)."""
+    _clamp_unit = objective._clamp_unit
+    worst = math.inf
+    for j in range(m):
+        bit = 1 << j
+        f_single = table[bit]
+        for mask in range(1 << m):
+            if mask & bit:
+                continue
+            worst = min(worst, (table[mask | bit] - table[mask]) / f_single)
+    return _clamp_unit(1.0 - worst, "curvature")
+
+
+def old_table_total_curvature(table, m):
+    """_table_total_curvature as it was (verbatim)."""
+    _clamp_unit = objective._clamp_unit
+    worst = math.inf
+    skipped = 0
+    for j in range(m):
+        bit = 1 << j
+        lo = math.inf
+        hi = -math.inf
+        for mask in range(1 << m):
+            if mask & bit:
+                continue
+            gain = table[mask | bit] - table[mask]
+            lo = min(lo, gain)
+            hi = max(hi, gain)
+        if hi == 0:
+            skipped += 1
+            continue
+        worst = min(worst, lo / hi)
+    if skipped == m:
+        raise ValueError("total curvature undefined: every element has zero gain everywhere")
+    return _clamp_unit(1.0 - worst, "total curvature")
+
+
+def old_table_structure(table, m):
+    """_table_structure as it was: every pair twice, every triple three times (verbatim)."""
+    _EPS = objective._EPS
+    _table_curvature = old_table_curvature
+    _table_total_curvature = old_table_total_curvature
+    full = 1 << m
+    bits = [1 << j for j in range(m)]
+    monotone = True
+    submodular = True
+    second_order = True
+    for mask in range(full):
+        free = [j for j in range(m) if not mask & bits[j]]
+        base = table[mask]
+        for sj in free:
+            s = bits[sj]
+            gain_s = table[mask | s] - base
+            if gain_s < -_EPS:
+                monotone = False
+            for yj in free:
+                if yj == sj:
+                    continue
+                y = bits[yj]
+                gain_s_y = table[mask | y | s] - table[mask | y]
+                if gain_s - gain_s_y < -_EPS:
+                    submodular = False
+                # x < y suffices: the 2nd-order inequality is symmetric in x, y
+                for xj in free:
+                    if xj >= yj or xj == sj:
+                        continue
+                    x = bits[xj]
+                    lhs = gain_s - (table[mask | x | s] - table[mask | x])
+                    rhs = gain_s_y - (table[mask | x | y | s] - table[mask | x | y])
+                    if lhs - rhs < -_EPS:
+                        second_order = False
+
+    if monotone:
+        kappa = _table_curvature(table, m)
+        c_total = _table_total_curvature(table, m)
+    else:
+        # both measures presume non-negative marginal gains
+        kappa = c_total = math.nan
+    return StructureReport(
+        kappa=kappa,
+        c_total=c_total,
+        is_monotone=monotone,
+        is_submodular=submodular,
+        is_second_order_submodular=second_order,
+    )
+
+
+def structure_or_error(check, table, m):
+    try:
+        report = check(table, m)
+    except (ValueError, ZeroDivisionError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return repr(report)  # repr, so that NaN measures compare equal
+
+
+def assert_structure_matches_the_old_checks(table, m):
+    """Returns the reference's flags, or None when it raised."""
+    old = structure_or_error(old_table_structure, table, m)
+    assert structure_or_error(objective._table_structure, table, m) == old
+    # the measures on their own also serve non-monotone tables
+    for new_measure, old_measure in (
+        (objective._table_curvature, old_table_curvature),
+        (objective._table_total_curvature, old_table_total_curvature),
+    ):
+        assert structure_or_error(new_measure, table, m) == structure_or_error(old_measure, table, m)
+    try:
+        ref = old_table_structure(table, m)
+    except (ValueError, ZeroDivisionError):
+        return None
+    assert objective._table_submodular(table, m) == ref.is_submodular
+    return ref.is_monotone, ref.is_submodular, ref.is_second_order_submodular
+
+
+# g(sum of element weights) for integer weights: the sign of g's second and
+# third differences decides submodularity and 2nd-order submodularity
+SHAPES = {
+    "sqrt": lambda w: w**0.5,  # monotone, submodular, 2nd-order
+    "linear": lambda w: w,  # modular: every difference is 0
+    "pow1.5": lambda w: w**1.5,  # monotone, neither
+    "square": lambda w: w * w,  # monotone, supermodular, 3rd difference 0
+    "cap3": lambda w: min(w, 3),  # monotone, submodular, not 2nd-order
+    "hill": lambda w: w * (5 - w),  # not monotone, submodular, 3rd difference 0
+    "cap3-down": lambda w: min(w, 3) - 0.5 * w,  # not monotone, submodular, not 2nd-order
+    "bowl": lambda w: (w - 3) ** 2 - 9,  # not monotone, supermodular, 3rd difference 0
+}
+
+
+def weight_table(shape, weights):
+    m = len(weights)
+    return [
+        float(SHAPES[shape](sum(w for j, w in enumerate(weights) if mask >> j & 1)))
+        for mask in range(1 << m)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SHAPES)), st.lists(st.integers(1, 4), min_size=1, max_size=6))
+def test_structure_checks_match_the_old_checks_on_weight_tables(shape, weights):
+    assert_structure_matches_the_old_checks(weight_table(shape, weights), len(weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda m: st.lists(st.integers(-8, 24), min_size=(1 << m) - 1, max_size=(1 << m) - 1)
+))
+def test_structure_checks_match_the_old_checks_on_random_tables(quarters):
+    # quarter units keep every difference exact; the values are mostly not monotone
+    table = [0.0] + [q / 4 for q in quarters]
+    assert_structure_matches_the_old_checks(table, len(table).bit_length() - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_structure_checks_match_the_old_checks_on_coverage_tables(seed):
+    obj, _ = coverage_instance(seed, max_agents=3, max_actions=3)
+    table = subset_value_table(obj, obj.ground())
+    assert assert_structure_matches_the_old_checks(table, len(obj.ground())) == (True, True, True)
+
+
+def test_structure_check_inputs_reach_every_flag_combination():
+    seen = set()
+    for shape in SHAPES:
+        for weights in ([1, 1, 1], [1, 2, 3, 1], [2, 2, 2, 2, 2]):
+            seen.add(assert_structure_matches_the_old_checks(weight_table(shape, weights), len(weights)))
+    rng = random.Random(5)
+    for _ in range(20):
+        table = [0.0] + [rng.randint(-8, 24) / 4 for _ in range(15)]
+        seen.add(assert_structure_matches_the_old_checks(table, 4))
+    assert seen - {None} == {(a, b, c) for a in (True, False) for b in (True, False) for c in (True, False)}
+
+
+def test_monotonicity_is_checked_past_a_2nd_order_violation():
+    # element 0 gains everywhere and already breaks 2nd-order submodularity;
+    # only element 1 loses value (f({1}) < 0), so the checks may not stop there
+    table = [0.0, 1.75, -1.75, 0.75, 0.75, 5.25, 0.75, 1.5]
+    assert assert_structure_matches_the_old_checks(table, 3) == (False, False, False)
+
+
+def test_structure_checks_treat_nan_as_no_violation_like_the_old_checks():
+    for table in ([0.0, 1.0, 1.0, math.nan], [0.0, math.nan, 1.0, 5.0], [0.0, math.nan, 1.0, 0.5]):
+        assert_structure_matches_the_old_checks(table, 2)
+    # f(s | A) for s = element 0 reads [nan, 1, 1, 7]: the NaN leads the
+    # differences along element 1, [nan, 6], and must not hide the 6
+    table = [0.0, math.nan, 1.0, 2.0, 1.0, 2.0, 2.0, 9.0]
+    assert_structure_matches_the_old_checks(table, 3)
+    assert not objective._table_submodular(table, 3)
+    assert objective._table_submodular([0.0, math.nan, 1.0, 1.0], 2)
+    # element 0's gains read [nan, 1, 4, 4]: its ratio 1/4 is the worst
+    table = [0.0, math.nan, 1.0, 2.0, 2.0, 6.0, 3.0, 7.0]
+    assert_structure_matches_the_old_checks(table, 3)
+    assert objective._table_total_curvature(table, 3) == 0.75
 
 
 def _joint_actions(obj, rng):

@@ -64,6 +64,24 @@ def test_validate_rejects_infinite_costs(field):
         dataclasses.replace(MissionConfig(), **{field: math.inf}).validate()
 
 
+@pytest.mark.parametrize(
+    "link", [{"message_kib": 1e306}, {"data_rate_mbps": 1e-318}, {"message_kib": 1e303, "data_rate_mbps": 1e-10}]
+)
+def test_validate_rejects_a_link_whose_delay_overflows(link):
+    # every value is finite, but 8 * bytes / rate is not
+    bad = MissionConfig(**link)
+    with pytest.raises(ValueError, match="message_kib and data_rate_mbps give an unusable delay"):
+        bad.validate()
+    with pytest.raises(ValueError, match="tau_c must be a finite number"):
+        bad.delay_model()
+
+
+def test_validate_accepts_a_link_whose_delay_underflows_to_zero():
+    cfg_ = MissionConfig(message_kib=1e-300, data_rate_mbps=1e300)
+    cfg_.validate()
+    assert cfg_.delay_model().tau_c == 0.0
+
+
 def test_infinite_comm_range_puts_everyone_in_range():
     MissionConfig(comm_range=math.inf).validate()
     with pytest.raises(ValueError, match="comm_range"):

@@ -57,6 +57,19 @@ def test_delay_model_validation_and_rate_constructor():
     assert dm.tau_c == 0.8192
 
 
+@pytest.mark.parametrize("field", ["tau_f", "tau_c", "tau_hash"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_delay_model_rejects_non_finite_delays_by_name(field, value):
+    delays = {"tau_f": 0.001, "tau_c": 0.1, "tau_hash": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        DelayModel(**delays)
+
+
+def test_rate_constructor_rejects_an_overflowing_tau_c():
+    with pytest.raises(ValueError, match="tau_c must be a finite number, got inf"):
+        DelayModel.from_rate(tau_f=0.001, tau_hash=0.0, message_bytes=1e308, data_rate_bps=1.0)
+
+
 def test_reference_line_decision_time_is_exact():
     obj, g, _ = reference_line_instance()
     out = run_rag(obj, g)
