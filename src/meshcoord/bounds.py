@@ -23,7 +23,6 @@ from meshcoord.objective import (
     _table_total_curvature,
     coin,
     curvature,
-    total_curvature,
 )
 from meshcoord.topology import MeshGraph, is_complete
 
@@ -151,10 +150,13 @@ def curvature_only_bound(
     (1-c)^2 * f(opt). When submodular is None it is decided exhaustively
     (size-guarded, zero-value singletons rejected as by validate_structure).
     """
+    table = None
     if submodular is None:
-        submodular = _table_submodular(*_ground_table(obj, "structure validation rejected"))
+        table = _ground_table(obj, "structure validation rejected")
+        submodular = _table_submodular(*table)
     opt = _optimum(obj, optimum_value)
-    k = curvature(obj) if submodular else total_curvature(obj)
+    # the submodularity check's table, when built, also serves the total curvature
+    k = curvature(obj) if submodular else _table_total_curvature(*(table or _ground_table(obj)))
     return _curvature_only(opt, is_complete(g), submodular, k)
 
 

@@ -1,11 +1,14 @@
 """Config-driven experiment runner: `run`, `verify`, and `figures` subcommands.
 
 Configs are flat `key = value` text files (blank lines and full-line `#`
-comments ignored); `meshcoord run --print-default-config` emits a commented
-template. Exit codes: 0 success, 1 property violation, 2 config or
-environment error. The MESHCOORD_WORKERS environment variable sizes the
-trial worker pool (default 1, serial); a run starts at most one pool, shared
-by all trials of all sweep variations.
+comments ignored) whose keys are exactly the fields of MissionConfig and
+ExperimentConfig; `meshcoord run --print-default-config` emits a commented
+template. `verify` prints one PASS/FAIL line per property, a failure with
+the first failing instance. Exit codes: 0 success, 1 property violation, 2
+config or environment error, including an artifact that cannot be written.
+The MESHCOORD_WORKERS environment variable sizes the trial worker pool
+(default 1, serial); a run starts at most one pool, shared by all trials of
+all sweep variations.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO, get_args, get_origin, get_type_hints
 
 from meshcoord.bounds import (
     apriori_bound,
@@ -55,7 +60,10 @@ EMIT_CHOICES = ("traces", "aggregates", "bounds", "timings")
 
 
 class ConfigError(Exception):
-    """Raised with a line/field diagnostic when a config cannot be used."""
+    """Raised with a diagnostic when a config, verify's limits or an output path cannot be used.
+
+    main prints the message and exits 2.
+    """
 
 
 @dataclass(frozen=True)
@@ -149,22 +157,15 @@ output_dir = out
 emit = traces aggregates
 """
 
-_INT_KEYS = {
-    "n_agents", "world_width", "world_height", "corridor_width", "fov_width",
-    "fov_height", "move_magnitude", "steps", "k", "trials", "seed",
-    "spawn_width", "spawn_height",
-}
-_FLOAT_KEYS = {
-    "road_density", "comm_range", "tau_f", "tau_hash", "message_kib",
-    "data_rate_mbps",
-}
-_STR_KEYS = {"algorithm", "road_mask_path", "output_dir"}
-_LIST_KEYS = {
-    "sweep_algorithm", "sweep_k", "sweep_n_agents", "sweep_data_rate_mbps",
-    "emit",
-}
-_OPTIONAL_KEYS = {"road_mask_path", "spawn_width", "spawn_height"}
-_MISSION_KEYS = {f.name for f in fields(MissionConfig)}
+_MISSION_TYPES = get_type_hints(MissionConfig)
+# every config key with its annotation, which picks the value parser
+_KEY_TYPES = {**get_type_hints(ExperimentConfig), **_MISSION_TYPES}
+del _KEY_TYPES["mission"]
+# bounds.csv columns after the instance index and its team size
+_BOUND_COLUMNS = (
+    "algorithm_value", "optimum_value", "apriori", "aposteriori", "approx_greedy",
+    "coin_sum", "kappa", "certified",
+)
 
 
 def _split_list(value: str) -> list[str]:
@@ -172,16 +173,13 @@ def _split_list(value: str) -> list[str]:
 
 
 def parse_experiment_config(text: str) -> ExperimentConfig:
-    mission_kwargs: dict = {}
-    sweeps: dict = {
-        "sweep_algorithm": (),
-        "sweep_k": (),
-        "sweep_n_agents": (),
-        "sweep_data_rate_mbps": (),
-    }
-    output_dir = "out"
-    emit = frozenset({"traces", "aggregates"})
+    """Parses a config; each key is a MissionConfig or ExperimentConfig field.
 
+    A field's annotation sets its parser: int, float or str, or a tuple or
+    frozenset of them given as a list. Optional and list fields may be left
+    empty; unset fields keep the dataclass defaults.
+    """
+    values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -191,28 +189,20 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"config line {lineno}: unknown field {key!r}")
+        hint = _KEY_TYPES[key]
+        args = get_args(hint)
+        listed = get_origin(hint) in (tuple, frozenset)
         if not value:
-            if key in _OPTIONAL_KEYS or key in _LIST_KEYS:
+            if listed or type(None) in args:
                 continue  # keep the default
             raise ConfigError(f"config line {lineno}: field {key!r} needs a value")
+        scalar = args[0] if args else hint
         try:
-            if key in _INT_KEYS:
-                parsed: object = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            elif key == "sweep_k" or key == "sweep_n_agents":
-                parsed = tuple(int(tok) for tok in _split_list(value))
-            elif key == "sweep_data_rate_mbps":
-                parsed = tuple(float(tok) for tok in _split_list(value))
-            elif key == "sweep_algorithm" or key == "emit":
-                parsed = tuple(_split_list(value))
-            else:
-                parsed = value
+            parsed = [scalar(tok) for tok in _split_list(value)] if listed else scalar(value)
         except ValueError:
-            kind = "an integer" if key in _INT_KEYS or key in {"sweep_k", "sweep_n_agents"} else "a number"
+            kind = "an integer" if scalar is int else "a number"
             raise ConfigError(
                 f"config line {lineno}: field {key!r} expects {kind}, got {value!r}"
             ) from None
@@ -233,16 +223,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"config line {lineno}: emit accepts {', '.join(EMIT_CHOICES)}, got {', '.join(bad)}"
                 )
-            emit = frozenset(parsed)
-        elif key == "output_dir":
-            output_dir = parsed  # type: ignore[assignment]
-        elif key in sweeps:
-            sweeps[key] = parsed
-        else:
-            mission_kwargs[key] = parsed
+        values[key] = get_origin(hint)(parsed) if listed else parsed
 
-    mission = MissionConfig(**mission_kwargs)
-    exp = ExperimentConfig(mission=mission, output_dir=output_dir, emit=emit, **sweeps)
+    mission = MissionConfig(**{k: v for k, v in values.items() if k in _MISSION_TYPES})
+    exp = ExperimentConfig(mission, **{k: v for k, v in values.items() if k not in _MISSION_TYPES})
     try:
         mission.validate()
         for cfg in exp.missions():
@@ -263,14 +247,29 @@ def _workers_from_env() -> int:
     return workers
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    # write-then-rename so a crashed run never leaves a truncated table
+@contextmanager
+def _artifact(path: Path) -> Iterator[TextIO]:
+    """A file to write path's content into, renamed over path on success.
+
+    Write-then-rename, so a crashed run never leaves a truncated artifact; a
+    failed write removes the temporary file and raises ConfigError.
+    """
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", newline="") as fh:
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ConfigError(f"config error: cannot write {path}: {exc}") from None
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with _artifact(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    os.replace(tmp, path)
 
 
 def _bounds_rows(seed: int) -> list[list]:
@@ -278,53 +277,29 @@ def _bounds_rows(seed: int) -> list[list]:
     for i in range(50):
         rng = random.Random(f"{seed}:bounds:{i}")
         obj, g = random_coverage_instance(rng, max_agents=5, max_actions=3)
-        outcome = run_rag(obj, g)
-        report = bound_report(obj, g, outcome, assume_submodular=True)
-        rows.append([
-            i,
-            obj.n_agents,
-            outcome.value,
-            report.optimum_value,
-            report.apriori,
-            report.aposteriori,
-            report.approx_greedy,
-            report.coin_sum,
-            report.kappa,
-            report.certified,
-        ])
+        report = bound_report(obj, g, run_rag(obj, g), assume_submodular=True)
+        rows.append([i, obj.n_agents, *(getattr(report, c) for c in _BOUND_COLUMNS)])
     return rows
 
 
-def _timings_rows(dm: DelayModel) -> list[list]:
-    rows = []
+def _reference_runs() -> Iterator[tuple]:
+    """(name, graph, action counts, rag outcome, sg outcome) on the line and star.
+
+    sg decides in natural ascending order: on the star instance the center
+    (agent 1) decides second, the documented worst-ish relay arrangement.
+    """
     for name, build in (("line", reference_line_instance), ("star", reference_star_instance)):
         obj, g, _ = build()
-        counts = list(obj.action_counts)
-        # natural ascending order: on the star instance the center (agent 1)
-        # decides second, the documented worst-ish relay arrangement
-        for outcome, bound in (
-            (run_rag(obj, g), rag_time_bound(g, dm, counts)),
-            (run_sg(obj, list(range(5)), g=g), ""),
-        ):
-            rows.append([
-                outcome.algorithm, name, counts[0],
-                decision_time(outcome, dm, counts).seconds, bound,
-            ])
-    return rows
+        yield name, g, list(obj.action_counts), run_rag(obj, g), run_sg(obj, list(range(5)), g=g)
 
 
 def cmd_run(config_path: str) -> int:
     try:
         text = Path(config_path).read_text()
     except OSError as exc:
-        print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        exp = parse_experiment_config(text)
-        workers = _workers_from_env()
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        raise ConfigError(f"config error: cannot read {config_path}: {exc}") from None
+    exp = parse_experiment_config(text)
+    workers = _workers_from_env()
 
     out_dir = Path(exp.output_dir)
     try:
@@ -333,237 +308,193 @@ def cmd_run(config_path: str) -> int:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        print(f"config error: output_dir {exp.output_dir!r} is not writable: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(
+            f"config error: output_dir {exp.output_dir!r} is not writable: {exc}"
+        ) from None
 
     missions = exp.missions()
     all_runs, summaries = monte_carlo(missions, workers=workers)
-    summary_rows = [(s, cfg.n_agents, cfg.data_rate_mbps) for s, cfg in zip(summaries, missions)]
-    for s, n, rate in summary_rows:
+    # each variation's summary with its n_agents and data_rate_mbps, in table column order
+    variations = [
+        {"algorithm": s.algorithm, "k": s.k, "n_agents": cfg.n_agents, "data_rate_mbps": cfg.data_rate_mbps}
+        | asdict(s)
+        for s, cfg in zip(summaries, missions)
+    ]
+    for v in variations:
         print(
-            f"{s.algorithm} k={s.k} n={n} rate={rate}Mbps: "
-            f"peak {s.mean_peak_coverage:.1f}±{s.std_peak_coverage:.1f} cells, "
-            f"step time {s.mean_step_time_s:.4g}s"
+            "{algorithm} k={k} n={n_agents} rate={data_rate_mbps}Mbps: "
+            "peak {mean_peak_coverage:.1f}±{std_peak_coverage:.1f} cells, "
+            "step time {mean_step_time_s:.4g}s".format_map(v)
         )
 
     if "traces" in exp.emit:
         _write_csv(out_dir / "traces.csv", TRACE_HEADER, trace_rows(all_runs))
     if "aggregates" in exp.emit:
-        _write_csv(
-            out_dir / "aggregates.csv",
-            (
-                "algorithm", "k", "n_agents", "data_rate_mbps", "trials",
-                "mean_peak_coverage", "std_peak_coverage",
-                "mean_step_time_s", "std_step_time_s",
-            ),
-            [
-                [
-                    s.algorithm, s.k, n, rate, s.trials,
-                    s.mean_peak_coverage, s.std_peak_coverage,
-                    s.mean_step_time_s, s.std_step_time_s,
-                ]
-                for s, n, rate in summary_rows
-            ],
-        )
+        # every variation column but the per-step series
+        columns = [c for c in variations[0] if c != "mean_coverage_by_step"]
+        _write_csv(out_dir / "aggregates.csv", columns, [[v[c] for c in columns] for v in variations])
     if "bounds" in exp.emit:
         _write_csv(
             out_dir / "bounds.csv",
-            (
-                "instance", "n_agents", "algorithm_value", "optimum_value",
-                "apriori", "aposteriori", "approx_greedy", "coin_sum",
-                "kappa", "certified",
-            ),
+            ("instance", "n_agents", *_BOUND_COLUMNS),
             _bounds_rows(exp.mission.seed),
         )
     if "timings" in exp.emit:
+        dm = exp.mission.delay_model()
         _write_csv(
             out_dir / "timings.csv",
             ("algorithm", "graph", "actions_per_agent", "sim_time_s", "time_bound_s"),
-            _timings_rows(exp.mission.delay_model()),
+            [
+                [outcome.algorithm, name, counts[0], decision_time(outcome, dm, counts).seconds, bound]
+                for name, g, counts, rag, sg in _reference_runs()
+                for outcome, bound in ((rag, rag_time_bound(g, dm, counts)), (sg, ""))
+            ],
         )
 
     summary = {
         "config": {
-            "mission": {f.name: getattr(exp.mission, f.name) for f in fields(MissionConfig)},
+            "mission": asdict(exp.mission),
             "output_dir": exp.output_dir,
             "emit": sorted(exp.emit),
         },
-        "variations": [
-            {
-                "algorithm": s.algorithm,
-                "k": s.k,
-                "n_agents": n,
-                "data_rate_mbps": rate,
-                "trials": s.trials,
-                "mean_peak_coverage": s.mean_peak_coverage,
-                "std_peak_coverage": s.std_peak_coverage,
-                "mean_step_time_s": s.mean_step_time_s,
-                "std_step_time_s": s.std_step_time_s,
-                "mean_coverage_by_step": list(s.mean_coverage_by_step),
-            }
-            for s, n, rate in summary_rows
-        ],
+        "variations": variations,
     }
-    tmp = out_dir / "summary.json.tmp"
-    tmp.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, out_dir / "summary.json")
+    with _artifact(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
 
-class _Checker:
-    """Collects pass/fail lines for the verification properties."""
+def _instance_checks(
+    seed: int, i: int, max_agents: int, max_actions: int
+) -> Iterator[tuple[str, str | None]]:
+    """(property, None or a failure detail) for each check on random instance i.
 
-    def __init__(self):
-        self.failures = 0
+    Details are built only on failure. The rng draws keep their order, so
+    each instance and its checks depend only on (seed, i).
+    """
+    rng = random.Random(f"{seed}:{i}")
+    obj, g = random_coverage_instance(rng, max_agents=max_agents, max_actions=max_actions)
+    n = obj.n_agents  # at least 2, as dfs-sg needs
+    outcome = run_rag(obj, g)
+    _, opt = brute_force_optimum(obj)
+    kappa = curvature(obj)
+    tag = f"instance {i}"
 
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        if ok:
-            print(f"PASS {name}")
-        else:
-            self.failures += 1
-            print(f"FAIL {name}" + (f" — {detail}" if detail else ""))
+    apriori = apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa)
+    yield "value-above-apriori-bound", (
+        f"{tag}: {outcome.value} < {apriori}" if outcome.value < apriori - 1e-9 else None
+    )
+    apost = aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa)
+    yield "value-above-aposteriori-bound", (
+        f"{tag}: {outcome.value} < {apost}" if outcome.value < apost - 1e-9 else None
+    )
+    eta_one = approx_greedy_bound(obj, g, outcome, 1.0, optimum_value=opt, kappa=kappa)
+    yield "approx-greedy-eta1-matches-apriori", (
+        f"{tag}: {eta_one} != {apriori}"
+        if not math.isclose(eta_one, apriori, rel_tol=1e-12, abs_tol=1e-12)
+        else None
+    )
+    half = run_rag(obj, g, eta=0.5, rng=random.Random(f"{seed}:{i}:eta"))
+    half_bound = approx_greedy_bound(obj, g, half, 0.5, optimum_value=opt, kappa=kappa)
+    yield "eta-half-value-above-bound", (
+        f"{tag}: {half.value} < {half_bound}" if half.value < half_bound - 1e-9 else None
+    )
 
+    order = list(range(n))
+    rng.shuffle(order)
+    sg = run_sg(obj, order)
+    yield "sg-half-of-optimum", (
+        f"{tag}: {sg.value} < {opt / 2}" if sg.value < opt / 2 - 1e-9 else None
+    )
+    mesh = strongly_connected_line_plus(n, min(2, n * (n - 1) // 2 - (n - 1)), seed=i)
+    dfs = run_dfs_sg(obj, mesh, start=rng.randrange(n))
+    yield "dfs-sg-half-of-optimum", (
+        f"{tag}: {dfs.value} < {opt / 2}" if dfs.value < opt / 2 - 1e-9 else None
+    )
+    dsm = run_dsm(obj, full_access_dag(order))
+    yield "dsm-full-access-matches-sg", (
+        tag if not (dsm.actions == sg.actions and math.isclose(dsm.value, sg.value)) else None
+    )
 
-def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
-    if count < 0:
-        print("config error: count may not be negative", file=sys.stderr)
-        return 2
-    if max_agents < 2 or max_actions < 1:
-        print("config error: need max_agents >= 2 and max_actions >= 1", file=sys.stderr)
-        return 2
-    if max_actions**max_agents > BRUTE_FORCE_LIMIT:
-        print(
-            f"config error: {max_actions}^{max_agents} joint selections exceed "
-            f"the brute-force limit of {BRUTE_FORCE_LIMIT}",
-            file=sys.stderr,
+    budgets = [
+        obj.action_counts[j] * (max(1, len(g.in_neighbors[j])) + 1) for j in range(n)
+    ]
+    yield "eval-counts-within-budget", (
+        f"{tag}: {outcome.eval_counts} > {budgets}"
+        if any(e > b for e, b in zip(outcome.eval_counts, budgets))
+        else None
+    )
+    round_cap = n - 1 if g.has_edges() else 0
+    yield "rounds-within-agent-count", (
+        f"{tag}: rounds {outcome.gain_rounds}/{outcome.action_rounds} > {round_cap}"
+        if outcome.gain_rounds > round_cap or outcome.action_rounds > round_cap
+        else None
+    )
+    dm = DelayModel(tau_f=0.001, tau_c=0.01, tau_hash=0.0005)
+    counts = list(obj.action_counts)
+    yield "sim-time-within-bound", (
+        tag
+        if decision_time(outcome, dm, counts).seconds > rag_time_bound(g, dm, counts) + 1e-12
+        else None
+    )
+
+    for j in range(n):
+        full_nbh = set(range(n)) - {j}
+        yield "coin-centralized-zero", (
+            f"{tag}: agent {j}" if abs(coin(obj, j, outcome.actions, full_nbh)) > 1e-9 else None
         )
-        return 2
+        empty = coin(obj, j, outcome.actions, set())
+        single = obj.evaluate([outcome.actions[j]])
+        yield "coin-empty-within-kappa-cap", (
+            f"{tag}: agent {j}" if empty > kappa * single + 1e-9 else None
+        )
+        smaller = {a for a in full_nbh if rng.random() < 0.4}
+        larger = smaller | {a for a in full_nbh if rng.random() < 0.4}
+        yield "coin-nested-monotone", (
+            f"{tag}: agent {j}"
+            if coin(obj, j, outcome.actions, larger) > coin(obj, j, outcome.actions, smaller) + 1e-9
+            else None
+        )
 
-    c = _Checker()
-    if count == 0:
-        print("warning: count=0 — instance-based properties pass vacuously")
 
-    bad: dict[str, str] = {}
-    for i in range(count):
-        rng = random.Random(f"{seed}:{i}")
-        obj, g = random_coverage_instance(rng, max_agents=max_agents, max_actions=max_actions)
-        n = obj.n_agents
-        outcome = run_rag(obj, g)
-        _, opt = brute_force_optimum(obj)
-        kappa = curvature(obj)
-        tag = f"instance {i}"
+def _reference_checks(seed: int) -> Iterator[tuple[str, str | None]]:
+    """(property, None or a failure detail) for the instance-free checks.
 
-        apriori = apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa)
-        if outcome.value < apriori - 1e-9:
-            bad.setdefault("value-above-apriori-bound", f"{tag}: {outcome.value} < {apriori}")
-        apost = aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa)
-        if outcome.value < apost - 1e-9:
-            bad.setdefault("value-above-aposteriori-bound", f"{tag}: {outcome.value} < {apost}")
-        eta_one = approx_greedy_bound(obj, g, outcome, 1.0, optimum_value=opt, kappa=kappa)
-        if not math.isclose(eta_one, apriori, rel_tol=1e-12, abs_tol=1e-12):
-            bad.setdefault("approx-greedy-eta1-matches-apriori", f"{tag}: {eta_one} != {apriori}")
-        half = run_rag(obj, g, eta=0.5, rng=random.Random(f"{seed}:{i}:eta"))
-        half_bound = approx_greedy_bound(obj, g, half, 0.5, optimum_value=opt, kappa=kappa)
-        if half.value < half_bound - 1e-9:
-            bad.setdefault("eta-half-value-above-bound", f"{tag}: {half.value} < {half_bound}")
-
-        order = list(range(n))
-        rng.shuffle(order)
-        sg = run_sg(obj, order)
-        if sg.value < opt / 2 - 1e-9:
-            bad.setdefault("sg-half-of-optimum", f"{tag}: {sg.value} < {opt / 2}")
-        if n >= 2:
-            mesh = strongly_connected_line_plus(n, min(2, n * (n - 1) // 2 - (n - 1)), seed=i)
-            dfs = run_dfs_sg(obj, mesh, start=rng.randrange(n))
-            if dfs.value < opt / 2 - 1e-9:
-                bad.setdefault("dfs-sg-half-of-optimum", f"{tag}: {dfs.value} < {opt / 2}")
-        dsm = run_dsm(obj, full_access_dag(order))
-        if not (dsm.actions == sg.actions and math.isclose(dsm.value, sg.value)):
-            bad.setdefault("dsm-full-access-matches-sg", tag)
-
-        budgets = [
-            obj.action_counts[j] * (max(1, len(g.in_neighbors[j])) + 1) for j in range(n)
-        ]
-        if any(e > b for e, b in zip(outcome.eval_counts, budgets)):
-            bad.setdefault("eval-counts-within-budget", f"{tag}: {outcome.eval_counts} > {budgets}")
-        round_cap = n - 1 if g.has_edges() else 0
-        if outcome.gain_rounds > round_cap or outcome.action_rounds > round_cap:
-            bad.setdefault(
-                "rounds-within-agent-count",
-                f"{tag}: rounds {outcome.gain_rounds}/{outcome.action_rounds} > {round_cap}",
-            )
-        dm = DelayModel(tau_f=0.001, tau_c=0.01, tau_hash=0.0005)
-        counts = list(obj.action_counts)
-        if decision_time(outcome, dm, counts).seconds > rag_time_bound(g, dm, counts) + 1e-12:
-            bad.setdefault("sim-time-within-bound", tag)
-
-        for j in range(n):
-            full_nbh = set(range(n)) - {j}
-            if abs(coin(obj, j, outcome.actions, full_nbh)) > 1e-9:
-                bad.setdefault("coin-centralized-zero", f"{tag}: agent {j}")
-            empty = coin(obj, j, outcome.actions, set())
-            single = obj.evaluate([outcome.actions[j]])
-            if empty > kappa * single + 1e-9:
-                bad.setdefault("coin-empty-within-kappa-cap", f"{tag}: agent {j}")
-            smaller = {a for a in full_nbh if rng.random() < 0.4}
-            larger = smaller | {a for a in full_nbh if rng.random() < 0.4}
-            if coin(obj, j, outcome.actions, larger) > coin(obj, j, outcome.actions, smaller) + 1e-9:
-                bad.setdefault("coin-nested-monotone", f"{tag}: agent {j}")
-
-    if count > 0:
-        for name in (
-            "value-above-apriori-bound",
-            "value-above-aposteriori-bound",
-            "approx-greedy-eta1-matches-apriori",
-            "eta-half-value-above-bound",
-            "sg-half-of-optimum",
-            "dfs-sg-half-of-optimum",
-            "dsm-full-access-matches-sg",
-            "eval-counts-within-budget",
-            "rounds-within-agent-count",
-            "sim-time-within-bound",
-            "coin-centralized-zero",
-            "coin-empty-within-kappa-cap",
-            "coin-nested-monotone",
-        ):
-            c.check(name, name not in bad, bad.get(name, ""))
-
+    A failure without a detail has the detail "".
+    """
     # reference timing reproductions, exact by construction
     dm = DelayModel(tau_f=2**-10, tau_c=2**-1, tau_hash=2**-13)
-    for name, build in (("line", reference_line_instance), ("star", reference_star_instance)):
-        obj, g, _ = build()
-        counts = list(obj.action_counts)
-        got = decision_time(run_rag(obj, g), dm, counts).seconds
+    relays = {}
+    for name, _, counts, rag, sg in _reference_runs():
+        got = decision_time(rag, dm, counts).seconds
         expect = 2 * counts[0] * dm.tau_f + dm.tau_c + dm.tau_hash
-        c.check(f"reference-{name}-timing-exact", got == expect, f"got {got}, want {expect}")
+        yield f"reference-{name}-timing-exact", (
+            f"got {got}, want {expect}" if got != expect else None
+        )
+        relays[name] = sg.relay_action_transmissions
+    yield "sg-relay-counts", (
+        f"line {relays['line']}, star {relays['star']}"
+        if relays != {"line": 10, "star": 17}
+        else None
+    )
 
     obj, g, _ = reference_line_instance()
-    sg = run_sg(obj, list(range(5)), g=g)
-    obj_s, g_s, _ = reference_star_instance()
-    sg_star = run_sg(obj_s, list(range(5)), g=g_s)  # center (agent 1) is second
-    c.check(
-        "sg-relay-counts",
-        sg.relay_action_transmissions == 10 and sg_star.relay_action_transmissions == 17,
-        f"line {sg.relay_action_transmissions}, star {sg_star.relay_action_transmissions}",
-    )
-
     corrupted = run_rag(obj, g, tie_break="min-gain-highest-id")
-    c.check(
-        "negative-control-detects-corruption",
-        sorted(corrupted.events[0].selectors) != [1, 3],
-        "corrupted tie-break still reproduced the reference gain arrangement",
+    yield "negative-control-detects-corruption", (
+        "corrupted tie-break still reproduced the reference gain arrangement"
+        if sorted(corrupted.events[0].selectors) == [1, 3]
+        else None
     )
 
-    c.check(
-        "ring-bound-endpoints",
+    endpoints = (
         coin_ring_bound(1.0, 2.0) == 0.0
         and math.isclose(coin_ring_bound(1.0, 1.0), math.pi)
-        and coin_ring_bound(1.0, 3.0) == 0.0,
+        and coin_ring_bound(1.0, 3.0) == 0.0
     )
+    yield "ring-bound-endpoints", None if endpoints else ""
 
     r_s = 1.0
     rng = random.Random(seed)
-    dominated = True
     for _ in range(20):
         r_i = rng.uniform(r_s, 3 * r_s)
         theta = rng.uniform(0, 2 * math.pi)
@@ -575,12 +506,34 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
         actions = (disk.actions(0)[0], disk.actions(1)[0])
         measured = coin(disk, 0, actions, set())
         tol = 2 * math.pi * r_s * disk.cell_area * disk.resolution  # one boundary-cell layer
-        if measured > coin_ring_bound(r_s, r_i) + tol:
-            dominated = False
-    c.check("ring-bound-dominates-disk-coin", dominated)
+        yield "ring-bound-dominates-disk-coin", "" if measured > coin_ring_bound(r_s, r_i) + tol else None
 
-    if c.failures:
-        print(f"{c.failures} propert{'y' if c.failures == 1 else 'ies'} FAILED")
+
+def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
+    if count < 0:
+        raise ConfigError("config error: count may not be negative")
+    if max_agents < 2 or max_actions < 1:
+        raise ConfigError("config error: need max_agents >= 2 and max_actions >= 1")
+    if max_actions**max_agents > BRUTE_FORCE_LIMIT:
+        raise ConfigError(
+            f"config error: {max_actions}^{max_agents} joint selections exceed "
+            f"the brute-force limit of {BRUTE_FORCE_LIMIT}"
+        )
+    if count == 0:
+        print("warning: count=0 — instance-based properties pass vacuously")
+
+    # each property's first failure detail, or None while it holds, in first-seen order
+    first_failure: dict[str, str | None] = {}
+    instances = [_instance_checks(seed, i, max_agents, max_actions) for i in range(count)]
+    for name, detail in chain(*instances, _reference_checks(seed)):
+        if first_failure.get(name) is None:
+            first_failure[name] = detail
+    for name, detail in first_failure.items():
+        print(f"PASS {name}" if detail is None else f"FAIL {name}" + (f" — {detail}" if detail else ""))
+
+    failures = sum(detail is not None for detail in first_failure.values())
+    if failures:
+        print(f"{failures} propert{'y' if failures == 1 else 'ies'} FAILED")
         return 1
     suffix = f" on {count} instances" if count else ""
     print(f"all properties passed{suffix}")
@@ -592,17 +545,13 @@ def cmd_figures(out: str) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"config error: cannot create {out!r}: {exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"config error: cannot create {out!r}: {exc}") from None
 
     dm = DelayModel(tau_f=0.001, tau_c=0.8192, tau_hash=0.000256)
     rows = []
-    for name, build in (("line", reference_line_instance), ("star", reference_star_instance)):
-        obj, g, _ = build()
-        counts = list(obj.action_counts)
+    for name, _, counts, *outcomes in _reference_runs():
         nv = counts[0]
-        # star center (agent 1) decides second under sg
-        for outcome in (run_rag(obj, g), run_sg(obj, list(range(5)), g=g)):
+        for outcome in outcomes:
             t = decision_time(outcome, dm, counts)
             # every menu has nv actions; the figure counts tau_f in whole menus
             rows.append([
@@ -658,17 +607,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.command == "run":
-        if args.print_default_config:
-            print(DEFAULT_CONFIG_TEMPLATE, end="")
-            return 0
-        if args.config is None:
-            print("config error: a config path is required (or --print-default-config)", file=sys.stderr)
-            return 2
-        return cmd_run(args.config)
-    if args.command == "verify":
-        return cmd_verify(args.seed, args.count, args.max_agents, args.max_actions)
-    return cmd_figures(args.out)
+    try:
+        if args.command == "run":
+            if args.print_default_config:
+                print(DEFAULT_CONFIG_TEMPLATE, end="")
+                return 0
+            if args.config is None:
+                raise ConfigError("config error: a config path is required (or --print-default-config)")
+            return cmd_run(args.config)
+        if args.command == "verify":
+            return cmd_verify(args.seed, args.count, args.max_agents, args.max_actions)
+        return cmd_figures(args.out)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

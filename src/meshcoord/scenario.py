@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, get_type_hints
 
 from meshcoord.coordination import (
     run_dfs_sg,
@@ -40,9 +40,6 @@ from meshcoord.timing import DelayModel, decision_time
 from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
-
-# comm_range may be +inf (everyone in range); the others must be finite
-_FLOAT_FIELDS = ("road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps")
 
 
 @dataclass(frozen=True)
@@ -71,6 +68,7 @@ class MissionConfig:
 
     def validate(self) -> None:
         """Raises ValueError naming the offending field."""
+        # comm_range may be +inf (everyone in range); the other floats must be finite
         for name in _FLOAT_FIELDS:
             v = getattr(self, name)
             if not (math.isfinite(v) or (name == "comm_range" and v == math.inf)):
@@ -126,6 +124,9 @@ class MissionConfig:
         return DelayModel.from_rate(
             self.tau_f, self.tau_hash, self.message_kib * 1024.0, self.data_rate_mbps * 1e6
         )
+
+
+_FLOAT_FIELDS = tuple(name for name, hint in get_type_hints(MissionConfig).items() if hint is float)
 
 
 @dataclass(frozen=True)

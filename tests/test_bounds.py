@@ -401,3 +401,14 @@ def test_curvature_only_bound_rejects_a_zero_singleton_by_name():
     assert str(exc.value) == (
         "structure validation rejected: f(GroundElement(agent=1, action=0)) = 0"
     )
+
+
+def test_curvature_only_bound_builds_one_subset_table():
+    obj = complementary_pair_toy()  # 3 elements, not submodular: 2^3 evaluations
+    g = line_graph(3)
+    out = run_rag(obj, g)
+    _, opt = brute_force_optimum(obj)
+    before = obj.eval_count
+    bound = curvature_only_bound(obj, g, out, optimum_value=opt)
+    assert obj.eval_count - before == 8
+    assert bound == curvature_only_bound(obj, g, out, optimum_value=opt, submodular=False)

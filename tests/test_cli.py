@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+from meshcoord import cli
 from meshcoord.cli import (
     DEFAULT_CONFIG_TEMPLATE,
     ConfigError,
@@ -53,6 +56,26 @@ def test_parse_reports_the_offending_line():
         parse_experiment_config("n_agents =\n")
     with pytest.raises(ConfigError, match="emit accepts"):
         parse_experiment_config("emit = traces pictures\n")
+
+
+def test_list_fields_name_their_element_type():
+    with pytest.raises(ConfigError, match="config line 1: field 'sweep_k' expects an integer"):
+        parse_experiment_config("sweep_k = a\n")
+    with pytest.raises(
+        ConfigError, match="config line 1: field 'sweep_data_rate_mbps' expects a number"
+    ):
+        parse_experiment_config("sweep_data_rate_mbps = fast\n")
+
+
+def test_template_names_every_config_field_once():
+    keys = [
+        line.partition("=")[0].strip()
+        for line in DEFAULT_CONFIG_TEMPLATE.splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    names = [f.name for f in fields(MissionConfig)]
+    names += [f.name for f in fields(ExperimentConfig) if f.name != "mission"]
+    assert sorted(keys) == sorted(names)
 
 
 def test_optional_keys_accept_emptiness():
@@ -336,3 +359,97 @@ def test_figures_writes_plot_ready_csvs(tmp_path):
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):
     assert main(["frobnicate"]) == 2
+
+
+VERIFY_30_STDOUT = """\
+PASS value-above-apriori-bound
+PASS value-above-aposteriori-bound
+PASS approx-greedy-eta1-matches-apriori
+PASS eta-half-value-above-bound
+PASS sg-half-of-optimum
+PASS dfs-sg-half-of-optimum
+PASS dsm-full-access-matches-sg
+PASS eval-counts-within-budget
+PASS rounds-within-agent-count
+PASS sim-time-within-bound
+PASS coin-centralized-zero
+PASS coin-empty-within-kappa-cap
+PASS coin-nested-monotone
+PASS reference-line-timing-exact
+PASS reference-star-timing-exact
+PASS sg-relay-counts
+PASS negative-control-detects-corruption
+PASS ring-bound-endpoints
+PASS ring-bound-dominates-disk-coin
+all properties passed on 30 instances
+"""
+
+
+def test_verify_stdout_is_pinned(capsys):
+    assert main(["verify", "--count", "30"]) == 0
+    assert capsys.readouterr().out == VERIFY_30_STDOUT
+
+
+def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch):
+    apriori_bound, coin = cli.apriori_bound, cli.coin
+    monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
+    monkeypatch.setattr(
+        cli, "coin", lambda obj, j, *a, **kw: coin(obj, j, *a, **kw) + (1.0 if j == 1 else 0.0)
+    )
+    assert main(["verify", "--count", "30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL value-above-apriori-bound — instance 0: 10.0 < 1000005.0",
+        "FAIL approx-greedy-eta1-matches-apriori — instance 0: 5.0 != 1000005.0",
+        "FAIL coin-centralized-zero — instance 0: agent 1",
+        "FAIL coin-empty-within-kappa-cap — instance 4: agent 1",
+        "4 properties FAILED",
+    ]
+    expected = VERIFY_30_STDOUT.splitlines()[:-1]
+    assert [line.split(" ", 1)[1].split(" — ")[0] for line in lines[:-1]] == [
+        line.split(" ", 1)[1] for line in expected
+    ]
+
+
+# sha256 of each artifact of a tiny fixed sweep; summary.json embeds the
+# relative output_dir "out"
+ARTIFACT_SHA256 = {
+    "aggregates.csv": "c249cc4ed8c103f73b1159234973ff73376ee23ac750fd85d43aa10be39c2f39",
+    "bounds.csv": "ccb5bf53f4a4f20fefd417d33689f01164d373ebea789b92e6699ab96550735b",
+    "timings.csv": "58525dc5adae13a29790b3d1da212233ce261eb8ff86eff611010974c7baf16b",
+    "traces.csv": "bcf193998d3b40a38653007ea3b39705e226d85d36b81ba5df4339976b9c080a",
+    "summary.json": "67457c204050475f1c97fad3b4c3e55d89951f4d083568b9569cd1faee62720f",
+    "figs/fig4_timings.csv": "835277cf7bb561aa9de34de9cad7b274ed479cacba58571693bbf7d478e89e66",
+    "figs/ring_bound.csv": "08ec59d4c14467f3d499849b33e5a0b7df5d25a317e1c419fc49b886c41f8bed",
+}
+
+
+def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = small_config(
+        "out", sweep_algorithm="rag sg", sweep_k="0 2",
+        emit="traces aggregates bounds timings",
+    )
+    (tmp_path / "exp.cfg").write_text(config)
+    assert main(["run", "exp.cfg"]) == 0
+    assert main(["figures", "--out", "out/figs"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ARTIFACT_SHA256
+    }
+    assert digests == ARTIFACT_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [(["run", "exp.cfg"], "out/traces.csv"), (["figures", "--out", "out"], "out/fig4_timings.csv")],
+)
+def test_failed_artifact_write_is_an_environment_error(tmp_path, monkeypatch, capsys, argv, blocked):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(small_config("out"))
+    (tmp_path / blocked).mkdir(parents=True)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {blocked}: "), err
+    assert "Traceback" not in err
+    assert list((tmp_path / "out").glob("*.tmp")) == []
