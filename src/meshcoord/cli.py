@@ -53,7 +53,7 @@ from meshcoord.scenario import (
     monte_carlo,
     trace_rows,
 )
-from meshcoord.timing import DelayModel, decision_time, rag_time_bound
+from meshcoord.timing import DelayModel, _rag_eval_cap, decision_time, rag_time_bound
 from meshcoord.topology import full_access_dag, strongly_connected_line_plus
 
 EMIT_CHOICES = ("traces", "aggregates", "bounds", "timings")
@@ -95,12 +95,17 @@ class ExperimentConfig:
             for r in rates
         ]
 
-    def missions(self) -> list[MissionConfig]:
-        """One MissionConfig per sweep variation, in variations() order."""
-        return [
+    def __post_init__(self) -> None:
+        # building every variation's MissionConfig checks it, so a bad one fails here
+        missions = tuple(
             replace(self.mission, algorithm=a, k=k, n_agents=n, data_rate_mbps=r)
             for a, k, n, r in self.variations()
-        ]
+        )
+        object.__setattr__(self, "_missions", missions)
+
+    def missions(self) -> list[MissionConfig]:
+        """One MissionConfig per sweep variation, in variations() order, built at construction."""
+        return list(self._missions)
 
 
 DEFAULT_CONFIG_TEMPLATE = """\
@@ -225,15 +230,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
                 )
         values[key] = get_origin(hint)(parsed) if listed else parsed
 
-    mission = MissionConfig(**{k: v for k, v in values.items() if k in _MISSION_TYPES})
-    exp = ExperimentConfig(mission, **{k: v for k, v in values.items() if k not in _MISSION_TYPES})
     try:
-        mission.validate()
-        for cfg in exp.missions():
-            cfg.validate()
+        mission = MissionConfig(**{k: v for k, v in values.items() if k in _MISSION_TYPES})
+        return ExperimentConfig(mission, **{k: v for k, v in values.items() if k not in _MISSION_TYPES})
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from None
-    return exp
 
 
 def _workers_from_env() -> int:
@@ -345,7 +346,7 @@ def cmd_run(config_path: str) -> int:
             out_dir / "timings.csv",
             ("algorithm", "graph", "actions_per_agent", "sim_time_s", "time_bound_s"),
             [
-                [outcome.algorithm, name, counts[0], decision_time(outcome, dm, counts).seconds, bound]
+                [outcome.algorithm, name, counts[0], decision_time(outcome, dm).seconds, bound]
                 for name, g, counts, rag, sg in _reference_runs()
                 for outcome, bound in ((rag, rag_time_bound(g, dm, counts)), (sg, ""))
             ],
@@ -416,9 +417,7 @@ def _instance_checks(
         tag if not (dsm.actions == sg.actions and math.isclose(dsm.value, sg.value)) else None
     )
 
-    budgets = [
-        obj.action_counts[j] * (max(1, len(g.in_neighbors[j])) + 1) for j in range(n)
-    ]
+    budgets = [_rag_eval_cap(c, g.in_neighbors[j]) for j, c in enumerate(obj.action_counts)]
     yield "eval-counts-within-budget", (
         f"{tag}: {outcome.eval_counts} > {budgets}"
         if any(e > b for e, b in zip(outcome.eval_counts, budgets))
@@ -431,10 +430,9 @@ def _instance_checks(
         else None
     )
     dm = DelayModel(tau_f=0.001, tau_c=0.01, tau_hash=0.0005)
-    counts = list(obj.action_counts)
     yield "sim-time-within-bound", (
         tag
-        if decision_time(outcome, dm, counts).seconds > rag_time_bound(g, dm, counts) + 1e-12
+        if decision_time(outcome, dm).seconds > rag_time_bound(g, dm, obj.action_counts) + 1e-12
         else None
     )
 
@@ -466,7 +464,7 @@ def _reference_checks(seed: int) -> Iterator[tuple[str, str | None]]:
     dm = DelayModel(tau_f=2**-10, tau_c=2**-1, tau_hash=2**-13)
     relays = {}
     for name, _, counts, rag, sg in _reference_runs():
-        got = decision_time(rag, dm, counts).seconds
+        got = decision_time(rag, dm).seconds
         expect = 2 * counts[0] * dm.tau_f + dm.tau_c + dm.tau_hash
         yield f"reference-{name}-timing-exact", (
             f"got {got}, want {expect}" if got != expect else None
@@ -522,10 +520,11 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
     if count == 0:
         print("warning: count=0 — instance-based properties pass vacuously")
 
-    # each property's first failure detail, or None while it holds, in first-seen order
+    # each property's first failure detail, or None while it holds, in first-seen order;
+    # each instance's checks are built only once the previous instance's are used up
     first_failure: dict[str, str | None] = {}
-    instances = [_instance_checks(seed, i, max_agents, max_actions) for i in range(count)]
-    for name, detail in chain(*instances, _reference_checks(seed)):
+    instances = (_instance_checks(seed, i, max_agents, max_actions) for i in range(count))
+    for name, detail in chain(chain.from_iterable(instances), _reference_checks(seed)):
         if first_failure.get(name) is None:
             first_failure[name] = detail
     for name, detail in first_failure.items():
@@ -552,7 +551,7 @@ def cmd_figures(out: str) -> int:
     for name, _, counts, *outcomes in _reference_runs():
         nv = counts[0]
         for outcome in outcomes:
-            t = decision_time(outcome, dm, counts)
+            t = decision_time(outcome, dm)
             # every menu has nv actions; the figure counts tau_f in whole menus
             rows.append([
                 outcome.algorithm, name, nv, t.tau_f_coefficient // nv,

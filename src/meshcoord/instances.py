@@ -33,6 +33,16 @@ MOVES = (
 )
 
 
+def _clip_move(
+    pos: tuple[int, int], move: tuple[int, int], step: int, width: int, height: int
+) -> tuple[int, int]:
+    """pos moved step cells along the (dx, dy) move, clipped to the width x height world."""
+    return (
+        min(width - 1, max(0, pos[0] + move[0] * step)),
+        min(height - 1, max(0, pos[1] + move[1] * step)),
+    )
+
+
 def random_coverage_instance(
     rng: random.Random,
     max_agents: int = 6,
@@ -55,13 +65,10 @@ def random_coverage_instance(
 
     positions = [(rng.randrange(width), rng.randrange(height)) for _ in range(n)]
     footprints: list[list[frozenset[tuple[int, int]]]] = []
-    for x, y in positions:
+    for pos in positions:
         menu = []
         for _ in range(rng.randint(1, max_actions)):
-            dx, dy = rng.choice(MOVES + ((0, 0),))
-            step = rng.randint(1, 2)
-            cx = min(width - 1, max(0, x + dx * step))
-            cy = min(height - 1, max(0, y + dy * step))
+            cx, cy = _clip_move(pos, rng.choice(MOVES + ((0, 0),)), rng.randint(1, 2), width, height)
             cells = rect_footprint(cx, cy, 3, 3, width, height)
             if not any(road[fy][fx] == "#" for fx, fy in cells):
                 road[cy][cx] = "#"  # keep every singleton value nonzero
@@ -205,13 +212,10 @@ def scaling_instance(
     road = [["#" if rng.random() < density else "." for _ in range(side)] for _ in range(side)]
     positions = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_agents)]
     footprints = []
-    for x, y in positions:
+    for pos in positions:
         menu = []
         for m in range(n_actions):
-            dx, dy = MOVES[m % len(MOVES)]
-            step = rng.randint(1, 3)
-            cx = min(side - 1, max(0, x + dx * step))
-            cy = min(side - 1, max(0, y + dy * step))
+            cx, cy = _clip_move(pos, MOVES[m % len(MOVES)], rng.randint(1, 3), side, side)
             cells = rect_footprint(cx, cy, fov, fov, side, side)
             if not any(road[fy][fx] == "#" for fx, fy in cells):
                 road[cy][cx] = "#"

@@ -28,7 +28,7 @@ from meshcoord.coordination import (
     run_random_baseline,
     run_sg,
 )
-from meshcoord.instances import MOVES
+from meshcoord.instances import MOVES, _clip_move
 from meshcoord.objective import (
     _UnionMaskObjective,
     parse_road_mask,
@@ -66,8 +66,11 @@ class MissionConfig:
     spawn_width: int | None = None
     spawn_height: int | None = None
 
-    def validate(self) -> None:
-        """Raises ValueError naming the offending field."""
+    def __post_init__(self) -> None:
+        """Raises ValueError naming the offending field, so every instance is valid.
+
+        Unpickling does not run this, so configs sent to workers are not checked again.
+        """
         # comm_range may be +inf (everyone in range); the other floats must be finite
         for name in _FLOAT_FIELDS:
             v = getattr(self, name)
@@ -202,15 +205,6 @@ def _spawn(cfg: MissionConfig, rng: random.Random, width: int, height: int) -> l
     return [(x0 + rng.randrange(bw), y0 + rng.randrange(bh)) for _ in range(cfg.n_agents)]
 
 
-def _destination(
-    pos: tuple[int, int], move: int, magnitude: int, width: int, height: int
-) -> tuple[int, int]:
-    dx, dy = MOVES[move]
-    x = min(width - 1, max(0, pos[0] + dx * magnitude))
-    y = min(height - 1, max(0, pos[1] + dy * magnitude))
-    return x, y
-
-
 def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     """One deterministic mission; trial selects the paired random streams.
 
@@ -224,7 +218,6 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     the agents' candidate destinations ANDed with the still-uncovered road,
     so it counts only newly seen road cells.
     """
-    cfg.validate()
     rng_world = random.Random(f"{cfg.seed}:{trial}:world")
     rng_alg = random.Random(f"{cfg.seed}:{trial}:alg:{cfg.algorithm}:{cfg.k}")
 
@@ -237,7 +230,6 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
 
     n = cfg.n_agents
     dm = cfg.delay_model()
-    counts = [len(MOVES)] * n
 
     # road footprint mask per grid position, built on first use
     footprints: dict[tuple[int, int], int] = {}
@@ -259,7 +251,7 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     records: list[StepRecord] = []
     for step in range(1, cfg.steps + 1):
         dests = [
-            [_destination(p, m, cfg.move_magnitude, width, height) for m in range(len(MOVES))]
+            [_clip_move(p, move, cfg.move_magnitude, width, height) for move in MOVES]
             for p in positions
         ]
         for row in dests:
@@ -289,7 +281,7 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
             outcome = run_dsm(obj, InfoDag(order=tuple(order), access=tuple(access)))
         else:
             outcome = run_random_baseline(obj, rng_alg)
-        sim_time = decision_time(outcome, dm, counts).seconds
+        sim_time = decision_time(outcome, dm).seconds
 
         for i, e in enumerate(outcome.actions):
             positions[i] = dests[i][e.action]
@@ -326,17 +318,17 @@ def monte_carlo(
 ) -> tuple[list[TrialRun], list[VariationSummary]]:
     """Paired trials of every variation, serial or on one process pool.
 
-    Each variation is a full MissionConfig and runs its own cfg.trials
-    trials; all are validated before any mission starts. With workers > 1,
-    every (variation, trial) task of the whole batch is submitted to a single
-    pool up front. Results are merged in (variation, trial) order however
-    many workers run, so outputs are deterministic either way.
+    Each variation is a full MissionConfig, valid by construction, and runs
+    its own cfg.trials trials. With workers > 1, every (variation, trial)
+    task of the whole batch is submitted to a single pool up front; the pool
+    never has more processes than tasks, as all of them start at once.
+    Results are merged in (variation, trial) order however many workers
+    run, so outputs are deterministic either way.
     """
     if not variations:
         raise ValueError("need at least one variation")
-    for cfg in variations:
-        cfg.validate()
     tasks = [(cfg, trial) for cfg in variations for trial in range(cfg.trials)]
+    workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

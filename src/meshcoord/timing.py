@@ -10,7 +10,6 @@ rules pay compute in sequence plus per-action-per-hop relays.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,13 +53,9 @@ class DelayModel:
         return cls(tau_f=tau_f, tau_c=tau_c_from_rate(message_bytes, data_rate_bps), tau_hash=tau_hash)
 
 
-def _action_counts(per_agent_action_count: Sequence[int], n_agents: int) -> list[int]:
-    counts = [int(c) for c in per_agent_action_count]
-    if len(counts) != n_agents:
-        raise ValueError("need one action count per agent")
-    if any(c < 1 for c in counts):
-        raise ValueError("action counts must be positive")
-    return counts
+def _rag_eval_cap(action_count: int, in_neighbors: frozenset[int]) -> int:
+    """Most evaluations of a rag agent (eta = 1): a first pass plus one per in-neighbor commit."""
+    return action_count * (len(in_neighbors) + 1)
 
 
 @dataclass(frozen=True)
@@ -77,33 +72,29 @@ class DecisionTime:
     seconds: float
 
 
-def decision_time(
-    outcome: CoordinationOutcome,
-    dm: DelayModel,
-    per_agent_action_count: Sequence[int],
-) -> DecisionTime:
+def decision_time(outcome: CoordinationOutcome, dm: DelayModel) -> DecisionTime:
     """Simulated wall time of a run of any rule, with its tau coefficients.
 
+    Compute is charged from the evaluations the rule recorded per agent.
     rag: agents compute in parallel, so the compute term is the busiest
-    agent's work, max_i(recomputations_i * |V_i|) evaluations; scalar
-    exchanges and action broadcasts cost one tau_hash / tau_c per round.
-    sg, dfs-sg: summed compute plus every relayed action transmission.
-    dsm: summed compute only (a value-level rule with no relay model).
+    agent's evaluations; scalar exchanges and action broadcasts cost one
+    tau_hash / tau_c per round.
+    sg, dfs-sg: summed evaluations plus every relayed action transmission.
+    dsm: summed evaluations only (a value-level rule with no relay model).
     random: nothing.
     """
-    counts = _action_counts(per_agent_action_count, len(outcome.eval_counts))
     algorithm = outcome.algorithm
     if algorithm == "rag":
-        recomputations = Counter(i for ev in outcome.events for i in ev.recomputed)
-        busiest = max(recomputations[i] * c for i, c in enumerate(counts))
+        busiest = max(outcome.eval_counts)
         hashes, actions = outcome.gain_rounds, outcome.action_rounds
         seconds = dm.tau_f * busiest + dm.tau_hash * hashes + dm.tau_c * actions
         return DecisionTime(busiest, actions, hashes, seconds)
+    evals = sum(outcome.eval_counts)
     if algorithm in ("sg", "dfs-sg"):
-        evals, relays = sum(counts), outcome.relay_action_transmissions
+        relays = outcome.relay_action_transmissions
         return DecisionTime(evals, relays, 0, dm.tau_f * evals + dm.tau_c * relays)
     if algorithm == "dsm":
-        return DecisionTime(sum(counts), 0, 0, dm.tau_f * sum(counts))
+        return DecisionTime(evals, 0, 0, dm.tau_f * evals)
     if algorithm == "random":
         return DecisionTime(0, 0, 0, 0.0)
     raise ValueError(f"no time model for algorithm {algorithm!r}")
@@ -114,7 +105,7 @@ def rag_time_bound(
     dm: DelayModel,
     per_agent_action_count: Sequence[int],
 ) -> float:
-    """Closed-form worst case for decision_time of a rag run on a given graph.
+    """Closed-form worst case for decision_time of a rag run (eta = 1) on a given graph.
 
     Compute: an agent recomputes at most once per in-neighbor commit plus its
     first pass, so the busiest agent costs at most |V_i| * (|N_i| + 1) [just
@@ -123,10 +114,11 @@ def rag_time_bound(
     its committers have no undecided in-neighbors and no undecided
     listeners), and none on an edgeless graph.
     """
-    counts = _action_counts(per_agent_action_count, g.n)
-    busiest = max(
-        c * (len(g.in_neighbors[i]) + 1) if g.in_neighbors[i] else c
-        for i, c in enumerate(counts)
-    )
+    counts = [int(c) for c in per_agent_action_count]
+    if len(counts) != g.n:
+        raise ValueError("need one action count per agent")
+    if any(c < 1 for c in counts):
+        raise ValueError("action counts must be positive")
+    busiest = max(_rag_eval_cap(c, g.in_neighbors[i]) for i, c in enumerate(counts))
     rounds = g.n - 1 if g.has_edges() else 0
     return dm.tau_f * busiest + (dm.tau_c + dm.tau_hash) * rounds

@@ -61,16 +61,16 @@ def test_acceptance_1_reference_timings_exact():
         for make in (reference_line_instance, reference_star_instance):
             obj, g, _ = make()
             out = run_rag(obj, g)
-            t = decision_time(out, DM, [4] * 5).seconds
+            t = decision_time(out, DM).seconds
             assert t == 2 * 4 * DM.tau_f + DM.tau_c + DM.tau_hash
 
         obj, g, _ = reference_line_instance()
-        line = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5).seconds
+        line = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM).seconds
         assert line == 5 * 4 * DM.tau_f + 10 * DM.tau_c
 
         obj, g, _ = reference_star_instance()
         # natural order puts the hub (agent 1) second in the sequence
-        star = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM, [4] * 5).seconds
+        star = decision_time(run_sg(obj, [0, 1, 2, 3, 4], g=g), DM).seconds
         assert star == 5 * 4 * DM.tau_f + 17 * DM.tau_c
 
 
@@ -130,12 +130,13 @@ def test_acceptance_4_complexity_counters(certified_corpus):
         for i, obj, g, out, _ in corpus:
             n = obj.n_agents
             for agent in range(n):
-                cap = obj.action_counts[agent] * (max(1, len(g.in_neighbors[agent])) + 1)
+                # a first pass plus one recomputation per in-neighbor commit
+                cap = obj.action_counts[agent] * (len(g.in_neighbors[agent]) + 1)
                 assert out.eval_counts[agent] <= cap, (i, agent)
             round_cap = n - 1 if g.has_edges() else 0
             assert out.gain_rounds <= round_cap, i
             assert out.action_rounds <= round_cap, i
-            t = decision_time(out, DM, list(obj.action_counts)).seconds
+            t = decision_time(out, DM).seconds
             assert t <= rag_time_bound(g, DM, list(obj.action_counts)) + 1e-12, i
 
 
@@ -150,7 +151,7 @@ def test_acceptance_5_scaling_ratios():
                 obj, positions = scaling_instance(rng, n)
                 g = knn_graph(positions, 3, math.inf)
                 out = run_rag(obj, g)
-                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
+                times.append(decision_time(out, DM).seconds)
             return statistics.fmean(times)
 
         rag_ratio = rag_mean(45) / rag_mean(15)
@@ -164,7 +165,7 @@ def test_acceptance_5_scaling_ratios():
                 order = list(range(n))
                 rng.shuffle(order)
                 out = run_sg(obj, order)  # deciders relay along the order: 1 hop each
-                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
+                times.append(decision_time(out, DM).seconds)
             return statistics.fmean(times)
 
         sg_ratio = sg_line_mean(45) / sg_line_mean(15)
@@ -177,7 +178,7 @@ def test_acceptance_5_scaling_ratios():
                 rng = random.Random(f"sg-cycle:{t}:{n}")
                 obj, _ = scaling_instance(rng, n)
                 out = run_sg(obj, list(range(n)), g=g)
-                times.append(decision_time(out, DM, list(obj.action_counts)).seconds)
+                times.append(decision_time(out, DM).seconds)
             return statistics.fmean(times)
 
         cycle_ratio = sg_cycle_mean(45) / sg_cycle_mean(15)

@@ -2,11 +2,11 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from meshcoord import cli
+from meshcoord import cli, scenario
 from meshcoord.cli import (
     DEFAULT_CONFIG_TEMPLATE,
     ConfigError,
@@ -14,7 +14,10 @@ from meshcoord.cli import (
     main,
     parse_experiment_config,
 )
+from meshcoord.coordination import run_rag
+from meshcoord.instances import random_coverage_instance
 from meshcoord.scenario import MissionConfig
+from meshcoord.topology import edgeless_graph
 
 
 def small_config(out_dir, **extra):
@@ -453,3 +456,50 @@ def test_failed_artifact_write_is_an_environment_error(tmp_path, monkeypatch, ca
     assert err.startswith(f"config error: cannot write {blocked}: "), err
     assert "Traceback" not in err
     assert list((tmp_path / "out").glob("*.tmp")) == []
+
+
+def test_a_mask_run_reads_the_mask_once_per_config_and_trial(tmp_path, monkeypatch, capsys):
+    # one read for the mission, one per variation, and one per trial
+    mask = tmp_path / "roads.txt"
+    mask.write_text("##########\n" * 10)
+    reads = []
+    read = scenario._read_road_mask
+    monkeypatch.setattr(scenario, "_read_road_mask", lambda path: reads.append(path) or read(path))
+    path, _ = write_config(tmp_path, road_mask_path=mask, sweep_k="0 2", trials=5)
+    assert main(["run", str(path)]) == 0
+    assert len(reads) == 13
+
+
+def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, capsys):
+    log = []
+    checks = cli._instance_checks
+
+    def logged(seed, i, *limits):
+        log.append(f"build {i}")
+
+        def run():
+            yield from checks(seed, i, *limits)
+            log.append(f"done {i}")
+
+        return run()
+
+    monkeypatch.setattr(cli, "_instance_checks", logged)
+    assert main(["verify", "--count", "3"]) == 0
+    assert log == ["build 0", "done 0", "build 1", "done 1", "build 2", "done 2"]
+
+
+def test_an_isolated_agent_may_not_be_charged_twice_its_menu(monkeypatch, capsys):
+    # an agent with no in-neighbors computes once, so its cap is one menu, not two
+    def edgeless(rng, **limits):
+        obj, _ = random_coverage_instance(rng, **limits)
+        return obj, edgeless_graph(obj.n_agents)
+
+    def doubled(obj, g, **options):
+        out = run_rag(obj, g, **options)
+        return replace(out, eval_counts=tuple(2 * c for c in out.eval_counts))
+
+    monkeypatch.setattr(cli, "random_coverage_instance", edgeless)
+    monkeypatch.setattr(cli, "run_rag", doubled)
+    assert main(["verify", "--count", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL eval-counts-within-budget — instance 0: " in out

@@ -28,12 +28,10 @@ from meshcoord.scenario import (
     _spawn,
     run_mission,
 )
-from meshcoord.timing import decision_time
 from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 
 def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
-    cfg.validate()
     rng_world = random.Random(f"{cfg.seed}:{trial}:world")
     rng_alg = random.Random(f"{cfg.seed}:{trial}:alg:{cfg.algorithm}:{cfg.k}")
     mask = _load_world(cfg, rng_world)
@@ -48,7 +46,7 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
     initial = tuple(positions)
     n = cfg.n_agents
     dm = cfg.delay_model()
-    counts = [len(MOVES)] * n
+    counts = [len(MOVES)] * n  # every menu is the 8 moves
 
     order = list(range(n))
     rng_alg.shuffle(order)
@@ -87,15 +85,22 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
         obj = GridCoverageObjective(rows, footprints)
 
         pts = [(float(x), float(y)) for x, y in positions]
+        # simulated time from the action counts, independently of eval_counts
         if cfg.algorithm == "rag":
             outcome = run_rag(obj, knn_graph(pts, cfg.k, cfg.comm_range))
-            sim_time = decision_time(outcome, dm, counts).seconds
-        elif cfg.algorithm == "sg":
-            outcome = run_sg(obj, order)
-            sim_time = decision_time(outcome, dm, counts).seconds
-        elif cfg.algorithm == "dfs-sg":
-            outcome = run_dfs_sg(obj, dfs_graph, dfs_start)
-            sim_time = decision_time(outcome, dm, counts).seconds
+            recomputations = [0] * n
+            for ev in outcome.events:
+                for i in ev.recomputed:
+                    recomputations[i] += 1
+            busiest = max(r * c for r, c in zip(recomputations, counts))
+            sim_time = (dm.tau_f * busiest + dm.tau_hash * outcome.gain_rounds
+                        + dm.tau_c * outcome.action_rounds)
+        elif cfg.algorithm in ("sg", "dfs-sg"):
+            if cfg.algorithm == "sg":
+                outcome = run_sg(obj, order)
+            else:
+                outcome = run_dfs_sg(obj, dfs_graph, dfs_start)
+            sim_time = dm.tau_f * sum(counts) + dm.tau_c * outcome.relay_action_transmissions
         elif cfg.algorithm == "dsm":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             seen: set[int] = set()
@@ -136,9 +141,10 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
     )
 
 
-def _result(fn, cfg, trial):
+def _result(fn, cfg, trial, **changes):
+    """fn's trace of cfg with changes, or the ValueError that building or running it raised."""
     try:
-        return fn(cfg, trial)
+        return fn(replace(cfg, **changes), trial)
     except ValueError as exc:
         return ("ValueError", str(exc))
 
@@ -192,10 +198,13 @@ def worlds(draw):
 def test_mask_world_matches_the_per_step_rebuild(world, trial):
     cfg, mask = world
     with tempfile.TemporaryDirectory() as tmp:
+        changes = {}
         if mask is not None:
             path = Path(tmp) / "roads.txt"
             path.write_text("\n".join(mask) + "\n")
-            cfg = replace(cfg, road_mask_path=str(path))
+            changes["road_mask_path"] = str(path)
         for algorithm in ALGORITHMS:
-            c = replace(cfg, algorithm=algorithm)
-            assert _result(run_mission, c, trial) == _result(reference_mission, c, trial)
+            changes["algorithm"] = algorithm
+            assert _result(run_mission, cfg, trial, **changes) == _result(
+                reference_mission, cfg, trial, **changes
+            )

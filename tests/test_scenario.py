@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -20,7 +21,7 @@ def cfg(**overrides):
 
 
 def test_defaults_validate():
-    MissionConfig().validate()
+    MissionConfig()
 
 
 @pytest.mark.parametrize(
@@ -43,25 +44,26 @@ def test_defaults_validate():
     ],
 )
 def test_validate_names_the_offending_field(field, value):
-    bad = dataclasses.replace(MissionConfig(), **{field: value})
     with pytest.raises(ValueError, match=field):
-        bad.validate()
+        MissionConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(MissionConfig(), **{field: value})
 
 
 @pytest.mark.parametrize(
     "field", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
 )
 def test_validate_rejects_nan_in_every_float_field(field):
-    # NaN passes every < / <= range check; a mask file also skips road_density's
-    bad = dataclasses.replace(MissionConfig(road_mask_path="roads.txt"), **{field: math.nan})
+    # NaN passes every < / <= range check; a mask file also skips road_density's,
+    # and the finiteness checks run before the (absent) mask file is read
     with pytest.raises(ValueError, match=f"{field} must be a finite number"):
-        bad.validate()
+        MissionConfig(road_mask_path="roads.txt", **{field: math.nan})
 
 
 @pytest.mark.parametrize("field", ["tau_f", "tau_hash", "message_kib", "data_rate_mbps"])
 def test_validate_rejects_infinite_costs(field):
     with pytest.raises(ValueError, match=field):
-        dataclasses.replace(MissionConfig(), **{field: math.inf}).validate()
+        MissionConfig(**{field: math.inf})
 
 
 @pytest.mark.parametrize(
@@ -69,23 +71,22 @@ def test_validate_rejects_infinite_costs(field):
 )
 def test_validate_rejects_a_link_whose_delay_overflows(link):
     # every value is finite, but 8 * bytes / rate is not
-    bad = MissionConfig(**link)
-    with pytest.raises(ValueError, match="message_kib and data_rate_mbps give an unusable delay"):
-        bad.validate()
-    with pytest.raises(ValueError, match="tau_c must be a finite number"):
-        bad.delay_model()
+    with pytest.raises(
+        ValueError,
+        match="message_kib and data_rate_mbps give an unusable delay: tau_c must be a finite number",
+    ):
+        MissionConfig(**link)
 
 
 def test_validate_accepts_a_link_whose_delay_underflows_to_zero():
     cfg_ = MissionConfig(message_kib=1e-300, data_rate_mbps=1e300)
-    cfg_.validate()
     assert cfg_.delay_model().tau_c == 0.0
 
 
 def test_infinite_comm_range_puts_everyone_in_range():
-    MissionConfig(comm_range=math.inf).validate()
+    MissionConfig(comm_range=math.inf)
     with pytest.raises(ValueError, match="comm_range"):
-        MissionConfig(comm_range=-math.inf).validate()
+        MissionConfig(comm_range=-math.inf)
     trace = run_mission(cfg(comm_range=math.inf, k=3), trial=0)
     assert all(r.gain_rounds > 0 for r in trace.records)
 
@@ -218,14 +219,13 @@ def test_road_mask_from_file(tmp_path):
 def test_fov_must_fit_inside_the_loaded_mask(tmp_path):
     mask = tmp_path / "roads.txt"
     mask.write_text("##\n##\n")
-    with pytest.raises(ValueError):
-        run_mission(cfg(road_mask_path=str(mask), world_width=2,
-                        world_height=2, fov_width=3, fov_height=3), trial=0)
+    with pytest.raises(ValueError, match="must fit inside the 2x2 world"):
+        cfg(road_mask_path=str(mask), world_width=2, world_height=2, fov_width=3, fov_height=3)
 
 
 def test_dfs_needs_a_second_agent():
-    with pytest.raises(ValueError):
-        run_mission(cfg(algorithm="dfs-sg", n_agents=1), trial=0)
+    with pytest.raises(ValueError, match="at least 2 for algorithm dfs-sg"):
+        cfg(algorithm="dfs-sg", n_agents=1)
 
 
 def test_clustered_spawn_box_is_respected():
@@ -234,3 +234,42 @@ def test_clustered_spawn_box_is_respected():
     ys = [p[1] for p in trace.initial_positions]
     assert max(xs) - min(xs) < 4
     assert max(ys) - min(ys) < 4
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch):
+    # with the fork start method every max_workers process starts at the first
+    # submit, so the cap is checked on a stub that runs the tasks serially
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    variations = [cfg(algorithm="random", k=2), cfg(algorithm="sg", k=2)]  # 2 x 2 trials
+    assert monte_carlo(variations, workers=100_000) == monte_carlo(variations)
+    assert started == [4]
+    monte_carlo([cfg(trials=1)], workers=8)  # a single task runs without a pool
+    assert started == [4]
+
+
+def test_unpickled_configs_are_not_checked_again(monkeypatch):
+    config = cfg()
+    calls = []
+    check = MissionConfig.__post_init__
+    monkeypatch.setattr(MissionConfig, "__post_init__", lambda self: calls.append(check(self)))
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert calls == []
+    dataclasses.replace(config, k=3)
+    assert calls == [None]

@@ -73,18 +73,16 @@ def test_rate_constructor_rejects_an_overflowing_tau_c():
 def test_reference_line_decision_time_is_exact():
     obj, g, _ = reference_line_instance()
     out = run_rag(obj, g)
-    counts = [len(obj.actions(i)) for i in range(5)]
     # two recomputations of a 4-action menu, one gain round, one action round
     expected = 2 * 4 * EXACT.tau_f + EXACT.tau_c + EXACT.tau_hash
-    assert decision_time(out, EXACT, counts).seconds == expected
+    assert decision_time(out, EXACT).seconds == expected
 
 
 def test_reference_star_decision_time_is_exact():
     obj, g, _ = reference_star_instance()
     out = run_rag(obj, g)
-    counts = [len(obj.actions(i)) for i in range(5)]
     expected = 2 * 4 * EXACT.tau_f + EXACT.tau_c + EXACT.tau_hash
-    assert decision_time(out, EXACT, counts).seconds == expected
+    assert decision_time(out, EXACT).seconds == expected
 
 
 def test_staggered_commits_charge_the_busiest_agent_not_each_iteration():
@@ -98,7 +96,7 @@ def test_staggered_commits_charge_the_busiest_agent_not_each_iteration():
     assert out.gain_rounds == 4 and out.action_rounds == 4
 
     unit = DelayModel(tau_f=1.0, tau_c=1.0, tau_hash=1.0)
-    t = decision_time(out, unit, [1] * 5).seconds
+    t = decision_time(out, unit).seconds
     bound = rag_time_bound(line_graph(5), unit, [1] * 5)
     # summing the slowest recomputation per iteration would give 13 here,
     # which overshoots the worst-case bound; the busiest agent gives 10
@@ -116,14 +114,14 @@ def test_rag_decision_time_rejects_other_algorithms():
         rag_decision_time(sg, EXACT, [4] * 5)
     # ... and decision_time refuses a distributed-greedy trace it has no model for
     with pytest.raises(ValueError, match="no time model"):
-        decision_time(dataclasses.replace(rag, algorithm="annealing"), EXACT, [4] * 5)
+        decision_time(dataclasses.replace(rag, algorithm="annealing"), EXACT)
 
 
 def test_decision_time_sg_line_natural_order():
     obj, g, _ = reference_line_instance()
     out = run_sg(obj, [0, 1, 2, 3, 4], g=g)
     # every agent evaluates its 4 actions once; 10 relayed action messages
-    assert decision_time(out, EXACT, [4] * 5).seconds == 20 * EXACT.tau_f + 10 * EXACT.tau_c
+    assert decision_time(out, EXACT).seconds == 20 * EXACT.tau_f + 10 * EXACT.tau_c
 
 
 def test_sg_decision_time_rejects_other_algorithms():
@@ -135,7 +133,7 @@ def test_sg_decision_time_rejects_other_algorithms():
         sg_decision_time(rag, EXACT, [4] * 5)
     # ... and decision_time refuses a sequential trace it has no model for
     with pytest.raises(ValueError, match="no time model"):
-        decision_time(dataclasses.replace(sg, algorithm="annealing"), EXACT, [4] * 5)
+        decision_time(dataclasses.replace(sg, algorithm="annealing"), EXACT)
 
 
 def test_time_bound_line_five_with_unit_delays():
@@ -161,9 +159,8 @@ def test_simulated_time_never_exceeds_the_bound(seed):
     obj, g = coverage_instance(seed)
     out = run_rag(obj, g)
     dm = DelayModel(tau_f=0.001, tau_c=0.8192, tau_hash=0.000256)
-    counts = list(obj.action_counts)
-    t = decision_time(out, dm, counts).seconds
-    assert t <= rag_time_bound(g, dm, counts) + 1e-12
+    t = decision_time(out, dm).seconds
+    assert t <= rag_time_bound(g, dm, obj.action_counts) + 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,7 +177,7 @@ def test_decision_time_decomposes_into_the_three_terms(seed):
     dm = DelayModel(tau_f=0.25, tau_c=0.5, tau_hash=0.125)
     expected = (dm.tau_f * compute + dm.tau_hash * out.gain_rounds
                 + dm.tau_c * out.action_rounds)
-    assert math.isclose(decision_time(out, dm, counts).seconds, expected,
+    assert math.isclose(decision_time(out, dm).seconds, expected,
                         rel_tol=1e-12)
 
 
@@ -265,7 +262,7 @@ def test_decision_time_equals_the_old_formulas_for_every_rule(seed, tau_f, tau_c
     rules = set()
     for out in five_rule_outcomes(obj, g, seed):
         rules.add(out.algorithm)
-        t = decision_time(out, dm, counts)
+        t = decision_time(out, dm)
         assert t.seconds == reference_time(out, dm, counts), out.algorithm
         # the coefficients rebuild the seconds term by term
         assert t.seconds == (
@@ -278,26 +275,33 @@ def test_decision_time_equals_the_old_formulas_for_every_rule(seed, tau_f, tau_c
 
 def test_decision_time_terms_per_rule():
     obj, g, _ = reference_line_instance()
-    counts = [4] * 5
-    by_rule = {out.algorithm: decision_time(out, EXACT, counts) for out in five_rule_outcomes(obj, g, 3)}
+    by_rule = {out.algorithm: decision_time(out, EXACT) for out in five_rule_outcomes(obj, g, 3)}
     assert by_rule["rag"].tau_f_coefficient == 8  # two recomputations of a 4-action menu
     assert (by_rule["rag"].tau_c_coefficient, by_rule["rag"].tau_hash_coefficient) == (1, 1)
     for rule in ("sg", "dfs-sg"):
         assert by_rule[rule].tau_f_coefficient == 20
         assert by_rule[rule].tau_hash_coefficient == 0
     assert (by_rule["dsm"].tau_f_coefficient, by_rule["dsm"].tau_c_coefficient) == (20, 0)
-    assert by_rule["random"] == decision_time(
-        run_random_baseline(obj, random.Random(0)), EXACT, counts
-    )
+    assert by_rule["random"] == decision_time(run_random_baseline(obj, random.Random(0)), EXACT)
     assert by_rule["random"].seconds == 0.0
+
+
+def test_eta_below_one_charges_the_context_evaluation():
+    # approximate greedy evaluates f(A_i) once per recomputation with a non-empty
+    # context; the charged compute is the busiest agent's recorded evaluations
+    obj, g, _ = reference_line_instance()
+    out = run_rag(obj, g, eta=0.5, rng=random.Random(0))
+    # round two's agents score their 4 actions twice, once with a context: 4 + 4 + 1
+    assert out.eval_counts == (9, 4, 9, 4, 9)
+    t = decision_time(out, EXACT)
+    assert t.tau_f_coefficient == max(out.eval_counts) == 9  # not 2 recomputations x 4
+    assert t.seconds == 9 * EXACT.tau_f + EXACT.tau_c + EXACT.tau_hash
 
 
 @pytest.mark.parametrize("counts,message", [([4] * 4, "one action count per agent"),
                                             ([4, 4, 0, 4, 4], "must be positive")])
 def test_decision_time_and_time_bound_share_the_count_check(counts, message):
-    obj, g, _ = reference_line_instance()
-    out = run_rag(obj, g)
-    with pytest.raises(ValueError, match=message):
-        decision_time(out, EXACT, counts)
+    # decision_time takes no counts since it charges the outcome's eval_counts
+    _, g, _ = reference_line_instance()
     with pytest.raises(ValueError, match=message):
         rag_time_bound(g, EXACT, counts)
