@@ -24,7 +24,6 @@ from meshcoord.objective import (
     coin_ring_bound,
     parse_road_mask,
     random_road_mask,
-    rect_footprint,
 )
 from meshcoord.topology import (
     MeshGraph,

@@ -185,6 +185,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
     empty; unset fields keep the dataclass defaults.
     """
     values: dict = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -196,6 +197,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _KEY_TYPES:
             raise ConfigError(f"config line {lineno}: unknown field {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"config line {lineno}: field {key!r} is already set on line {set_on[key]}"
+            )
+        set_on[key] = lineno
         hint = _KEY_TYPES[key]
         args = get_args(hint)
         listed = get_origin(hint) in (tuple, frozenset)
@@ -512,7 +518,8 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
         raise ConfigError("config error: count may not be negative")
     if max_agents < 2 or max_actions < 1:
         raise ConfigError("config error: need max_agents >= 2 and max_actions >= 1")
-    if max_actions**max_agents > BRUTE_FORCE_LIMIT:
+    # exact: past bit_length agents, any menu of 2 or more already exceeds the limit
+    if max_actions ** min(max_agents, BRUTE_FORCE_LIMIT.bit_length()) > BRUTE_FORCE_LIMIT:
         raise ConfigError(
             f"config error: {max_actions}^{max_agents} joint selections exceed "
             f"the brute-force limit of {BRUTE_FORCE_LIMIT}"

@@ -57,23 +57,6 @@ class CoordinationOutcome:
     committed_in_neighbors: tuple[frozenset[int], ...] | None
 
 
-def _resolve_actions(
-    obj: Objective, per_agent_actions: Sequence[Sequence[GroundElement]] | None
-) -> list[list[GroundElement]]:
-    if per_agent_actions is None:
-        return [obj.actions(i) for i in range(obj.n_agents)]
-    menus = [list(m) for m in per_agent_actions]
-    if len(menus) != obj.n_agents:
-        raise ValueError("need one action menu per agent")
-    for i, menu in enumerate(menus):
-        if not menu:
-            raise ValueError(f"agent {i} has an empty action menu")
-        for e in menu:
-            if e.agent != i:
-                raise ValueError(f"menu for agent {i} contains {e}")
-    return menus
-
-
 def _scores(obj: Objective, menu: Sequence[GroundElement], state) -> list[tuple[float, GroundElement]]:
     """f(context + a) for each action a, one evaluation each."""
     return [(obj.evaluate((a,), state), a) for a in menu]
@@ -88,7 +71,6 @@ def _greedy_pick(values: list[tuple[float, GroundElement]]) -> tuple[float, Grou
 def run_rag(
     obj: Objective,
     g: MeshGraph,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
     tie_break: str = "max-gain-lowest-id",
     eta: float = 1.0,
     rng=None,
@@ -121,8 +103,8 @@ def run_rag(
         raise ValueError("eta must be in (0, 1]")
     if eta < 1 and rng is None:
         raise ValueError("approximate-greedy mode needs an rng")
-    menus = _resolve_actions(obj, per_agent_actions)
     n = obj.n_agents
+    menus = [obj.actions(i) for i in range(n)]
     if g.n != n:
         raise ValueError("graph and objective disagree on the number of agents")
 
@@ -226,7 +208,6 @@ def _run_sequential(
     algorithm: str,
     obj: Objective,
     dag: InfoDag,
-    menus: list[list[GroundElement]],
     g: MeshGraph | None,
     relayed: bool,
 ) -> CoordinationOutcome:
@@ -256,8 +237,8 @@ def _run_sequential(
             relay += pos * hops
         access = dag.access[pos]
         state = running if len(access) == pos else obj.context(chosen[j] for j in access)
-        value, action = _greedy_pick(_scores(obj, menus[i], state))
-        eval_counts[i] += len(menus[i])
+        value, action = _greedy_pick(_scores(obj, obj.actions(i), state))
+        eval_counts[i] += obj.action_counts[i]
         committed_nbrs[i] = access
         chosen[i] = action
         running = obj.extend(running, action)
@@ -291,7 +272,6 @@ def run_sg(
     obj: Objective,
     order: Sequence[int],
     g: MeshGraph | None = None,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
 ) -> CoordinationOutcome:
     """Sequential greedy: each agent maximizes the gain over all predecessors.
 
@@ -301,20 +281,15 @@ def run_sg(
     assumed adjacent (one hop per hand-off). The running value is known after
     every pick, so each agent costs exactly |V_i| evaluations.
     """
-    menus = _resolve_actions(obj, per_agent_actions)
     order = list(order)
     if sorted(order) != list(range(obj.n_agents)):
         raise ValueError("order must be a permutation of all agents")
     if g is not None and g.n != obj.n_agents:
         raise ValueError("graph and objective disagree on the number of agents")
-    return _run_sequential("sg", obj, full_access_dag(order), menus, g, relayed=True)
+    return _run_sequential("sg", obj, full_access_dag(order), g, relayed=True)
 
 
-def run_dsm(
-    obj: Objective,
-    dag: InfoDag,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
-) -> CoordinationOutcome:
+def run_dsm(obj: Objective, dag: InfoDag) -> CoordinationOutcome:
     """Sequential rule with partial predecessor access per the InfoDag.
 
     Value-level only: no relay model (relay_action_transmissions stays 0;
@@ -323,35 +298,23 @@ def run_dsm(
     the agent, so scoring uses augmented-context values, |V_i| evaluations
     per agent, and the outcome value is evaluated once at the end.
     """
-    menus = _resolve_actions(obj, per_agent_actions)
     if len(dag.order) != obj.n_agents:
         raise ValueError("dag and objective disagree on the number of agents")
-    return _run_sequential("dsm", obj, dag, menus, None, relayed=False)
+    return _run_sequential("dsm", obj, dag, None, relayed=False)
 
 
-def run_dfs_sg(
-    obj: Objective,
-    g: MeshGraph,
-    start: int,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
-) -> CoordinationOutcome:
+def run_dfs_sg(obj: Objective, g: MeshGraph, start: int) -> CoordinationOutcome:
     """Sequential greedy in depth-first preorder of g, with relay accounting on g."""
     dag = dfs_order(g, start)
-    menus = _resolve_actions(obj, per_agent_actions)
     if g.n != obj.n_agents:  # the walk's order covers g's agents
         raise ValueError("order must be a permutation of all agents")
-    return _run_sequential("dfs-sg", obj, dag, menus, g, relayed=True)
+    return _run_sequential("dfs-sg", obj, dag, g, relayed=True)
 
 
-def run_random_baseline(
-    obj: Objective,
-    rng,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
-) -> CoordinationOutcome:
+def run_random_baseline(obj: Objective, rng) -> CoordinationOutcome:
     """Uniform random action per agent; no evaluations charged to any agent."""
-    menus = _resolve_actions(obj, per_agent_actions)
     n = obj.n_agents
-    actions = tuple(menu[rng.randrange(len(menu))] for menu in menus)
+    actions = tuple(GroundElement(i, rng.randrange(c)) for i, c in enumerate(obj.action_counts))
     return CoordinationOutcome(
         algorithm="random",
         actions=actions,
@@ -366,19 +329,15 @@ def run_random_baseline(
     )
 
 
-def brute_force_optimum(
-    obj: Objective,
-    per_agent_actions: Sequence[Sequence[GroundElement]] | None = None,
-) -> tuple[tuple[GroundElement, ...], float]:
+def brute_force_optimum(obj: Objective) -> tuple[tuple[GroundElement, ...], float]:
     """Exhaustive maximum over the action product; ties to the lexicographically
     smallest action vector. Guarded at 10^7 joint selections."""
-    menus = _resolve_actions(obj, per_agent_actions)
-    size = math.prod(len(m) for m in menus)
+    size = math.prod(obj.action_counts)
     if size > BRUTE_FORCE_LIMIT:
         raise ValueError(f"action product of {size} exceeds the brute-force limit of {BRUTE_FORCE_LIMIT}")
     best_value = -math.inf
     best: tuple[GroundElement, ...] = ()
-    for combo in product(*menus):
+    for combo in product(*map(obj.actions, range(obj.n_agents))):
         value = obj.evaluate(combo)
         if value > best_value:
             best_value = value

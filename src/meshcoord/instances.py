@@ -15,7 +15,8 @@ from meshcoord.objective import (
     CallableObjective,
     GridCoverageObjective,
     GroundElement,
-    rect_footprint,
+    rect_mask,
+    road_bits,
 )
 from meshcoord.topology import (
     MeshGraph,
@@ -64,20 +65,39 @@ def random_coverage_instance(
     road = [["#" if rng.random() < density else "." for _ in range(width)] for _ in range(height)]
 
     positions = [(rng.randrange(width), rng.randrange(height)) for _ in range(n)]
-    footprints: list[list[frozenset[tuple[int, int]]]] = []
-    for pos in positions:
-        menu = []
-        for _ in range(rng.randint(1, max_actions)):
-            cx, cy = _clip_move(pos, rng.choice(MOVES + ((0, 0),)), rng.randint(1, 2), width, height)
-            cells = rect_footprint(cx, cy, 3, 3, width, height)
-            if not any(road[fy][fx] == "#" for fx, fy in cells):
-                road[cy][cx] = "#"  # keep every singleton value nonzero
-            menu.append(cells)
-        footprints.append(menu)
+    centers = [
+        [
+            _clip_move(pos, rng.choice(MOVES + ((0, 0),)), rng.randint(1, 2), width, height)
+            for _ in range(rng.randint(1, max_actions))
+        ]
+        for pos in positions
+    ]
+    return _carved_objective(road, centers, 3), _random_graph(rng, n, positions)
 
-    mask = ["".join(row) for row in road]
-    obj = GridCoverageObjective(mask, footprints)
-    return obj, _random_graph(rng, n, positions)
+
+def _carved_objective(
+    road: list[list[str]], centers: Sequence[Sequence[tuple[int, int]]], fov: int
+) -> GridCoverageObjective:
+    """Square fov x fov footprints at the centers, over road carved where one would miss it.
+
+    Agent by agent and action by action, a footprint that covers no road
+    (counting earlier carves) gets its center cell carved into road, so every
+    singleton value is nonzero. road is a grid of '#' and '.' and is carved in
+    place. The masks are built twice, for the carve decisions and then for
+    the objective, which clips each as it arrives: holding all of them
+    unclipped at once would double the peak memory of a large instance.
+    """
+    height, width = len(road), len(road[0])
+    roads = road_bits(["".join(row) for row in road])
+    for menu in centers:
+        for cx, cy in menu:
+            if not rect_mask(cx, cy, fov, fov, width, height) & roads:
+                roads |= 1 << (cy * width + cx)
+                road[cy][cx] = "#"
+    return GridCoverageObjective(
+        ["".join(row) for row in road],
+        ((rect_mask(cx, cy, fov, fov, width, height) for cx, cy in menu) for menu in centers),
+    )
 
 
 def _random_graph(rng: random.Random, n: int, positions: Sequence[tuple[int, int]]) -> MeshGraph:
@@ -100,23 +120,17 @@ def _random_graph(rng: random.Random, n: int, positions: Sequence[tuple[int, int
     return MeshGraph(n, ins)
 
 
-def _nested_menus(block_start: int, size: int, n_actions: int) -> list[frozenset]:
-    """Action menus over one row-block: the full block, then shrinking prefixes.
+def _nested_menus(block_start: int, size: int) -> list[int]:
+    """Four action masks over one row-block: the full block, then shrinking prefixes.
 
     Within-agent footprints nest (so the argmax is unique) while staying
     inside the agent's own block, which keeps cross-agent footprints disjoint.
     """
-    menu = []
-    for j in range(n_actions):
-        length = max(1, size - j)
-        menu.append(frozenset((block_start + c, 0) for c in range(length)))
-    return menu
+    return [((1 << max(1, size - j)) - 1) << block_start for j in range(4)]
 
 
-def reference_line_instance(
-    n_actions: int = 4,
-) -> tuple[GridCoverageObjective, MeshGraph, tuple[int, ...]]:
-    """Five agents on a line with singleton values (5, 10, 4, 9, 3).
+def reference_line_instance() -> tuple[GridCoverageObjective, MeshGraph, tuple[int, ...]]:
+    """Five agents on a line with singleton values (5, 10, 4, 9, 3), four actions each.
 
     Agents 1 and 3 (0-indexed) hold the local maxima, so the first round
     commits exactly {1, 3} and the second commits {0, 2, 4}: two compute
@@ -124,33 +138,24 @@ def reference_line_instance(
     across agents, so every value is also the true marginal gain throughout.
     Returns (objective, graph, singleton_values).
     """
-    values = (5, 10, 4, 9, 3)
-    return _reference_instance(values, line_graph(5), n_actions)
+    return _reference_instance((5, 10, 4, 9, 3), line_graph(5))
 
 
-def reference_star_instance(
-    n_actions: int = 4,
-) -> tuple[GridCoverageObjective, MeshGraph, tuple[int, ...]]:
-    """Five agents on a star centered at agent 1, whose value dominates.
+def reference_star_instance() -> tuple[GridCoverageObjective, MeshGraph, tuple[int, ...]]:
+    """Five agents on a star centered at agent 1, whose value dominates; four actions each.
 
     Round one commits the center alone; round two commits every spoke.
     Returns (objective, graph, singleton_values).
     """
-    values = (5, 10, 4, 3, 2)
-    return _reference_instance(values, star_graph(5, center=1), n_actions)
+    return _reference_instance((5, 10, 4, 3, 2), star_graph(5, center=1))
 
 
 def _reference_instance(
-    values: Sequence[int], g: MeshGraph, n_actions: int
+    values: Sequence[int], g: MeshGraph
 ) -> tuple[GridCoverageObjective, MeshGraph, tuple[int, ...]]:
-    width = sum(values)
-    mask = ["#" * width]
-    footprints = []
-    start = 0
-    for v in values:
-        footprints.append(_nested_menus(start, v, n_actions))
-        start += v
-    obj = GridCoverageObjective(mask, footprints)
+    starts = [sum(values[:i]) for i in range(len(values))]
+    footprints = [_nested_menus(start, v) for start, v in zip(starts, values)]
+    obj = GridCoverageObjective(["#" * sum(values)], footprints)
     return obj, g, tuple(values)
 
 
@@ -196,31 +201,17 @@ def logdet_toy() -> CallableObjective:
 
 
 def scaling_instance(
-    rng: random.Random,
-    n_agents: int,
-    n_actions: int = 8,
-    fov: int = 3,
+    rng: random.Random, n_agents: int
 ) -> tuple[GridCoverageObjective, list[tuple[float, float]]]:
     """Constant-density deployment for decision-time scaling runs.
 
     The arena grows with the team so neighborhood structure stays local;
-    actions are the 8 unit moves at a random magnitude with a square FOV.
+    actions are the 8 unit moves at a random magnitude with a 3x3 FOV.
     Returns (objective, positions) so callers can self-configure a graph.
     """
     side = max(8, round((n_agents * 36) ** 0.5))
     density = 0.6
     road = [["#" if rng.random() < density else "." for _ in range(side)] for _ in range(side)]
     positions = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_agents)]
-    footprints = []
-    for pos in positions:
-        menu = []
-        for m in range(n_actions):
-            cx, cy = _clip_move(pos, MOVES[m % len(MOVES)], rng.randint(1, 3), side, side)
-            cells = rect_footprint(cx, cy, fov, fov, side, side)
-            if not any(road[fy][fx] == "#" for fx, fy in cells):
-                road[cy][cx] = "#"
-            menu.append(cells)
-        footprints.append(menu)
-    mask = ["".join(row) for row in road]
-    obj = GridCoverageObjective(mask, footprints)
-    return obj, [(float(x), float(y)) for x, y in positions]
+    centers = [[_clip_move(pos, move, rng.randint(1, 3), side, side) for move in MOVES] for pos in positions]
+    return _carved_objective(road, centers, 3), [(float(x), float(y)) for x, y in positions]

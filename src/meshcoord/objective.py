@@ -9,12 +9,11 @@ coordination rules can be charged per call.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
-
-Cell = tuple[int, int]
 
 # tolerance for float-valued objectives in the exhaustive checks; coverage
 # values are integer counts and never need it
@@ -131,42 +130,43 @@ class CallableObjective(Objective):
 class GridCoverageObjective(_UnionMaskObjective):
     """Counts road cells covered by the union of the selection's footprints.
 
-    road_mask rows use '#' for road and '.' for empty. footprints[i][a] is an
-    iterable of (x, y) cells covered when agent i takes action a; cells off
-    the road (or off the grid) contribute nothing. Values are exact integer
-    counts returned as floats.
+    road_mask rows use '#' for road and '.' for empty. footprints[i][a] is
+    the int bitmask of cells covered when agent i takes action a, bit
+    y * width + x for cell (x, y) as rect_mask builds it; bits off the road
+    (or past the grid) contribute nothing. Values are exact integer counts
+    returned as floats.
     """
 
-    def __init__(
-        self,
-        road_mask: Sequence[str],
-        footprints: Sequence[Sequence[Iterable[Cell]]],
-    ):
+    def __init__(self, road_mask: Sequence[str], footprints: Iterable[Iterable[int]]):
         rows = list(road_mask)
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("road mask must be rectangular and non-empty")
         bad = set("".join(rows)) - {"#", "."}
         if bad:
             raise ValueError(f"road mask may contain only '#' and '.', got {sorted(bad)!r}")
-        self.width = width = len(rows[0])
-        self.height = height = len(rows)
+        self.width = len(rows[0])
+        self.height = len(rows)
         self.road_mask = tuple(rows)
         roads = road_bits(rows)
         self.road_cell_count = roads.bit_count()
-        masks = []
-        for per_agent in footprints:
-            menu = []
-            for cells in per_agent:
-                mask = 0
-                for x, y in cells:
-                    if 0 <= x < width and 0 <= y < height:
-                        mask |= 1 << (y * width + x)
-                menu.append(mask & roads)
-            masks.append(menu)
-        super().__init__(masks)
+        super().__init__(
+            [
+                [_road_clip(mask, roads, i, a) for a, mask in enumerate(menu)]
+                for i, menu in enumerate(footprints)
+            ]
+        )
 
     def covered_cells(self, selection: Iterable[GroundElement]) -> int:
         return self.context(selection).bit_count()
+
+
+def _road_clip(mask: int, roads: int, agent: int, action: int) -> int:
+    if not isinstance(mask, int) or mask < 0:
+        raise ValueError(
+            f"footprint of agent {agent} action {action} must be a non-negative int bitmask"
+            f" (bit y * width + x, as from rect_mask), got {reprlib.repr(mask)}"
+        )
+    return mask & roads
 
 
 class DiskCoverageObjective(_UnionMaskObjective):
@@ -185,10 +185,15 @@ class DiskCoverageObjective(_UnionMaskObjective):
         arena: tuple[float, float, float, float],
         resolution: int = 10,
     ):
-        if sensing_radius <= 0:
-            raise ValueError("sensing_radius must be positive")
-        if resolution < 1:
-            raise ValueError("resolution must be at least 1 cell per meter")
+        if not (math.isfinite(sensing_radius) and sensing_radius > 0):
+            raise ValueError(f"sensing_radius must be positive and finite, got {sensing_radius!r}")
+        if not (math.isfinite(resolution) and resolution >= 1 and resolution % 1 == 0):
+            raise ValueError(
+                f"resolution must be a whole number of cells per meter, at least 1, got {resolution!r}"
+            )
+        for name, bound in zip(("xmin", "ymin", "xmax", "ymax"), arena):
+            if not math.isfinite(bound):
+                raise ValueError(f"arena bound {name} must be finite, got {bound!r}")
         xmin, ymin, xmax, ymax = arena
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("arena must have positive extent")
@@ -199,6 +204,10 @@ class DiskCoverageObjective(_UnionMaskObjective):
         self._ny = math.ceil((ymax - ymin) * resolution)
         self.cell_area = 1.0 / (resolution * resolution)
         self.centers = tuple(tuple((float(x), float(y)) for x, y in per_agent) for per_agent in centers)
+        for i, per_agent in enumerate(self.centers):
+            for a, center in enumerate(per_agent):
+                if not all(map(math.isfinite, center)):
+                    raise ValueError(f"center of agent {i} action {a} must be finite, got {center!r}")
         super().__init__([[self._disk_mask(c) for c in per_agent] for per_agent in self.centers])
 
     def _disk_mask(self, center: tuple[float, float]) -> int:
@@ -467,10 +476,10 @@ def coin_ring_bound(r_s: float, r_i: float) -> float:
     disks centered at least r_i away can reach. Meaningful for r_i >= r_s;
     zero from r_i = 2 r_s outward.
     """
-    if r_s <= 0:
-        raise ValueError("sensing radius must be positive")
-    if r_i < 0:
-        raise ValueError("separation distance may not be negative")
+    if not (math.isfinite(r_s) and r_s > 0):
+        raise ValueError(f"sensing radius r_s must be positive and finite, got {r_s!r}")
+    if not (math.isfinite(r_i) and r_i >= 0):
+        raise ValueError(f"separation distance r_i must be non-negative and finite, got {r_i!r}")
     return max(0.0, math.pi * (r_s * r_s - (r_i - r_s) ** 2))
 
 
@@ -543,19 +552,11 @@ def road_bits(rows: Sequence[str]) -> int:
     return int("".join(rows)[::-1].translate(_ROAD_DIGITS), 2)
 
 
-def rect_footprint(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> frozenset[Cell]:
-    """Cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid."""
-    x0 = cx - fov_w // 2
-    y0 = cy - fov_h // 2
-    return frozenset(
-        (x, y)
-        for y in range(max(0, y0), min(height, y0 + fov_h))
-        for x in range(max(0, x0), min(width, x0 + fov_w))
-    )
-
-
 def rect_mask(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> int:
-    """rect_footprint as a bitmask (bit y * width + x): one clipped row mask per clipped row."""
+    """The cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid.
+
+    A bitmask, bit y * width + x per cell: one clipped row mask per clipped row.
+    """
     x0 = cx - fov_w // 2
     y0 = cy - fov_h // 2
     lo, hi = max(0, x0), min(width, x0 + fov_w)

@@ -1,0 +1,41 @@
+"""Cell-set footprints: the reference the bitmask footprints are tested against.
+
+GridCoverageObjective takes each footprint as an int bitmask (bit
+y * width + x, as rect_mask builds it). Footprints used to be sets of (x, y)
+cells, converted one cell at a time; that form is kept here so tests can
+build an objective without the mask code.
+"""
+
+from meshcoord.objective import road_bits
+
+Cell = tuple[int, int]
+
+
+def rect_footprint(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> frozenset[Cell]:
+    """Cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid."""
+    x0 = cx - fov_w // 2
+    y0 = cy - fov_h // 2
+    return frozenset(
+        (x, y)
+        for y in range(max(0, y0), min(height, y0 + fov_h))
+        for x in range(max(0, x0), min(width, x0 + fov_w))
+    )
+
+
+def cell_masks(road_mask, footprints) -> list[list[int]]:
+    """Each footprint's cells as a road-clipped bitmask; off-grid cells are dropped."""
+    rows = list(road_mask)
+    width = len(rows[0])
+    height = len(rows)
+    roads = road_bits(rows)
+    masks = []
+    for per_agent in footprints:
+        menu = []
+        for cells in per_agent:
+            mask = 0
+            for x, y in cells:
+                if 0 <= x < width and 0 <= y < height:
+                    mask |= 1 << (y * width + x)
+            menu.append(mask & roads)
+        masks.append(menu)
+    return masks

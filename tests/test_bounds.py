@@ -49,7 +49,7 @@ def _overlapping_pair():
     # both agents can cover the same two cells, so isolation costs information
     from meshcoord.objective import GridCoverageObjective
 
-    fps = [[[(0, 0), (1, 0)], [(2, 0)]], [[(0, 0), (1, 0)], [(2, 0)]]]
+    fps = [[0b011, 0b100], [0b011, 0b100]]
     return GridCoverageObjective(["###"], fps)
 
 

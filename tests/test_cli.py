@@ -21,16 +21,10 @@ from meshcoord.topology import edgeless_graph
 
 
 def small_config(out_dir, **extra):
-    lines = [
-        "n_agents = 3",
-        "world_width = 10",
-        "world_height = 10",
-        "steps = 2",
-        "trials = 2",
-        f"output_dir = {out_dir}",
-    ]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
-    return "\n".join(lines) + "\n"
+    """A small config, one line per field; extra fields override the base ones in place."""
+    values = dict(n_agents=3, world_width=10, world_height=10, steps=2, trials=2, output_dir=out_dir)
+    values.update(extra)
+    return "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 def write_config(tmp_path, **extra):
@@ -59,6 +53,16 @@ def test_parse_reports_the_offending_line():
         parse_experiment_config("n_agents =\n")
     with pytest.raises(ConfigError, match="emit accepts"):
         parse_experiment_config("emit = traces pictures\n")
+
+
+def test_a_repeated_field_exits_2_naming_both_lines(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="config line 3: field 'n_agents' is already set on line 1"):
+        parse_experiment_config("n_agents = 4\nseed = 1\nn_agents = 5\n")
+    path, out_dir = write_config(tmp_path)
+    path.write_text(path.read_text() + "trials = 3\n")
+    assert main(["run", str(path)]) == 2
+    assert "field 'trials' is already set on line 5" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_list_fields_name_their_element_type():
@@ -335,6 +339,16 @@ def test_verify_zero_count_is_vacuous_but_clean(capsys):
 def test_verify_rejects_nonsense_limits(capsys):
     assert main(["verify", "--count", "-3"]) == 2
     assert main(["verify", "--max-agents", "1"]) == 2
+
+
+def test_verify_guard_is_exact_and_fast_at_any_team_size(capsys):
+    # 3^(10^18) is never computed: the guard stops at the limit's bit length
+    assert main(["verify", "--max-agents", str(10**18), "--max-actions", "3"]) == 2
+    assert f"3^{10**18} joint selections exceed the brute-force limit" in capsys.readouterr().err
+    assert main(["verify", "--max-agents", str(10**18), "--max-actions", "1", "--count", "0"]) == 0
+    # 7^8 = 5,764,801 is within the 10^7 limit and 7^9 is not
+    assert main(["verify", "--max-agents", "8", "--max-actions", "7", "--count", "0"]) == 0
+    assert main(["verify", "--max-agents", "9", "--max-actions", "7", "--count", "0"]) == 2
 
 
 def test_figures_writes_plot_ready_csvs(tmp_path):

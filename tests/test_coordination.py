@@ -108,16 +108,6 @@ def test_rag_validates_inputs():
         run_rag(obj, g, eta=0.5)  # needs an rng
     with pytest.raises(ValueError):
         run_rag(obj, edgeless_graph(3))
-    with pytest.raises(ValueError):
-        run_rag(obj, g, per_agent_actions=[obj.actions(0)] * 5)
-
-
-def test_rag_restricted_menus():
-    obj, g, _ = reference_line_instance()
-    menus = [obj.actions(i)[:1] for i in range(5)]
-    out = run_rag(obj, g, per_agent_actions=menus)
-    assert out.actions == tuple(m[0] for m in menus)
-    assert out.eval_counts == (2, 1, 2, 1, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,14 +304,6 @@ def test_brute_force_guards_the_product_size():
         brute_force_optimum(obj)
 
 
-def test_brute_force_respects_restricted_menus():
-    obj, _, values = reference_line_instance()
-    menus = [obj.actions(i)[1:2] for i in range(5)]
-    actions, best = brute_force_optimum(obj, per_agent_actions=menus)
-    assert actions == tuple(m[0] for m in menus)
-    assert best == float(sum(v - 1 for v in values))
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_all_rules_stay_within_the_optimum(seed):
@@ -371,10 +353,7 @@ def test_format_outcome_mentions_the_essentials():
 def test_star_graph_rag_beats_no_communication_on_shared_cells():
     # both agents would grab the same best cell without coordination
     mask = ["###"]
-    fps = [
-        [[(0, 0), (1, 0)], [(2, 0)]],
-        [[(0, 0), (1, 0)], [(2, 0)]],
-    ]
+    fps = [[0b011, 0b100], [0b011, 0b100]]
     from meshcoord.objective import GridCoverageObjective
 
     obj = GridCoverageObjective(mask, fps)

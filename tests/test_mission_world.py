@@ -2,9 +2,10 @@
 
 The reference below rebuilds the world every step the way run_mission used
 to: road-mask strings with covered cells blanked out, rect_footprint cell
-sets per candidate destination, and a fresh GridCoverageObjective. Both must
-give the same MissionTrace for every rule, down to the evaluation counts and
-the random draws.
+sets per candidate destination, and a fresh GridCoverageObjective built from
+those cells one at a time, without the mask code. Both must give the same
+MissionTrace for every rule, down to the evaluation counts and the random
+draws.
 """
 
 import math
@@ -16,9 +17,10 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cell_reference import cell_masks, rect_footprint
 from meshcoord.coordination import run_dfs_sg, run_dsm, run_rag, run_random_baseline, run_sg
 from meshcoord.instances import MOVES
-from meshcoord.objective import GridCoverageObjective, rect_footprint
+from meshcoord.objective import GridCoverageObjective
 from meshcoord.scenario import (
     ALGORITHMS,
     MissionConfig,
@@ -82,7 +84,7 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
             [rect_footprint(dx, dy, cfg.fov_width, cfg.fov_height, width, height) for dx, dy in d]
             for d in dests
         ]
-        obj = GridCoverageObjective(rows, footprints)
+        obj = GridCoverageObjective(rows, cell_masks(rows, footprints))
 
         pts = [(float(x), float(y)) for x, y in positions]
         # simulated time from the action counts, independently of eval_counts

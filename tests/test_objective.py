@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cell_reference import rect_footprint
 from conftest import coverage_instance
 from meshcoord import objective
 from meshcoord.instances import logdet_toy, modular_objective, supermodular_toy
@@ -21,7 +22,6 @@ from meshcoord.objective import (
     marginal_gain,
     parse_road_mask,
     random_road_mask,
-    rect_footprint,
     rect_mask,
     road_bits,
     subset_value_table,
@@ -94,7 +94,7 @@ def test_context_state_evaluates_like_the_union_selection(seed, data):
 
 
 def test_shipped_objectives_are_normalized():
-    grid = GridCoverageObjective(["##", ".#"], [[[(0, 0)]], [[(1, 1)]]])
+    grid = GridCoverageObjective(["##", ".#"], [[1 << 0], [1 << 3]])  # cells (0, 0) and (1, 1)
     disk = DiskCoverageObjective([[(1.0, 1.0)]], 0.5, arena=(0.0, 0.0, 2.0, 2.0))
     for obj in (grid, disk, supermodular_toy(), logdet_toy()):
         assert obj.evaluate([]) == 0.0
@@ -109,13 +109,14 @@ def test_modular_marginal_gain_is_one():
 
 def test_marginal_gain_on_partly_overlapping_footprints():
     mask = ["####"] * 4
-    obj = GridCoverageObjective(mask, [[[(0, 0), (0, 1)]], [[(0, 1), (1, 1)]]])
+    # cells (0, 0) + (0, 1) and (0, 1) + (1, 1): bit y * 4 + x
+    obj = GridCoverageObjective(mask, [[0b1_0001], [0b11_0000]])
     assert marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)]) == 1.0
 
 
 def test_marginal_gain_zero_when_footprint_contained():
     mask = ["###"]
-    obj = GridCoverageObjective(mask, [[[(0, 0)]], [[(0, 0), (1, 0)]]])
+    obj = GridCoverageObjective(mask, [[0b01], [0b11]])
     assert marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)]) == 0.0
 
 
@@ -136,16 +137,20 @@ def test_marginal_gain_rejects_element_in_context():
 
 def test_grid_mask_validation():
     with pytest.raises(ValueError):
-        GridCoverageObjective(["##", "#"], [[[(0, 0)]], [[(0, 0)]]])
+        GridCoverageObjective(["##", "#"], [[1], [1]])
     with pytest.raises(ValueError):
-        GridCoverageObjective(["#x"], [[[(0, 0)]], [[(0, 0)]]])
+        GridCoverageObjective(["#x"], [[1], [1]])
+
+
+@pytest.mark.parametrize("bad", [frozenset({(0, 0)}), [(0, 0)], -1, 1.0, None])
+def test_grid_footprints_must_be_bitmasks(bad):
+    with pytest.raises(ValueError, match="agent 1 action 2 .*int bitmask.*rect_mask"):
+        GridCoverageObjective(["##"], [[1], [1, 2, bad]])
 
 
 def test_grid_ignores_offroad_and_offgrid_cells():
-    obj = GridCoverageObjective(
-        ["#.", ".."],
-        [[[(0, 0), (1, 0), (1, 1), (5, 5), (-1, 0)]]],
-    )
+    # cells (0, 0), (1, 0) and (1, 1), plus a bit past the 2 x 2 grid
+    obj = GridCoverageObjective(["#.", ".."], [[0b1011 | 1 << 15]])
     assert obj.evaluate(obj.ground()) == 1.0
     assert obj.road_cell_count == 1
 
@@ -163,12 +168,12 @@ def test_modular_curvature_is_zero():
 
 
 def test_identical_footprints_curvature_is_one():
-    obj = GridCoverageObjective(["##"], [[[(0, 0), (1, 0)]], [[(0, 0), (1, 0)]]])
+    obj = GridCoverageObjective(["##"], [[0b11], [0b11]])
     assert curvature(obj) == 1.0
 
 
 def test_curvature_rejects_zero_valued_singleton():
-    obj = GridCoverageObjective(["#."], [[[(0, 0)]], [[(1, 0)]]])  # agent 1 covers no road
+    obj = GridCoverageObjective(["#."], [[0b01], [0b10]])  # agent 1 covers no road
     with pytest.raises(ValueError):
         curvature(obj)
 
@@ -529,7 +534,7 @@ def test_coin_zero_when_everyone_is_a_neighbor():
 
 def test_coin_zero_on_disjoint_footprints():
     mask = ["######"]
-    fps = [[[(0, 0), (1, 0)]], [[(2, 0), (3, 0)]], [[(4, 0), (5, 0)]]]
+    fps = [[0b11], [0b1100], [0b11_0000]]
     obj = GridCoverageObjective(mask, fps)
     actions = tuple(obj.actions(i)[0] for i in range(3))
     for nbh in (set(), {1}, {1, 2}):
@@ -608,6 +613,14 @@ def test_ring_bound_domain_errors():
         coin_ring_bound(1.0, -0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ring_bound_rejects_non_finite_inputs_by_name(bad):
+    with pytest.raises(ValueError, match="r_s"):
+        coin_ring_bound(bad, 1.0)
+    with pytest.raises(ValueError, match="r_i"):
+        coin_ring_bound(1.0, bad)
+
+
 def test_disk_value_is_rasterized_area():
     disk = DiskCoverageObjective([[(5.0, 5.0)]], 1.0, arena=(0.0, 0.0, 10.0, 10.0), resolution=10)
     area = disk.evaluate(disk.ground())
@@ -629,8 +642,27 @@ def test_disk_validation():
         DiskCoverageObjective([[(0.0, 0.0)]], 0.0, arena=(0, 0, 1, 1))
     with pytest.raises(ValueError):
         DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0, 0, 1, 1), resolution=0)
+    with pytest.raises(ValueError, match="whole number"):
+        # a fractional resolution used to size the grid at 2.5 but rasterize at 2
+        DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0, 0, 1, 1), resolution=2.5)
     with pytest.raises(ValueError):
         DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_disk_rejects_non_finite_inputs_by_name(bad):
+    with pytest.raises(ValueError, match="sensing_radius"):
+        DiskCoverageObjective([[(0.0, 0.0)]], bad, arena=(0, 0, 1, 1))
+    with pytest.raises(ValueError, match="resolution"):
+        DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0, 0, 1, 1), resolution=bad)
+    for k, name in enumerate(("xmin", "ymin", "xmax", "ymax")):
+        arena = [0.0, 0.0, 1.0, 1.0]
+        arena[k] = bad
+        with pytest.raises(ValueError, match=f"arena bound {name}"):
+            DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=tuple(arena))
+    for center in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match="center of agent 1 action 0"):
+            DiskCoverageObjective([[(0.5, 0.5)], [center]], 1.0, arena=(0, 0, 1, 1))
 
 
 def test_parse_road_mask_roundtrip():
