@@ -524,6 +524,12 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
             f"config error: {max_actions}^{max_agents} joint selections exceed "
             f"the brute-force limit of {BRUTE_FORCE_LIMIT}"
         )
+    team_cap = BRUTE_FORCE_LIMIT.bit_length() - 1  # the most agents the limit admits at two actions
+    if max_agents > team_cap:  # one-action menus pass the guard above at any team size
+        raise ConfigError(
+            f"config error: --max-agents {max_agents} exceeds {team_cap}, "
+            "the most the brute-force limit admits at two actions"
+        )
     if count == 0:
         print("warning: count=0 — instance-based properties pass vacuously")
 

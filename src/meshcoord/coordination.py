@@ -10,6 +10,7 @@ together with the round structure, into simulated decision time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -88,8 +89,8 @@ def run_rag(
     ("max-gain-lowest-id" by default; "min-gain-highest-id" inverts both
     comparisons and exists as a corruption hook for verification). Committers
     broadcast their action to out-neighbors (one action round when any
-    receiver is still undecided), and receivers fold the news into their
-    contexts for the next iteration.
+    receiver is still undecided). Each agent's context is one state that
+    grows, by a free extend, as each commit arrives while it is undecided.
 
     eta < 1 switches the local step to approximate greedy: the agent picks
     uniformly (via rng) among actions whose true marginal gain is at least
@@ -109,31 +110,27 @@ def run_rag(
         raise ValueError("graph and objective disagree on the number of agents")
 
     undecided = set(range(n))
-    context: list[dict[int, GroundElement]] = [{} for _ in range(n)]
+    # each agent's context state, grown by the commits it receives, and their senders
+    state = [obj.context()] * n
+    heard: list[list[int]] = [[] for _ in range(n)]
     dirty = [True] * n
-    score: list[float] = [0.0] * n
+    bid: list[tuple[float, int] | None] = [None] * n
     choice: list[GroundElement | None] = [None] * n
     committed_at = [0] * n
-    committed_nbrs: list[frozenset[int]] = [frozenset()] * n
-    final_action: list[GroundElement | None] = [None] * n
     eval_counts = [0] * n
     events: list[IterationEvent] = []
-    invert = tie_break == "min-gain-highest-id"
+    beats = operator.lt if tie_break == "min-gain-highest-id" else operator.gt
 
-    iteration = 0
     while undecided:
-        iteration += 1
-        if iteration > n:
-            raise RuntimeError("coordination failed to make progress")  # unreachable by design
-
+        iteration = len(events) + 1
         recomputed = frozenset(i for i in undecided if dirty[i])
         for i in recomputed:
-            state = obj.context(context[i].values())
-            values = _scores(obj, menus[i], state)
+            values = _scores(obj, menus[i], state[i])
             eval_counts[i] += len(menus[i])
             if eta < 1:
-                ctx_value = obj.evaluate((), state) if context[i] else 0.0
-                if context[i]:
+                ctx_value = 0.0
+                if heard[i]:
+                    ctx_value = obj.evaluate((), state[i])
                     eval_counts[i] += 1
                 best_gain = max(v for v, _ in values) - ctx_value
                 if not best_gain >= 0:
@@ -141,55 +138,29 @@ def run_rag(
                         f"agent {i}: best marginal gain is {best_gain!r}; approximate"
                         " greedy (eta < 1) needs non-negative, non-NaN gains"
                     )
-                eligible = [
-                    (v, a) for v, a in values if v - ctx_value >= eta * best_gain
-                ]
-                score[i], choice[i] = eligible[rng.randrange(len(eligible))]
+                eligible = [(v, a) for v, a in values if v - ctx_value >= eta * best_gain]
+                value, choice[i] = eligible[rng.randrange(len(eligible))]
             else:
-                score[i], choice[i] = _greedy_pick(values)
+                value, choice[i] = _greedy_pick(values)
+            bid[i] = (value, -i)
             dirty[i] = False
 
         pools = {i: g.in_neighbors[i] & undecided for i in undecided}
-        gains_exchanged = any(pools[i] for i in undecided)
-
-        selectors = set()
-        for i in undecided:
-            if invert:
-                wins = all(
-                    (score[i], -i) < (score[j], -j) for j in pools[i]
-                )
-            else:
-                wins = all(
-                    (score[i], -i) > (score[j], -j) for j in pools[i]
-                )
-            if wins:
-                selectors.add(i)
-
-        for i in selectors:
-            final_action[i] = choice[i]
-            committed_at[i] = iteration
-            committed_nbrs[i] = frozenset(context[i].keys())
+        selectors = frozenset(i for i in undecided if all(beats(bid[i], bid[j]) for j in pools[i]))
 
         undecided -= selectors
         broadcast = False
         for i in selectors:
-            for j in g.out_neighbors[i]:
-                if j in undecided:
-                    context[j][i] = final_action[i]  # type: ignore[assignment]
-                    dirty[j] = True
-                    broadcast = True
+            committed_at[i] = iteration
+            for j in g.out_neighbors[i] & undecided:
+                state[j] = obj.extend(state[j], choice[i])
+                heard[j].append(i)
+                dirty[j] = True
+                broadcast = True
 
-        events.append(
-            IterationEvent(
-                iteration=iteration,
-                recomputed=recomputed,
-                gains_exchanged=gains_exchanged,
-                selectors=frozenset(selectors),
-                broadcast_occurred=broadcast,
-            )
-        )
+        events.append(IterationEvent(iteration, recomputed, any(pools.values()), selectors, broadcast))
 
-    actions = tuple(a for a in final_action if a is not None)
+    actions = tuple(choice)
     return CoordinationOutcome(
         algorithm="rag",
         actions=actions,
@@ -200,7 +171,7 @@ def run_rag(
         gain_rounds=sum(1 for ev in events if ev.gains_exchanged),
         action_rounds=sum(1 for ev in events if ev.broadcast_occurred),
         relay_action_transmissions=0,
-        committed_in_neighbors=tuple(committed_nbrs),
+        committed_in_neighbors=tuple(map(frozenset, heard)),
     )
 
 
@@ -223,9 +194,6 @@ def _run_sequential(
     n = obj.n_agents
     chosen: dict[int, GroundElement] = {}
     running = obj.context()
-    eval_counts = [0] * n
-    committed_at = [0] * n
-    committed_nbrs = [frozenset()] * n
     relay = 0
     events: list[IterationEvent] = []
     for pos, i in enumerate(dag.order):
@@ -237,34 +205,23 @@ def _run_sequential(
             relay += pos * hops
         access = dag.access[pos]
         state = running if len(access) == pos else obj.context(chosen[j] for j in access)
-        value, action = _greedy_pick(_scores(obj, obj.actions(i), state))
-        eval_counts[i] += obj.action_counts[i]
-        committed_nbrs[i] = access
-        chosen[i] = action
-        running = obj.extend(running, action)
-        committed_at[i] = pos + 1
-        events.append(
-            IterationEvent(
-                iteration=pos + 1,
-                recomputed=frozenset([i]),
-                gains_exchanged=False,
-                selectors=frozenset([i]),
-                broadcast_occurred=pos + 1 < n,
-            )
-        )
+        value, chosen[i] = _greedy_pick(_scores(obj, obj.actions(i), state))
+        running = obj.extend(running, chosen[i])
+        events.append(IterationEvent(pos + 1, frozenset([i]), False, frozenset([i]), pos + 1 < n))
 
     actions = tuple(chosen[i] for i in range(n))
+    positions = sorted(range(n), key=dag.order.__getitem__)  # agent i decides at positions[i]
     return CoordinationOutcome(
         algorithm=algorithm,
         actions=actions,
         value=value if relayed else obj.evaluate(actions),
-        selection_order=tuple(committed_at),
+        selection_order=tuple(pos + 1 for pos in positions),
         events=tuple(events),
-        eval_counts=tuple(eval_counts),
+        eval_counts=obj.action_counts,  # each agent scores its whole menu once
         gain_rounds=0,
         action_rounds=n - 1,
         relay_action_transmissions=relay,
-        committed_in_neighbors=tuple(committed_nbrs),
+        committed_in_neighbors=tuple(dag.access[pos] for pos in positions),
     )
 
 

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Iterator, Sequence, get_type_hints
+from typing import Iterator, Sequence, get_args, get_type_hints
 
 from meshcoord.coordination import (
     run_dfs_sg,
@@ -71,11 +71,17 @@ class MissionConfig:
 
         Unpickling does not run this, so configs sent to workers are not checked again.
         """
+        for name, types in _INT_FIELDS.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, types):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         # comm_range may be +inf (everyone in range); the other floats must be finite
         for name in _FLOAT_FIELDS:
             v = getattr(self, name)
-            if not (math.isfinite(v) or (name == "comm_range" and v == math.inf)):
-                raise ValueError(f"{name} must be a finite number, got {v}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                math.isfinite(v) or (name == "comm_range" and v == math.inf)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
         if self.world_width < 1 or self.world_height < 1:
@@ -130,6 +136,12 @@ class MissionConfig:
 
 
 _FLOAT_FIELDS = tuple(name for name, hint in get_type_hints(MissionConfig).items() if hint is float)
+# each int field's allowed types: (int,), or (int, NoneType) for an optional one
+_INT_FIELDS = {
+    name: get_args(hint) or (int,)
+    for name, hint in get_type_hints(MissionConfig).items()
+    if int in (hint, *get_args(hint))
+}
 
 
 @dataclass(frozen=True)

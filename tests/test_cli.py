@@ -345,10 +345,25 @@ def test_verify_guard_is_exact_and_fast_at_any_team_size(capsys):
     # 3^(10^18) is never computed: the guard stops at the limit's bit length
     assert main(["verify", "--max-agents", str(10**18), "--max-actions", "3"]) == 2
     assert f"3^{10**18} joint selections exceed the brute-force limit" in capsys.readouterr().err
-    assert main(["verify", "--max-agents", str(10**18), "--max-actions", "1", "--count", "0"]) == 0
+    assert main(["verify", "--max-agents", str(10**18), "--max-actions", "1", "--count", "0"]) == 2
     # 7^8 = 5,764,801 is within the 10^7 limit and 7^9 is not
     assert main(["verify", "--max-agents", "8", "--max-actions", "7", "--count", "0"]) == 0
     assert main(["verify", "--max-agents", "9", "--max-actions", "7", "--count", "0"]) == 2
+
+
+@pytest.mark.parametrize("agents", [24, 10**18])
+def test_verify_caps_one_action_teams_before_drawing_an_instance(agents, capsys, monkeypatch):
+    def no_instances(*args):
+        raise AssertionError("verify drew an instance")
+
+    monkeypatch.setattr(cli, "_instance_checks", no_instances)
+    assert main(["verify", "--max-agents", str(agents), "--max-actions", "1", "--count", "1"]) == 2
+    assert f"config error: --max-agents {agents} exceeds 23" in capsys.readouterr().err
+
+
+def test_verify_runs_the_largest_one_action_team(capsys):
+    assert main(["verify", "--max-agents", "23", "--max-actions", "1", "--count", "3"]) == 0
+    assert "all properties passed on 3 instances" in capsys.readouterr().out
 
 
 def test_figures_writes_plot_ready_csvs(tmp_path):

@@ -51,6 +51,22 @@ def test_validate_names_the_offending_field(field, value):
 
 
 @pytest.mark.parametrize(
+    "field,value",
+    [(field, 1.5) for field in (
+        "n_agents", "world_width", "world_height", "corridor_width", "fov_width", "fov_height",
+        "move_magnitude", "steps", "k", "trials", "seed", "spawn_width", "spawn_height",
+    )]
+    + [(field, "0.1") for field in (
+        "road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps",
+    )]
+    + [("n_agents", True), ("n_agents", None), ("tau_f", None)],
+)
+def test_validate_rejects_wrongly_typed_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an? (integer|finite number), got {value!r}"):
+        MissionConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
     "field", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
 )
 def test_validate_rejects_nan_in_every_float_field(field):
