@@ -9,7 +9,7 @@ would miss it.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from meshcoord.objective import (
     CallableObjective,
@@ -62,7 +62,7 @@ def random_coverage_instance(
     width = rng.randint(5, 9)
     height = rng.randint(5, 9)
     density = rng.uniform(0.3, 0.9)
-    road = [["#" if rng.random() < density else "." for _ in range(width)] for _ in range(height)]
+    road = _random_rows(rng, width, height, density)
 
     positions = [(rng.randrange(width), rng.randrange(height)) for _ in range(n)]
     centers = [
@@ -72,31 +72,37 @@ def random_coverage_instance(
         ]
         for pos in positions
     ]
-    return _carved_objective(road, centers, 3), _random_graph(rng, n, positions)
+    return _carved_objective(road, lambda: centers, 3), _random_graph(rng, n, positions)
+
+
+def _random_rows(rng: random.Random, width: int, height: int, density: float) -> list[str]:
+    """A road mask with each cell road with probability density, drawn row by row."""
+    return ["".join(["#" if rng.random() < density else "." for _ in range(width)]) for _ in range(height)]
 
 
 def _carved_objective(
-    road: list[list[str]], centers: Sequence[Sequence[tuple[int, int]]], fov: int
+    road: list[str], centers: Callable[[], Iterable[Iterable[tuple[int, int]]]], fov: int
 ) -> GridCoverageObjective:
     """Square fov x fov footprints at the centers, over road carved where one would miss it.
 
     Agent by agent and action by action, a footprint that covers no road
     (counting earlier carves) gets its center cell carved into road, so every
-    singleton value is nonzero. road is a grid of '#' and '.' and is carved in
-    place. The masks are built twice, for the carve decisions and then for
-    the objective, which clips each as it arrives: holding all of them
-    unclipped at once would double the peak memory of a large instance.
+    singleton value is nonzero. road is a list of rows of '#' and '.' and is
+    carved in place. centers() yields each agent's action centers and is
+    called twice: once for the carve decisions and once for the masks, which
+    the objective takes in as they arrive. Holding every mask, or every
+    center, at once would raise the peak memory of a large instance well
+    above what the objective keeps.
     """
     height, width = len(road), len(road[0])
-    roads = road_bits(["".join(row) for row in road])
-    for menu in centers:
+    roads = road_bits(road)
+    for menu in centers():
         for cx, cy in menu:
             if not rect_mask(cx, cy, fov, fov, width, height) & roads:
                 roads |= 1 << (cy * width + cx)
-                road[cy][cx] = "#"
+                road[cy] = road[cy][:cx] + "#" + road[cy][cx + 1:]
     return GridCoverageObjective(
-        ["".join(row) for row in road],
-        ((rect_mask(cx, cy, fov, fov, width, height) for cx, cy in menu) for menu in centers),
+        road, ((rect_mask(cx, cy, fov, fov, width, height) for cx, cy in menu) for menu in centers())
     )
 
 
@@ -211,7 +217,14 @@ def scaling_instance(
     """
     side = max(8, round((n_agents * 36) ** 0.5))
     density = 0.6
-    road = [["#" if rng.random() < density else "." for _ in range(side)] for _ in range(side)]
+    road = _random_rows(rng, side, side, density)
     positions = [(rng.randrange(side), rng.randrange(side)) for _ in range(n_agents)]
-    centers = [[_clip_move(pos, move, rng.randint(1, 3), side, side) for move in MOVES] for pos in positions]
+    steps = [bytes(rng.randint(1, 3) for _ in MOVES) for _ in positions]  # one magnitude per move
+
+    def centers():
+        return (
+            (_clip_move(pos, move, step, side, side) for move, step in zip(MOVES, menu_steps))
+            for pos, menu_steps in zip(positions, steps)
+        )
+
     return _carved_objective(road, centers, 3), [(float(x), float(y)) for x, y in positions]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -79,20 +80,40 @@ class Objective:
         return self._value(state.union(extra))
 
 
+# masks wider than this many bits are stored as windows of this many bits
+_WINDOW_BITS = 2048
+
+
 class _UnionMaskObjective(Objective):
     """An objective whose value depends only on the OR of per-element bitmasks.
 
-    masks[i][a] is the bitmask of cells agent i's action a covers. The
-    context state is the union of the selection's masks, so scoring a
-    candidate against a context of any size costs one OR and one popcount.
-    The value is the union's bit count times cell_area.
+    masks[i][a] is the non-negative int bitmask of cells agent i's action a
+    covers; each is clipped to within as it arrives. The value is the
+    union's bit count times cell_area, which is read once, when the
+    objective is built.
+
+    Up to _WINDOW_BITS bits wide (within's width), a mask is kept as one int
+    and the context state is the union of the selection's masks: scoring a
+    candidate costs one OR and one popcount. Wider, the masks and the state
+    methods belong to a _WindowedMasks, whose context, extend and value_in
+    stand in for this object's context, extend and _value_in; subclasses
+    therefore do not override those three.
     """
 
     cell_area = 1.0
 
-    def __init__(self, masks: Sequence[Sequence[int]]):
-        super().__init__([len(per_agent) for per_agent in masks])
-        self._masks = tuple(tuple(per_agent) for per_agent in masks)
+    def __init__(self, masks: Iterable[Iterable[int]], within: int):
+        width = within.bit_length()
+        if width <= _WINDOW_BITS:
+            self._masks = tuple([tuple([mask & within for mask in menu]) for menu in masks])
+        else:
+            within_windows = _split(within, width)
+            clip = partial(_window_pairs, within_windows)
+            self._masks = tuple([tuple(map(clip, menu)) for menu in masks])
+            # bound to the _WindowedMasks, not to self, so the objective is no reference cycle
+            windowed = _WindowedMasks(self._masks, len(within_windows), self.cell_area)
+            self.context, self.extend, self._value_in = windowed.context, windowed.extend, windowed.value_in
+        super().__init__(list(map(len, self._masks)))
 
     def context(self, selection: Iterable[GroundElement] = ()) -> int:
         masks = self._masks
@@ -110,6 +131,82 @@ class _UnionMaskObjective(Objective):
         for i, a in extra:
             state |= masks[i][a]
         return state.bit_count() * self.cell_area
+
+
+class _WindowedMasks:
+    """The context states of a _UnionMaskObjective wider than _WINDOW_BITS.
+
+    masks[i][a] is a tuple of (window index, window) pairs, window idx
+    holding bits idx * _WINDOW_BITS onward, for the non-empty windows only.
+    A state is (covered count, list of window unions), never changed once
+    made: scoring a candidate costs one AND-NOT and one popcount per window
+    of its footprint, not a pass over the whole world.
+    """
+
+    def __init__(self, masks: tuple, window_count: int, cell_area: float):
+        self.masks = masks
+        self.window_count = window_count
+        self.cell_area = cell_area
+
+    def context(self, selection: Iterable[GroundElement] = ()) -> tuple[int, list[int]]:
+        windows = [0] * self.window_count
+        for idx, window in self._union(selection).items():
+            windows[idx] = window
+        return sum(map(int.bit_count, windows)), windows
+
+    def extend(self, state: tuple[int, list[int]], element: GroundElement) -> tuple[int, list[int]]:
+        covered, windows = state
+        windows = windows.copy()
+        i, a = element
+        for idx, window in self.masks[i][a]:
+            covered += (window & ~windows[idx]).bit_count()
+            windows[idx] |= window
+        return covered, windows
+
+    def value_in(self, state: tuple[int, list[int]], extra: Iterable[GroundElement]) -> float:
+        covered, windows = state
+        extra = tuple(extra)
+        if len(extra) == 1:  # one candidate, as the rules score them: its own windows are the union
+            (i, a), = extra
+            touched = self.masks[i][a]
+        else:
+            touched = self._union(extra).items()
+        for idx, window in touched:
+            covered += (window & ~windows[idx]).bit_count()
+        return covered * self.cell_area
+
+    def _union(self, selection: Iterable[GroundElement]) -> dict[int, int]:
+        """The OR of the selection's masks, as window index -> window for the windows it touches."""
+        masks = self.masks
+        union: dict[int, int] = {}
+        for i, a in selection:
+            for idx, window in masks[i][a]:
+                union[idx] = union.get(idx, 0) | window
+        return union
+
+
+def _split(mask: int, width: int) -> list[int]:
+    """mask as its ceil(width / _WINDOW_BITS) windows, window idx holding bits from idx * _WINDOW_BITS."""
+    full = (1 << _WINDOW_BITS) - 1
+    return [(mask >> lo) & full for lo in range(0, width, _WINDOW_BITS)]
+
+
+def _window_pairs(within_windows: Sequence[int], mask: int) -> tuple[tuple[int, int], ...]:
+    """mask ANDed with a clip that _split made, as (index, window) pairs for its non-empty windows.
+
+    Costs one pass over mask to find its lowest bit, then work in proportion
+    to the windows its bits span; bits past the clip's last window are dropped.
+    """
+    if not mask:
+        return ()
+    first = ((mask & -mask).bit_length() - 1) // _WINDOW_BITS
+    last = min((mask.bit_length() - 1) // _WINDOW_BITS, len(within_windows) - 1)
+    pairs = []
+    for idx in range(first, last + 1):
+        window = (mask >> (idx * _WINDOW_BITS)) & within_windows[idx]
+        if window:
+            pairs.append((idx, window))
+    return tuple(pairs)
 
 
 class CallableObjective(Objective):
@@ -150,23 +247,21 @@ class GridCoverageObjective(_UnionMaskObjective):
         roads = road_bits(rows)
         self.road_cell_count = roads.bit_count()
         super().__init__(
-            [
-                [_road_clip(mask, roads, i, a) for a, mask in enumerate(menu)]
-                for i, menu in enumerate(footprints)
-            ]
+            ([_checked_mask(mask, i, a) for a, mask in enumerate(menu)] for i, menu in enumerate(footprints)),
+            within=roads,
         )
 
     def covered_cells(self, selection: Iterable[GroundElement]) -> int:
-        return self.context(selection).bit_count()
+        return int(self._value_in(self.context(), selection))
 
 
-def _road_clip(mask: int, roads: int, agent: int, action: int) -> int:
+def _checked_mask(mask: int, agent: int, action: int) -> int:
     if not isinstance(mask, int) or mask < 0:
         raise ValueError(
             f"footprint of agent {agent} action {action} must be a non-negative int bitmask"
             f" (bit y * width + x, as from rect_mask), got {reprlib.repr(mask)}"
         )
-    return mask & roads
+    return mask
 
 
 class DiskCoverageObjective(_UnionMaskObjective):
@@ -208,7 +303,10 @@ class DiskCoverageObjective(_UnionMaskObjective):
             for a, center in enumerate(per_agent):
                 if not all(map(math.isfinite, center)):
                     raise ValueError(f"center of agent {i} action {a} must be finite, got {center!r}")
-        super().__init__([[self._disk_mask(c) for c in per_agent] for per_agent in self.centers])
+        super().__init__(
+            ((self._disk_mask(c) for c in per_agent) for per_agent in self.centers),
+            within=(1 << (self._nx * self._ny)) - 1,
+        )
 
     def _disk_mask(self, center: tuple[float, float]) -> int:
         cx, cy = center
@@ -561,10 +659,11 @@ def rect_mask(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int)
     y0 = cy - fov_h // 2
     lo, hi = max(0, x0), min(width, x0 + fov_w)
     row = ((1 << max(0, hi - lo)) - 1) << lo
+    y_lo = max(0, y0)
     mask = 0
-    for y in range(max(0, y0), min(height, y0 + fov_h)):
+    for y in range(min(height, y0 + fov_h) - y_lo):  # from row 0, so only the last shift is world-wide
         mask |= row << (y * width)
-    return mask
+    return mask << (y_lo * width)
 
 
 def _size_guard(size: int, limit: int) -> None:

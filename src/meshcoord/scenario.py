@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -78,6 +79,8 @@ class MissionConfig:
         # comm_range may be +inf (everyone in range); the other floats must be finite
         for name in _FLOAT_FIELDS:
             v = getattr(self, name)
+            if isinstance(v, int) and abs(v) > sys.float_info.max:  # math.isfinite would overflow
+                raise ValueError(f"{name} must be a finite number, got an int of {v.bit_length()} bits")
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
                 math.isfinite(v) or (name == "comm_range" and v == math.inf)
             ):
@@ -243,8 +246,10 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     n = cfg.n_agents
     dm = cfg.delay_model()
 
-    # road footprint mask per grid position, built on first use
+    # road footprint mask per grid position, and per agent position the
+    # destinations of its MOVES with their footprints, built on first use
     footprints: dict[tuple[int, int], int] = {}
+    reach: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = {}
 
     # per-trial randomness of the sequential rules: one decision order for
     # sg/dsm, one relay mesh and start for dfs-sg
@@ -262,18 +267,17 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     covered = 0
     records: list[StepRecord] = []
     for step in range(1, cfg.steps + 1):
-        dests = [
-            [_clip_move(p, move, cfg.move_magnitude, width, height) for move in MOVES]
-            for p in positions
-        ]
-        for row in dests:
-            for dest in row:
-                if dest not in footprints:
-                    footprints[dest] = roads & rect_mask(
-                        *dest, cfg.fov_width, cfg.fov_height, width, height
-                    )
-        uncovered = roads & ~covered
-        obj = _UnionMaskObjective([[footprints[d] & uncovered for d in row] for row in dests])
+        for p in positions:
+            if p not in reach:
+                row = tuple(_clip_move(p, move, cfg.move_magnitude, width, height) for move in MOVES)
+                for dest in row:
+                    if dest not in footprints:
+                        footprints[dest] = roads & rect_mask(
+                            *dest, cfg.fov_width, cfg.fov_height, width, height
+                        )
+                reach[p] = row, tuple(map(footprints.__getitem__, row))
+        rows = [reach[p] for p in positions]
+        obj = _UnionMaskObjective([masks for _, masks in rows], within=roads & ~covered)
 
         pts = [(float(x), float(y)) for x, y in positions]
         if cfg.algorithm == "rag":
@@ -296,8 +300,9 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
         sim_time = decision_time(outcome, dm).seconds
 
         for i, e in enumerate(outcome.actions):
-            positions[i] = dests[i][e.action]
-            covered |= footprints[positions[i]]
+            dests, masks = rows[i]
+            positions[i] = dests[e.action]
+            covered |= masks[e.action]
 
         records.append(
             StepRecord(

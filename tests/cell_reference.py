@@ -6,6 +6,7 @@ cells, converted one cell at a time; that form is kept here so tests can
 build an objective without the mask code.
 """
 
+from meshcoord import objective
 from meshcoord.objective import road_bits
 
 Cell = tuple[int, int]
@@ -39,3 +40,27 @@ def cell_masks(road_mask, footprints) -> list[list[int]]:
             menu.append(mask & roads)
         masks.append(menu)
     return masks
+
+
+def full_width_masks(obj) -> tuple[tuple[int, ...], ...]:
+    """obj's masks as one int each, as wide as the world.
+
+    Windowed masks are rebuilt from their (index, window) pairs, after
+    checking that each window is non-empty, in range and in index order.
+    """
+    masks = []
+    for per_agent in obj._masks:
+        menu = []
+        for stored in per_agent:
+            if isinstance(stored, tuple):
+                assert all(window for _, window in stored), "an empty window is stored"
+                indices = [idx for idx, _ in stored]
+                assert indices == sorted(set(indices)), "windows are not in increasing order"
+                mask = 0
+                for idx, window in stored:
+                    assert 0 < window < 1 << objective._WINDOW_BITS
+                    mask |= window << (idx * objective._WINDOW_BITS)
+                stored = mask
+            menu.append(stored)
+        masks.append(tuple(menu))
+    return tuple(masks)

@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from cell_reference import cell_masks, rect_footprint
+from cell_reference import cell_masks, full_width_masks, rect_footprint
 from meshcoord.instances import (
     MOVES,
     _clip_move,
@@ -87,7 +87,7 @@ def old_reference_instance(values, n_actions=4):
 
 def assert_same_objective(obj, mask, footprints):
     assert obj.road_mask == tuple(mask)
-    assert obj._masks == tuple(tuple(menu) for menu in cell_masks(mask, footprints))
+    assert full_width_masks(obj) == tuple(tuple(menu) for menu in cell_masks(mask, footprints))
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"max_agents": 5, "max_actions": 3}])
@@ -132,3 +132,19 @@ def test_scaling_instance_peaks_near_what_it_keeps():
         tracemalloc.stop()
     assert result[0].n_agents == 2000
     assert peak <= 1.2 * kept, (peak, kept)
+
+
+def test_scaling_instance_memory_grows_linearly():
+    # the world grows with the team, so full-width masks made the retained
+    # memory grow with n squared: 15x from n = 1000 to 4000
+    kept = {}
+    for n in (1000, 4000):
+        tracemalloc.start()
+        try:
+            result = scaling_instance(random.Random(1), n)
+            kept[n] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert result[0].n_agents == n
+        del result
+    assert kept[4000] <= 6 * kept[1000], kept

@@ -217,7 +217,9 @@ def test_rag_matches_the_old_loop(seed, objective, graph, tie_break, eta):
     else:
         menu_sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 7))]
         if objective == "mask":
-            obj = _UnionMaskObjective([[rng.getrandbits(20) for _ in range(m)] for m in menu_sizes])
+            obj = _UnionMaskObjective(
+                [[rng.getrandbits(20) for _ in range(m)] for m in menu_sizes], within=(1 << 20) - 1
+            )
         else:
             obj = callable_objective(menu_sizes, rng)
     g = make_graph(graph, obj.n_agents, rng)
@@ -232,7 +234,7 @@ def test_rag_matches_the_old_loop(seed, objective, graph, tie_break, eta):
 
 
 def test_rag_matches_the_old_loop_on_bad_inputs():
-    obj = _UnionMaskObjective([[1, 2], [4], [8, 16, 32]])
+    obj = _UnionMaskObjective([[1, 2], [4], [8, 16, 32]], within=63)
     for kwargs in ({}, {"tie_break": "coin-flip"}, {"eta": 0.0}, {"eta": 1.5}, {"eta": 0.5, "rng": None}):
         for g in (complete_graph(3), edgeless_graph(4)):
             def old(r):

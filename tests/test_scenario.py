@@ -76,6 +76,16 @@ def test_validate_rejects_nan_in_every_float_field(field):
         MissionConfig(road_mask_path="roads.txt", **{field: math.nan})
 
 
+@pytest.mark.parametrize(
+    "field", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
+)
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_validate_rejects_an_int_past_the_float_range_in_every_float_field(field, value):
+    # math.isfinite(10**400) raises OverflowError instead of answering
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got an int of 1329 bits$"):
+        MissionConfig(road_mask_path="roads.txt", **{field: value})
+
+
 @pytest.mark.parametrize("field", ["tau_f", "tau_hash", "message_kib", "data_rate_mbps"])
 def test_validate_rejects_infinite_costs(field):
     with pytest.raises(ValueError, match=field):

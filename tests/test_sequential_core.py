@@ -194,7 +194,7 @@ def assert_same(obj: Objective, old, new) -> None:
 def make_objective(kind: str, menu_sizes: list[int], rng: random.Random) -> Objective:
     if kind == "mask":
         return _UnionMaskObjective(
-            [[rng.getrandbits(24) for _ in range(size)] for size in menu_sizes]
+            [[rng.getrandbits(24) for _ in range(size)] for size in menu_sizes], within=(1 << 24) - 1
         )
     # integer weights plus a pairwise bonus: non-submodular, and exact sums
     # whatever order the set is iterated in
@@ -265,7 +265,7 @@ def test_sequential_core_matches_the_old_loops(seed, n, objective, dag_kind, rel
 
 
 def test_sequential_core_matches_the_old_loops_on_bad_inputs():
-    obj = _UnionMaskObjective([[1, 2], [4], [8, 16, 32]])
+    obj = _UnionMaskObjective([[1, 2], [4], [8, 16, 32]], within=63)
     assert_same(obj, lambda: old_run_sg(obj, [0, 1]), lambda: run_sg(obj, [0, 1]))
     assert_same(obj, lambda: old_run_sg(obj, [0, 1, 2], edgeless_graph(4)),
                 lambda: run_sg(obj, [0, 1, 2], edgeless_graph(4)))
@@ -276,7 +276,7 @@ def test_sequential_core_matches_the_old_loops_on_bad_inputs():
 
 
 def test_dfs_sg_records_the_dags_own_access_sets():
-    obj = _UnionMaskObjective([[1 << i, 1 << (i + 8)] for i in range(6)])
+    obj = _UnionMaskObjective([[1 << i, 1 << (i + 8)] for i in range(6)], within=(1 << 14) - 1)
     g = strongly_connected_line_plus(6, 3, 11)
     dag = dfs_order(g, 2)
     out = run_dfs_sg(obj, g, 2)
