@@ -14,9 +14,7 @@ from meshcoord.objective import (
     GridCoverageObjective,
     DiskCoverageObjective,
     StructureReport,
-    marginal_gain,
     curvature,
-    exhaustive_curvature,
     total_curvature,
     validate_structure,
     subset_value_table,
@@ -41,10 +39,6 @@ from meshcoord.topology import (
     is_strongly_connected,
     is_complete,
     dfs_order,
-    graph_from_text,
-    graph_to_text,
-    load_graph,
-    save_graph,
 )
 from meshcoord.coordination import (
     IterationEvent,
@@ -55,7 +49,6 @@ from meshcoord.coordination import (
     run_dfs_sg,
     run_random_baseline,
     brute_force_optimum,
-    format_outcome,
 )
 from meshcoord.timing import (
     DelayModel,
@@ -71,7 +64,6 @@ from meshcoord.bounds import (
     approx_greedy_bound,
     curvature_only_bound,
     coin_sum,
-    fixed_action_gap,
     bound_report,
 )
 from meshcoord.scenario import (

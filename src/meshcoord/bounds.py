@@ -10,12 +10,10 @@ instances may substitute a surrogate optimum and are flagged uncertified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
 from meshcoord.objective import (
-    GroundElement,
     Objective,
     _ground_table,
     _size_guard,
@@ -167,29 +165,6 @@ def _curvature_only(opt: float, complete: bool, submodular: bool, k: float) -> f
     if complete:
         return (1.0 - k) / (1.0 + k - k * k) * opt
     return (1.0 - k) ** 2 * opt
-
-
-def fixed_action_gap(
-    obj: Objective,
-    agent: int,
-    kappa: float | None = None,
-) -> tuple[float, GroundElement]:
-    """Slack of anchoring an agent's greedy response to one fixed action.
-
-    Returns (epsilon, anchor) with epsilon = min over anchors a2 of
-    max over a1 of [f(a1) - (1 - kappa) * f(a2)], both over the agent's menu.
-    The greedy-response gain f(best | ctx) exceeds the anchored gain
-    f(anchor | ctx) by at most epsilon in every context, which is what makes
-    the anchored gain a supermodular stand-in for the greedy one.
-    """
-    if kappa is None:
-        kappa = curvature(obj)
-    singles = {a: obj.evaluate([a]) for a in obj.actions(agent)}
-    best_single = max(singles.values())
-    eps, anchor = min(
-        (best_single - (1.0 - kappa) * v, a) for a, v in singles.items()
-    )
-    return eps, anchor
 
 
 def bound_report(

@@ -300,25 +300,3 @@ def brute_force_optimum(obj: Objective) -> tuple[tuple[GroundElement, ...], floa
             best_value = value
             best = combo
     return best, best_value
-
-
-def format_outcome(outcome: CoordinationOutcome) -> str:
-    """Human- and diff-friendly structured text record of an outcome."""
-    lines = [
-        f"algorithm: {outcome.algorithm}",
-        f"value: {outcome.value!r}",
-        "actions: " + " ".join(f"{e.agent}:{e.action}" for e in outcome.actions),
-        "selection_order: " + " ".join(str(t) for t in outcome.selection_order),
-        "eval_counts: " + " ".join(str(c) for c in outcome.eval_counts),
-        f"gain_rounds: {outcome.gain_rounds}",
-        f"action_rounds: {outcome.action_rounds}",
-        f"relay_action_transmissions: {outcome.relay_action_transmissions}",
-    ]
-    for ev in outcome.events:
-        lines.append(
-            f"iteration {ev.iteration}: recomputed={sorted(ev.recomputed)}"
-            f" selectors={sorted(ev.selectors)}"
-            f" gains_exchanged={ev.gains_exchanged}"
-            f" broadcast={ev.broadcast_occurred}"
-        )
-    return "\n".join(lines) + "\n"

@@ -339,29 +339,14 @@ class StructureReport:
     is_second_order_submodular: bool
 
 
-def marginal_gain(
-    obj: Objective,
-    element: GroundElement,
-    context: Iterable[GroundElement],
-    context_value: float | None = None,
-) -> float:
-    """f(context + element) - f(context); 2 evaluations, or 1 with a cached context value."""
-    ctx = frozenset(context)
-    if element in ctx:
-        raise ValueError(f"element {element} is already in the context")
-    if context_value is None:
-        context_value = obj.evaluate(ctx)
-    return obj.evaluate(ctx | {element}) - context_value
-
-
 def curvature(obj: Objective) -> float:
     """Worst-case shrinkage of an element's gain in the largest context.
 
     kappa = 1 - min over elements a of [f(V) - f(V \\ {a})] / f({a}).
 
     Valid as the curvature only for monotone submodular f, where the full
-    ground set minimizes the marginal gain; exhaustive_curvature is the
-    general (exponential) form. Linear in |ground| evaluation count.
+    ground set minimizes the marginal gain; validate_structure(obj).kappa is
+    the general (exponential) form. Linear in |ground| evaluation count.
     """
     elements = obj.ground()
     f_full = obj.evaluate(elements)
@@ -374,11 +359,6 @@ def curvature(obj: Objective) -> float:
         ratio = (f_full - obj.evaluate(full - {a})) / f_single
         worst = min(worst, ratio)
     return _clamp_unit(1.0 - worst, "curvature")
-
-
-def exhaustive_curvature(obj: Objective) -> float:
-    """Brute-force curvature: 1 - min over a and all contexts A of f(a|A)/f({a})."""
-    return _table_curvature(*_ground_table(obj, "curvature undefined"))
 
 
 def total_curvature(obj: Objective) -> float:

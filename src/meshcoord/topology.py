@@ -267,49 +267,3 @@ def dfs_order(g: MeshGraph, start: int) -> InfoDag:
         else:
             stack.pop()
     return full_access_dag(order)
-
-
-def graph_to_text(g: MeshGraph) -> str:
-    """Edge-list form: first line n, then one 'src dst' directed edge per line."""
-    lines = [str(g.n)]
-    for dst in range(g.n):
-        for src in sorted(g.in_neighbors[dst]):
-            lines.append(f"{src} {dst}")
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> MeshGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("graph text is empty")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ValueError(f"first line must be the agent count, got {lines[0]!r}") from None
-    ins: list[set[int]] = [set() for _ in range(n)]
-    for idx, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {idx}: expected 'src dst', got {ln!r}")
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {idx}: edge endpoints must be integers, got {ln!r}") from None
-        if not (0 <= src < n and 0 <= dst < n):
-            raise ValueError(f"line {idx}: edge {src}->{dst} is out of range for n={n}")
-        if src == dst:
-            raise ValueError(f"line {idx}: self-loop {src}->{dst} is not allowed")
-        ins[dst].add(src)
-    return MeshGraph(n, ins)
-
-
-def load_graph(path) -> MeshGraph:
-    from pathlib import Path
-
-    return graph_from_text(Path(path).read_text())
-
-
-def save_graph(g: MeshGraph, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(graph_to_text(g))

@@ -17,7 +17,6 @@ from meshcoord.bounds import (
     bound_report,
     coin_sum,
     curvature_only_bound,
-    fixed_action_gap,
 )
 from meshcoord.coordination import brute_force_optimum, run_rag, run_random_baseline
 from meshcoord.instances import (
@@ -27,7 +26,6 @@ from meshcoord.instances import (
 )
 from meshcoord.objective import (
     CallableObjective,
-    GroundElement,
     curvature,
     total_curvature,
     validate_structure,
@@ -135,41 +133,6 @@ def test_logdet_bound_holds_despite_weak_submodularity():
     g = complete_graph(3)
     out = run_rag(obj, g)
     assert out.value >= apriori_bound(obj, g, out) - 1e-9
-
-
-def test_fixed_action_gap_on_the_reference_agent():
-    obj, _, _ = reference_line_instance()
-    eps, anchor = fixed_action_gap(obj, 1)
-    # kappa == 1 wipes out the anchored term: eps is the best singleton, and
-    # the tie across anchors resolves to the lowest action id
-    assert (eps, anchor) == (10.0, GroundElement(1, 0))
-    assert anchor in obj.actions(1)
-
-
-def test_fixed_action_gap_zero_for_modular_single_action():
-    weights = {(0, 0): 2.0, (1, 0): 5.0}
-    obj = CallableObjective([1, 1], lambda s: sum(weights[e] for e in s))
-    eps, anchor = fixed_action_gap(obj, 1)
-    assert eps == 0.0  # kappa == 0 and only one anchor choice
-    assert anchor == GroundElement(1, 0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10_000))
-def test_anchored_gain_sandwiches_the_greedy_gain(seed):
-    obj, _ = coverage_instance(seed, max_agents=3, max_actions=3)
-    rng = random.Random(seed)
-    agent = rng.randrange(obj.n_agents)
-    eps, anchor = fixed_action_gap(obj, agent)
-    others = [a for i in range(obj.n_agents) if i != agent
-              for a in obj.actions(i)]
-    for _ in range(8):
-        ctx = frozenset(rng.sample(others, rng.randrange(len(others) + 1)))
-        base = obj.evaluate(ctx)
-        gains = [obj.evaluate(ctx | {a}) - base for a in obj.actions(agent)]
-        anchored = obj.evaluate(ctx | {anchor}) - base
-        assert anchored <= max(gains) + 1e-9
-        assert max(gains) <= anchored + eps + 1e-9
 
 
 def test_coin_sum_monotone_in_topology():

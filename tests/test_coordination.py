@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import coverage_instance
 from meshcoord.coordination import (
     brute_force_optimum,
-    format_outcome,
     run_dfs_sg,
     run_dsm,
     run_rag,
@@ -340,14 +339,6 @@ def test_rules_score_bitmask_states_like_frozenset_states(seed):
     for rule in rules:
         assert rule(obj) == rule(plain)
     assert obj.eval_count == plain.eval_count
-
-
-def test_format_outcome_mentions_the_essentials():
-    obj, g, _ = reference_line_instance()
-    text = format_outcome(run_rag(obj, g))
-    assert "algorithm: rag" in text
-    assert "gain_rounds: 1" in text
-    assert "iteration 2" in text
 
 
 def test_star_graph_rag_beats_no_communication_on_shared_cells():

@@ -18,8 +18,6 @@ from meshcoord.objective import (
     coin,
     coin_ring_bound,
     curvature,
-    exhaustive_curvature,
-    marginal_gain,
     parse_road_mask,
     random_road_mask,
     rect_mask,
@@ -100,41 +98,6 @@ def test_shipped_objectives_are_normalized():
         assert obj.evaluate([]) == 0.0
 
 
-def test_modular_marginal_gain_is_one():
-    obj = modular_objective([3, 3, 3])
-    e = GroundElement(2, 1)
-    assert marginal_gain(obj, e, []) == 1.0
-    assert marginal_gain(obj, e, [GroundElement(0, 0), GroundElement(1, 2)]) == 1.0
-
-
-def test_marginal_gain_on_partly_overlapping_footprints():
-    mask = ["####"] * 4
-    # cells (0, 0) + (0, 1) and (0, 1) + (1, 1): bit y * 4 + x
-    obj = GridCoverageObjective(mask, [[0b1_0001], [0b11_0000]])
-    assert marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)]) == 1.0
-
-
-def test_marginal_gain_zero_when_footprint_contained():
-    mask = ["###"]
-    obj = GridCoverageObjective(mask, [[0b01], [0b11]])
-    assert marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)]) == 0.0
-
-
-def test_marginal_gain_evaluation_cost():
-    obj = modular_objective([2, 2])
-    marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)])
-    assert obj.eval_count == 2
-    obj.eval_count = 0
-    marginal_gain(obj, GroundElement(0, 0), [GroundElement(1, 0)], context_value=1.0)
-    assert obj.eval_count == 1
-
-
-def test_marginal_gain_rejects_element_in_context():
-    obj = modular_objective([2])
-    with pytest.raises(ValueError):
-        marginal_gain(obj, GroundElement(0, 0), [GroundElement(0, 0)])
-
-
 def test_grid_mask_validation():
     with pytest.raises(ValueError):
         GridCoverageObjective(["##", "#"], [[1], [1]])
@@ -163,7 +126,7 @@ def test_covered_cells_matches_value():
 
 def test_modular_curvature_is_zero():
     assert curvature(modular_objective([2, 2])) == 0.0
-    assert exhaustive_curvature(modular_objective([2, 2])) == 0.0
+    assert validate_structure(modular_objective([2, 2])).kappa == 0.0
     assert total_curvature(modular_objective([2, 2])) == 0.0
 
 
@@ -184,7 +147,7 @@ def test_curvature_rejects_zero_valued_singleton():
 @given(st.integers(0, 10_000))
 def test_curvature_identity_matches_exhaustive(seed):
     obj, _ = coverage_instance(seed, max_agents=3, max_actions=3)
-    assert math.isclose(curvature(obj), exhaustive_curvature(obj), abs_tol=1e-12)
+    assert math.isclose(curvature(obj), validate_structure(obj).kappa, abs_tol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,60 @@
+"""The package's public surface: names that were removed stay removed, the
+package imports nothing outside the standard library, and the README's code
+runs as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import meshcoord
+from meshcoord import bounds, coordination, objective, topology
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+REMOVED = [
+    (topology, "graph_to_text"),
+    (topology, "graph_from_text"),
+    (topology, "load_graph"),
+    (topology, "save_graph"),
+    (coordination, "format_outcome"),
+    (objective, "marginal_gain"),
+    (objective, "exhaustive_curvature"),
+    (objective, "rect_footprint"),
+    (bounds, "fixed_action_gap"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED, ids=[name for _, name in REMOVED])
+def test_removed_names_stay_removed(module, name):
+    assert not hasattr(meshcoord, name)
+    assert not hasattr(module, name)
+
+
+# -S keeps site from loading .pth hooks that would import third-party modules
+# before the package does
+IMPORT_ALL = """
+import sys
+before = set(sys.modules)
+import meshcoord, meshcoord.cli, meshcoord.instances
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(new - set(sys.stdlib_module_names) - {"meshcoord"})))
+"""
+
+
+def test_package_imports_only_the_standard_library():
+    env = {**os.environ, "PYTHONPATH": str(Path(meshcoord.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-S", "-c", IMPORT_ALL], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_blocks_run(block):
+    exec(compile(block, str(README), "exec"), {})

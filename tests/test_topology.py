@@ -14,14 +14,10 @@ from meshcoord.topology import (
     edgeless_graph,
     from_undirected_edges,
     full_access_dag,
-    graph_from_text,
-    graph_to_text,
     is_complete,
     is_strongly_connected,
     knn_graph,
     line_graph,
-    load_graph,
-    save_graph,
     shortest_hops,
     star_graph,
     strongly_connected_line_plus,
@@ -341,32 +337,6 @@ def test_info_dag_validation():
     with pytest.raises(ValueError):
         # position 0 cannot condition on anyone
         InfoDag(order=(0, 1), access=(frozenset({1}), frozenset()))
-
-
-def test_graph_text_roundtrip():
-    g = MeshGraph(4, [[1, 2], [], [3], [0]])
-    assert graph_from_text(graph_to_text(g)) == g
-    assert graph_to_text(edgeless_graph(2)) == "2\n"
-
-
-def test_graph_text_errors_name_the_line():
-    with pytest.raises(ValueError, match="first line"):
-        graph_from_text("x\n0 1\n")
-    with pytest.raises(ValueError, match="line 2"):
-        graph_from_text("3\n0 1 2\n")
-    with pytest.raises(ValueError, match="line 3"):
-        graph_from_text("3\n0 1\n0 9\n")
-    with pytest.raises(ValueError, match="line 3: self-loop"):
-        graph_from_text("3\n0 1\n2 2\n")
-    with pytest.raises(ValueError):
-        graph_from_text("")
-
-
-def test_graph_file_roundtrip(tmp_path):
-    g = worst_case_cycle(5)
-    path = tmp_path / "g.txt"
-    save_graph(g, path)
-    assert load_graph(path) == g
 
 
 @settings(max_examples=30, deadline=None)
