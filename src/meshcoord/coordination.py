@@ -58,15 +58,17 @@ class CoordinationOutcome:
     committed_in_neighbors: tuple[frozenset[int], ...] | None
 
 
-def _scores(obj: Objective, menu: Sequence[GroundElement], state) -> list[tuple[float, GroundElement]]:
-    """f(context + a) for each action a, one evaluation each."""
-    return [(obj.evaluate((a,), state), a) for a in menu]
+def _pick(agent: int, values: list[float]) -> tuple[float, GroundElement]:
+    """The best of an agent's menu scores, taken by the lowest action id among the maxima.
 
-
-def _greedy_pick(values: list[tuple[float, GroundElement]]) -> tuple[float, GroundElement]:
-    """The best score, taken by the lowest action id among the maxima."""
-    best_value = max(v for v, _ in values)
-    return min((v, a) for v, a in values if v == best_value)
+    A NaN after the first score is skipped, as max skips it; max keeps a
+    leading NaN, which no score equals, so that raises instead.
+    """
+    best = max(values)
+    if best != best:
+        raise ValueError(f"agent {agent}: action 0 scores nan; the greedy step needs a non-NaN best score")
+    idx = values.index(best)
+    return values[idx], GroundElement(agent, idx)
 
 
 def run_rag(
@@ -105,10 +107,10 @@ def run_rag(
     if eta < 1 and rng is None:
         raise ValueError("approximate-greedy mode needs an rng")
     n = obj.n_agents
-    menus = [obj.actions(i) for i in range(n)]
     if g.n != n:
         raise ValueError("graph and objective disagree on the number of agents")
 
+    ins = g.in_neighbors
     undecided = set(range(n))
     # each agent's context state, grown by the commits it receives, and their senders
     state = [obj.context()] * n
@@ -125,28 +127,31 @@ def run_rag(
         iteration = len(events) + 1
         recomputed = frozenset(i for i in undecided if dirty[i])
         for i in recomputed:
-            values = _scores(obj, menus[i], state[i])
-            eval_counts[i] += len(menus[i])
+            values = obj._menu_values(i, state[i])
+            eval_counts[i] += obj.action_counts[i]
             if eta < 1:
                 ctx_value = 0.0
                 if heard[i]:
                     ctx_value = obj.evaluate((), state[i])
                     eval_counts[i] += 1
-                best_gain = max(v for v, _ in values) - ctx_value
+                best_gain = max(values) - ctx_value
                 if not best_gain >= 0:
                     raise ValueError(
                         f"agent {i}: best marginal gain is {best_gain!r}; approximate"
                         " greedy (eta < 1) needs non-negative, non-NaN gains"
                     )
-                eligible = [(v, a) for v, a in values if v - ctx_value >= eta * best_gain]
-                value, choice[i] = eligible[rng.randrange(len(eligible))]
+                eligible = [a for a, v in enumerate(values) if v - ctx_value >= eta * best_gain]
+                a = eligible[rng.randrange(len(eligible))]
+                value, choice[i] = values[a], GroundElement(i, a)
             else:
-                value, choice[i] = _greedy_pick(values)
+                value, choice[i] = _pick(i, values)
             bid[i] = (value, -i)
             dirty[i] = False
 
-        pools = {i: g.in_neighbors[i] & undecided for i in undecided}
-        selectors = frozenset(i for i in undecided if all(beats(bid[i], bid[j]) for j in pools[i]))
+        gains_exchanged = any(not undecided.isdisjoint(ins[i]) for i in undecided)
+        selectors = frozenset(
+            i for i in undecided if all(beats(bid[i], bid[j]) for j in ins[i] if j in undecided)
+        )
 
         undecided -= selectors
         broadcast = False
@@ -158,7 +163,7 @@ def run_rag(
                 dirty[j] = True
                 broadcast = True
 
-        events.append(IterationEvent(iteration, recomputed, any(pools.values()), selectors, broadcast))
+        events.append(IterationEvent(iteration, recomputed, gains_exchanged, selectors, broadcast))
 
     actions = tuple(choice)
     return CoordinationOutcome(
@@ -205,7 +210,7 @@ def _run_sequential(
             relay += pos * hops
         access = dag.access[pos]
         state = running if len(access) == pos else obj.context(chosen[j] for j in access)
-        value, chosen[i] = _greedy_pick(_scores(obj, obj.actions(i), state))
+        value, chosen[i] = _pick(i, obj._menu_values(i, state))
         running = obj.extend(running, chosen[i])
         events.append(IterationEvent(pos + 1, frozenset([i]), False, frozenset([i]), pos + 1 < n))
 
@@ -236,7 +241,9 @@ def run_sg(
     accumulated actions along the shortest directed path, contributing
     (actions carried) x (hops) transmissions; without one the deciders are
     assumed adjacent (one hop per hand-off). The running value is known after
-    every pick, so each agent costs exactly |V_i| evaluations.
+    every pick, so each agent costs exactly |V_i| evaluations. The exact hops
+    take one breadth-first search per hand-off: up to Θ(n · edges) wall time
+    on a geometric mesh (ROADMAP direction 2).
     """
     order = list(order)
     if sorted(order) != list(range(obj.n_agents)):

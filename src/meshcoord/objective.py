@@ -40,7 +40,9 @@ class Objective:
     scored against: context() builds one, extend() adds an element, and
     evaluate(extra, state) returns f(state + extra). The base state is the
     selection as a frozenset; subclasses with a cheaper representation
-    override context, extend and _value_in together.
+    override context, extend and _value_in together. _menu_values(agent,
+    state) scores every action of one agent against a state, charging one
+    evaluation per action; subclasses may override it with a fused loop.
     """
 
     def __init__(self, action_counts: Sequence[int]):
@@ -73,6 +75,10 @@ class Objective:
         self.eval_count += 1
         return self._value_in(self.context() if state is None else state, selection)
 
+    def _menu_values(self, agent: int, state) -> list[float]:
+        """f(state + a) for each action a of agent, in action order; one evaluation per action."""
+        return [self.evaluate((e,), state) for e in self.actions(agent)]
+
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
 
@@ -95,9 +101,9 @@ class _UnionMaskObjective(Objective):
     Up to _WINDOW_BITS bits wide (within's width), a mask is kept as one int
     and the context state is the union of the selection's masks: scoring a
     candidate costs one OR and one popcount. Wider, the masks and the state
-    methods belong to a _WindowedMasks, whose context, extend and value_in
-    stand in for this object's context, extend and _value_in; subclasses
-    therefore do not override those three.
+    methods belong to a _WindowedMasks, whose context, extend, value_in and
+    menu_values stand in for this object's context, extend, _value_in and
+    _menu_scores; subclasses therefore do not override those four.
     """
 
     cell_area = 1.0
@@ -113,6 +119,7 @@ class _UnionMaskObjective(Objective):
             # bound to the _WindowedMasks, not to self, so the objective is no reference cycle
             windowed = _WindowedMasks(self._masks, len(within_windows), self.cell_area)
             self.context, self.extend, self._value_in = windowed.context, windowed.extend, windowed.value_in
+            self._menu_scores = windowed.menu_values
         super().__init__(list(map(len, self._masks)))
 
     def context(self, selection: Iterable[GroundElement] = ()) -> int:
@@ -131,6 +138,15 @@ class _UnionMaskObjective(Objective):
         for i, a in extra:
             state |= masks[i][a]
         return state.bit_count() * self.cell_area
+
+    def _menu_values(self, agent: int, state) -> list[float]:
+        self.eval_count += self.action_counts[agent]
+        return self._menu_scores(state, self._masks[agent])
+
+    def _menu_scores(self, state: int, menu: tuple[int, ...]) -> list[float]:
+        """The value of state with each of menu's masks added; charges nothing."""
+        area = self.cell_area
+        return [(state | mask).bit_count() * area for mask in menu]
 
 
 class _WindowedMasks:
@@ -165,15 +181,21 @@ class _WindowedMasks:
 
     def value_in(self, state: tuple[int, list[int]], extra: Iterable[GroundElement]) -> float:
         covered, windows = state
-        extra = tuple(extra)
-        if len(extra) == 1:  # one candidate, as the rules score them: its own windows are the union
-            (i, a), = extra
-            touched = self.masks[i][a]
-        else:
-            touched = self._union(extra).items()
-        for idx, window in touched:
+        for idx, window in self._union(extra).items():
             covered += (window & ~windows[idx]).bit_count()
         return covered * self.cell_area
+
+    def menu_values(self, state: tuple[int, list[int]], menu: tuple) -> list[float]:
+        """value_in(state, (e,)) for each element e whose mask is in menu, in menu order."""
+        covered, windows = state
+        area = self.cell_area
+        values = []
+        for footprint in menu:
+            total = covered
+            for idx, window in footprint:
+                total += (window & ~windows[idx]).bit_count()
+            values.append(total * area)
+        return values
 
     def _union(self, selection: Iterable[GroundElement]) -> dict[int, int]:
         """The OR of the selection's masks, as window index -> window for the windows it touches."""

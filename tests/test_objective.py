@@ -91,6 +91,25 @@ def test_context_state_evaluates_like_the_union_selection(seed, data):
         assert obj.evaluate((), built) == obj.evaluate(ctx)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([objective._WINDOW_BITS, 64, 7, 1]), st.data())
+def test_menu_values_equal_per_action_evaluate(seed, window_bits, data):
+    # the coverage objectives are built plain or windowed; the callable one
+    # falls back to the base class's per-action loop
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objective, "_WINDOW_BITS", window_bits)
+        objs = _objectives_of_each_kind(seed)
+    for obj in objs:
+        ground = obj.ground()
+        state = obj.context(data.draw(st.lists(st.sampled_from(ground), max_size=len(ground))))
+        for agent in range(obj.n_agents):
+            count = obj.eval_count
+            values = obj._menu_values(agent, state)
+            assert obj.eval_count == count + obj.action_counts[agent]
+            assert repr(values) == repr([obj.evaluate((e,), state) for e in obj.actions(agent)])
+            assert obj.eval_count == count + 2 * obj.action_counts[agent]
+
+
 def test_shipped_objectives_are_normalized():
     grid = GridCoverageObjective(["##", ".#"], [[1 << 0], [1 << 3]])  # cells (0, 0) and (1, 1)
     disk = DiskCoverageObjective([[(1.0, 1.0)]], 0.5, arena=(0.0, 0.0, 2.0, 2.0))

@@ -3,26 +3,26 @@
 run_rag used to rebuild each agent's context state from a dict of received
 actions on every recompute, and compared bids with one of two mirrored
 comprehensions per tie-break. It now extends one state per agent as commits
-arrive and compares (score, -id) bids with one operator. The old loop is kept
-here verbatim as the reference; whole outcomes, raised messages, the
-objective's evaluation count and the rng's state must match.
+arrive and compares (score, -id) bids with one operator, and it scores each
+menu with one Objective._menu_values call. The old loop is kept here
+verbatim as the reference, with the old scoring helpers _scores and
+_greedy_pick; whole outcomes, raised messages, the objective's evaluation
+count and the rng's state must match. One message changed on purpose: where
+the old loop raised the bare "min() arg is an empty sequence" of a menu whose
+first score is NaN, run_rag raises a ValueError naming the agent.
 """
 
 import math
 import random
+import re
 from dataclasses import replace
+from typing import Sequence
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meshcoord.coordination import (
-    TIE_BREAKS,
-    CoordinationOutcome,
-    IterationEvent,
-    _greedy_pick,
-    _scores,
-    run_rag,
-)
+from conftest import windowed_mask_objective
+from meshcoord.coordination import TIE_BREAKS, CoordinationOutcome, IterationEvent, run_rag
 from meshcoord.instances import random_coverage_instance
 from meshcoord.objective import CallableObjective, GroundElement, Objective, _UnionMaskObjective
 from meshcoord.topology import (
@@ -33,6 +33,17 @@ from meshcoord.topology import (
     line_graph,
     star_graph,
 )
+
+
+def _scores(obj: Objective, menu: Sequence[GroundElement], state) -> list[tuple[float, GroundElement]]:
+    """f(context + a) for each action a, one evaluation each."""
+    return [(obj.evaluate((a,), state), a) for a in menu]
+
+
+def _greedy_pick(values: list[tuple[float, GroundElement]]) -> tuple[float, GroundElement]:
+    """The best score, taken by the lowest action id among the maxima."""
+    best_value = max(v for v, _ in values)
+    return min((v, a) for v, a in values if v == best_value)
 
 
 def old_run_rag(
@@ -149,6 +160,15 @@ def old_run_rag(
     )
 
 
+def assert_same_record(new, old) -> None:
+    """The records of run_and_record match, except that the old loop's bare
+    error for a menu whose first score is NaN must be one naming the agent."""
+    if old[0] == ("ValueError", "min() arg is an empty sequence"):
+        assert new[0][0] == "ValueError" and re.fullmatch(r"agent \d+: action 0 scores nan; .*", new[0][1])
+        new, old = new[1:], old[1:]
+    assert new == old
+
+
 def run_and_record(obj: Objective, rule, rng_seed):
     """(outcome or raised error, evaluations charged, rng state afterwards).
 
@@ -202,7 +222,7 @@ def make_graph(kind: str, n: int, rng: random.Random) -> MeshGraph:
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    objective=st.sampled_from(["coverage", "mask", "callable"]),
+    objective=st.sampled_from(["coverage", "mask", "windowed", "callable"]),
     graph=st.sampled_from(["edgeless", "complete", "line", "star", "knn", "random"]),
     tie_break=st.sampled_from(TIE_BREAKS),
     eta=st.sampled_from([1.0, 0.5]),
@@ -210,6 +230,7 @@ def make_graph(kind: str, n: int, rng: random.Random) -> MeshGraph:
 @example(seed=0, objective="coverage", graph="line", tie_break=TIE_BREAKS[0], eta=1.0)
 @example(seed=1, objective="callable", graph="complete", tie_break=TIE_BREAKS[1], eta=0.5)
 @example(seed=2, objective="mask", graph="knn", tie_break=TIE_BREAKS[0], eta=0.5)
+@example(seed=3, objective="windowed", graph="random", tie_break=TIE_BREAKS[0], eta=1.0)
 def test_rag_matches_the_old_loop(seed, objective, graph, tie_break, eta):
     rng = random.Random(seed)
     if objective == "coverage":
@@ -220,6 +241,8 @@ def test_rag_matches_the_old_loop(seed, objective, graph, tie_break, eta):
             obj = _UnionMaskObjective(
                 [[rng.getrandbits(20) for _ in range(m)] for m in menu_sizes], within=(1 << 20) - 1
             )
+        elif objective == "windowed":
+            obj = windowed_mask_objective(rng, menu_sizes)
         else:
             obj = callable_objective(menu_sizes, rng)
     g = make_graph(graph, obj.n_agents, rng)
@@ -230,7 +253,7 @@ def test_rag_matches_the_old_loop(seed, objective, graph, tie_break, eta):
     def new(r):
         return run_rag(obj, g, tie_break=tie_break, eta=eta, rng=r)
 
-    assert run_and_record(obj, new, seed) == run_and_record(obj, old, seed)
+    assert_same_record(run_and_record(obj, new, seed), run_and_record(obj, old, seed))
 
 
 def test_rag_matches_the_old_loop_on_bad_inputs():
@@ -243,5 +266,16 @@ def test_rag_matches_the_old_loop_on_bad_inputs():
             def new(r):
                 return run_rag(obj, g, **{"rng": r, **kwargs})
 
-            assert run_and_record(obj, new, 0) == run_and_record(obj, old, 0)
+            assert_same_record(run_and_record(obj, new, 0), run_and_record(obj, old, 0))
+
+
+def test_a_leading_nan_score_names_the_agent():
+    # f is NaN on every set holding agent 0's action 0, the first action of its menu
+    obj = CallableObjective([2, 1], lambda s: math.nan if GroundElement(0, 0) in s else float(len(s)))
+    g = complete_graph(2)
+    old = run_and_record(obj, lambda r: old_run_rag(obj, g), 0)
+    assert old[0] == ("ValueError", "min() arg is an empty sequence")
+    new = run_and_record(obj, lambda r: run_rag(obj, g), 0)
+    assert new[0] == ("ValueError", "agent 0: action 0 scores nan; the greedy step needs a non-NaN best score")
+    assert new[1:] == old[1:]
 

@@ -1,29 +1,28 @@
 """Differential test: the one sequential core against the loops it replaced.
 
 run_sg, run_dsm and run_dfs_sg used to be separate loops. They now share one
-walk over an InfoDag; the old loops are kept here verbatim as the reference,
-and every outcome field plus the objective's evaluation count must match.
+walk over an InfoDag, which scores each menu with one Objective._menu_values
+call; the old loops are kept here verbatim as the reference, with the old
+scoring helpers _scores and _greedy_pick, and every outcome field plus the
+objective's evaluation count must match. One message changed on purpose:
+where an old loop raised the bare "min() arg is an empty sequence" of a menu
+whose first score is NaN, the core raises a ValueError naming the agent.
 The old loops took optional per-agent menus, resolved by the copy of
 _resolve_actions below; the rules now always use the objective's own menus,
 so the references run with the default of None.
 """
 
+import math
 import random
+import re
 from dataclasses import replace
 from typing import Sequence
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meshcoord.coordination import (
-    CoordinationOutcome,
-    IterationEvent,
-    _greedy_pick,
-    _scores,
-    run_dfs_sg,
-    run_dsm,
-    run_sg,
-)
+from conftest import windowed_mask_objective
+from meshcoord.coordination import CoordinationOutcome, IterationEvent, run_dfs_sg, run_dsm, run_sg
 from meshcoord.objective import CallableObjective, GroundElement, Objective, _UnionMaskObjective
 from meshcoord.topology import (
     InfoDag,
@@ -35,6 +34,17 @@ from meshcoord.topology import (
     strongly_connected_line_plus,
     worst_case_cycle,
 )
+
+
+def _scores(obj: Objective, menu: Sequence[GroundElement], state) -> list[tuple[float, GroundElement]]:
+    """f(context + a) for each action a, one evaluation each."""
+    return [(obj.evaluate((a,), state), a) for a in menu]
+
+
+def _greedy_pick(values: list[tuple[float, GroundElement]]) -> tuple[float, GroundElement]:
+    """The best score, taken by the lowest action id among the maxima."""
+    best_value = max(v for v, _ in values)
+    return min((v, a) for v, a in values if v == best_value)
 
 
 def _resolve_actions(
@@ -188,10 +198,19 @@ def outcome_and_evals(obj: Objective, rule):
 
 
 def assert_same(obj: Objective, old, new) -> None:
-    assert outcome_and_evals(obj, new) == outcome_and_evals(obj, old)
+    """The same outcome and charge, or the same error; the old loops' bare
+    error for a menu whose first score is NaN must be one naming the agent."""
+    expected = outcome_and_evals(obj, old)
+    got = outcome_and_evals(obj, new)
+    if expected == ("error", "min() arg is an empty sequence"):
+        assert got[0] == "error" and re.fullmatch(r"agent \d+: action 0 scores nan; .*", got[1])
+    else:
+        assert got == expected
 
 
 def make_objective(kind: str, menu_sizes: list[int], rng: random.Random) -> Objective:
+    if kind == "windowed":
+        return windowed_mask_objective(rng, menu_sizes)
     if kind == "mask":
         return _UnionMaskObjective(
             [[rng.getrandbits(24) for _ in range(size)] for size in menu_sizes], within=(1 << 24) - 1
@@ -235,13 +254,14 @@ def make_dag(kind: str, order: list[int], rng: random.Random) -> InfoDag:
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 7),
-    objective=st.sampled_from(["mask", "callable"]),
+    objective=st.sampled_from(["mask", "windowed", "callable"]),
     dag_kind=st.sampled_from(["full", "partial", "empty", "random"]),
     relay=st.sampled_from(["none", "line-plus", "worst-case-cycle", "edgeless"]),
 )
 @example(seed=0, n=5, objective="mask", dag_kind="full", relay="worst-case-cycle")
 @example(seed=1, n=4, objective="callable", dag_kind="random", relay="edgeless")
 @example(seed=2, n=1, objective="callable", dag_kind="empty", relay="none")
+@example(seed=3, n=6, objective="windowed", dag_kind="partial", relay="line-plus")
 def test_sequential_core_matches_the_old_loops(seed, n, objective, dag_kind, relay):
     rng = random.Random(seed)
     menu_sizes = [rng.randint(1, 4) for _ in range(n)]
@@ -273,6 +293,20 @@ def test_sequential_core_matches_the_old_loops_on_bad_inputs():
     assert_same(obj, lambda: old_run_dsm(obj, two), lambda: run_dsm(obj, two))
     line4 = strongly_connected_line_plus(4, 0, 0)
     assert_same(obj, lambda: old_run_dfs_sg(obj, line4, 0), lambda: run_dfs_sg(obj, line4, 0))
+
+
+def test_a_leading_nan_score_names_the_agent():
+    # f is NaN on every set holding agent 0's action 0, the first action of its menu
+    obj = CallableObjective([2, 1], lambda s: math.nan if GroundElement(0, 0) in s else float(len(s)))
+    message = "agent 0: action 0 scores nan; the greedy step needs a non-NaN best score"
+    line = strongly_connected_line_plus(2, 0, 0)
+    for old, new in [
+        (lambda: old_run_sg(obj, [0, 1]), lambda: run_sg(obj, [0, 1])),
+        (lambda: old_run_dsm(obj, full_access_dag([1, 0])), lambda: run_dsm(obj, full_access_dag([1, 0]))),
+        (lambda: old_run_dfs_sg(obj, line, 1), lambda: run_dfs_sg(obj, line, 1)),
+    ]:
+        assert outcome_and_evals(obj, old) == ("error", "min() arg is an empty sequence")
+        assert outcome_and_evals(obj, new) == ("error", message)
 
 
 def test_dfs_sg_records_the_dags_own_access_sets():
