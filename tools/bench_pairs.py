@@ -1,18 +1,21 @@
 """End-to-end benchmark metrics of two checkouts, in interleaved pairs of runs.
 
+The paired-run tool for performance changes: it measures a change against
+its parent the way the benchmark's paired rule judges it, and writes the
+BENCH file that records the comparison.
+
 Usage (from the repository root; PARENT is a checkout of the commit to
 compare against, for example made with `git archive`):
 
-    python3 tools/bench_menu_scoring.py --before PARENT --after . \\
-        --out BENCH_menu_scoring.json
+    python3 tools/bench_pairs.py --before PARENT --after . --out BENCH_name.json
 
-For each workload, PAIRS pairs of `bench/run.py --trace 0` runs of --seconds
-each (36, the benchmark's run length, by default), one per checkout, each run
-from its own checkout so that it measures that checkout's src/. Which
-checkout goes first alternates from one pair to the next. The medians and
-quartiles of items_per_s, setup_s and peak_rss_mb are recorded per checkout,
-next to every run's values, with the number of pairs the changed checkout's
-items_per_s won.
+For each workload, PAIRS pairs of `bench/run.py --trace 0` runs at seed SEED,
+one per checkout, each run from its own checkout so that it measures that
+checkout's src/ and lasting the benchmark's fixed run length (`run_seconds`
+in BENCHMARK.json). Which checkout goes first alternates from one pair to
+the next. The medians and quartiles of items_per_s, setup_s and peak_rss_mb
+are recorded per checkout, next to every run's values, with the number of
+pairs the changed checkout's items_per_s won.
 
 It also runs each scale-rules rule operation once per checkout, in a fresh
 interpreter, and records the evaluations it charged (the objective's
@@ -32,6 +35,8 @@ import sys
 from pathlib import Path
 
 PAIRS = 10
+SEED = 0
+SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("mission-sweep", "scale-rules", "certify")
 METRICS = ("items_per_s", "setup_s", "peak_rss_mb")
 
@@ -54,10 +59,10 @@ print(json.dumps(counts))
 """
 
 
-def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: str, workload: str) -> dict:
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, check=True, capture_output=True, text=True,
     )
     result = json.loads(done.stdout.strip().splitlines()[-1])
@@ -66,9 +71,9 @@ def bench_run(root: str, workload: str, seed: int, seconds: float) -> dict:
     return rec
 
 
-def eval_counts(root: str, seed: int) -> dict:
+def eval_counts(root: str) -> dict:
     done = subprocess.run(
-        [sys.executable, "-c", EVAL_COUNTS, str(Path(root).resolve()), str(seed)],
+        [sys.executable, "-c", EVAL_COUNTS, str(Path(root).resolve()), str(SEED)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
@@ -79,8 +84,6 @@ def main() -> int:
     ap.add_argument("--before", required=True, help="root of the checkout to compare against")
     ap.add_argument("--after", required=True, help="root of the changed checkout")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=36.0)
     args = ap.parse_args()
     sides = [("before", args.before), ("after", args.after)]
     problems = []
@@ -89,7 +92,7 @@ def main() -> int:
         runs = {"before": [], "after": []}
         for pair in range(PAIRS):
             for side, root in sides if pair % 2 == 0 else sides[::-1]:
-                rec = bench_run(root, workload, args.seed, args.seconds)
+                rec = bench_run(root, workload)
                 runs[side].append(rec)
                 print(workload, pair, side, rec, file=sys.stderr)
                 if rec["correct"] is not True or rec["failed"]:
@@ -106,7 +109,7 @@ def main() -> int:
             a["items_per_s"] > b["items_per_s"] for a, b in zip(runs["after"], runs["before"])
         )
         results.append(entry)
-    charged = {side: eval_counts(root, args.seed) for side, root in sides}
+    charged = {side: eval_counts(root) for side, root in sides}
     if charged["before"] != charged["after"]:
         problems.append(f"scale-rules charged evaluations differ: {charged}")
     Path(args.out).write_text(json.dumps({
@@ -116,8 +119,8 @@ def main() -> int:
             "nproc": os.cpu_count(),
             "platform": platform.platform(),
         },
-        "seed": args.seed,
-        "seconds_per_run": args.seconds,
+        "seed": SEED,
+        "seconds_per_run": SECONDS,
         "pairs": PAIRS,
         "results": results,
         "scale_rules_charged_evaluations": charged,
