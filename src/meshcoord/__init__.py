@@ -71,7 +71,6 @@ from meshcoord.scenario import (
     MissionConfig,
     MissionTrace,
     StepRecord,
-    TrialRun,
     VariationSummary,
     run_mission,
     monte_carlo,

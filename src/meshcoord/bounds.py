@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
 from meshcoord.objective import (
+    _EXHAUSTIVE_LIMIT,
     Objective,
     _ground_table,
     _size_guard,
@@ -195,13 +196,13 @@ def bound_report(
     m = len(obj.ground())
     submodular = assume_submodular
     c_total: float | None = None
-    if m <= 16:
+    if m <= _EXHAUSTIVE_LIMIT:
         table, m = _ground_table(obj)
         c_total = _table_total_curvature(table, m)
         if submodular is None:
             submodular = _table_submodular(table, m)
     elif submodular is not None and not submodular:
-        _size_guard(m, 16)  # the non-submodular bound needs the total curvature
+        _size_guard(m)  # the non-submodular bound needs the total curvature
     curvature_only: float | None = None
     if submodular is not None:
         k = kappa if submodular else c_total

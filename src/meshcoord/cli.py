@@ -166,6 +166,8 @@ _MISSION_TYPES = get_type_hints(MissionConfig)
 # every config key with its annotation, which picks the value parser
 _KEY_TYPES = {**get_type_hints(ExperimentConfig), **_MISSION_TYPES}
 del _KEY_TYPES["mission"]
+# the fields that take only named values, with the values each accepts
+_CHOICES = {"algorithm": ALGORITHMS, "sweep_algorithm": ALGORITHMS, "emit": EMIT_CHOICES}
 # bounds.csv columns after the instance index and its team size
 _BOUND_COLUMNS = (
     "algorithm_value", "optimum_value", "apriori", "aposteriori", "approx_greedy",
@@ -217,22 +219,11 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"config line {lineno}: field {key!r} expects {kind}, got {value!r}"
             ) from None
-
-        if key == "algorithm" and parsed not in ALGORITHMS:
-            raise ConfigError(
-                f"config line {lineno}: algorithm must be one of {', '.join(ALGORITHMS)}"
-            )
-        if key == "sweep_algorithm":
-            bad = [a for a in parsed if a not in ALGORITHMS]
+        if key in _CHOICES:
+            bad = [v for v in (parsed if listed else [parsed]) if v not in _CHOICES[key]]
             if bad:
                 raise ConfigError(
-                    f"config line {lineno}: unknown algorithm(s) {', '.join(bad)}"
-                )
-        if key == "emit":
-            bad = [e for e in parsed if e not in EMIT_CHOICES]
-            if bad:
-                raise ConfigError(
-                    f"config line {lineno}: emit accepts {', '.join(EMIT_CHOICES)}, got {', '.join(bad)}"
+                    f"config line {lineno}: {key} accepts {', '.join(_CHOICES[key])}, got {', '.join(bad)}"
                 )
         values[key] = get_origin(hint)(parsed) if listed else parsed
 
@@ -319,14 +310,8 @@ def cmd_run(config_path: str) -> int:
             f"config error: output_dir {exp.output_dir!r} is not writable: {exc}"
         ) from None
 
-    missions = exp.missions()
-    all_runs, summaries = monte_carlo(missions, workers=workers)
-    # each variation's summary with its n_agents and data_rate_mbps, in table column order
-    variations = [
-        {"algorithm": s.algorithm, "k": s.k, "n_agents": cfg.n_agents, "data_rate_mbps": cfg.data_rate_mbps}
-        | asdict(s)
-        for s, cfg in zip(summaries, missions)
-    ]
+    traces, summaries = monte_carlo(exp.missions(), workers=workers)
+    variations = [asdict(s) for s in summaries]
     for v in variations:
         print(
             "{algorithm} k={k} n={n_agents} rate={data_rate_mbps}Mbps: "
@@ -335,7 +320,7 @@ def cmd_run(config_path: str) -> int:
         )
 
     if "traces" in exp.emit:
-        _write_csv(out_dir / "traces.csv", TRACE_HEADER, trace_rows(all_runs))
+        _write_csv(out_dir / "traces.csv", TRACE_HEADER, trace_rows(traces))
     if "aggregates" in exp.emit:
         # every variation column but the per-step series
         columns = [c for c in variations[0] if c != "mean_coverage_by_step"]

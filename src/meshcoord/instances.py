@@ -58,6 +58,12 @@ def random_coverage_instance(
     digraphs, so connected, disconnected, directed, and empty topologies all
     occur.
     """
+    if min_agents < 2:  # the kNN graphs draw k from 1 .. n - 1
+        raise ValueError(f"min_agents must be at least 2, got {min_agents}")
+    if max_agents < min_agents:
+        raise ValueError(f"max_agents must be at least min_agents ({min_agents}), got {max_agents}")
+    if max_actions < 1:
+        raise ValueError(f"max_actions must be at least 1, got {max_actions}")
     n = rng.randint(min_agents, max_agents)
     width = rng.randint(5, 9)
     height = rng.randint(5, 9)

@@ -20,6 +20,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 # values are integer counts and never need it
 _EPS = 1e-9
 
+# the largest ground set the exhaustive checks enumerate: a 2^16-entry subset table
+_EXHAUSTIVE_LIMIT = 16
+
 
 class GroundElement(NamedTuple):
     agent: int
@@ -258,11 +261,7 @@ class GridCoverageObjective(_UnionMaskObjective):
 
     def __init__(self, road_mask: Sequence[str], footprints: Iterable[Iterable[int]]):
         rows = list(road_mask)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("road mask must be rectangular and non-empty")
-        bad = set("".join(rows)) - {"#", "."}
-        if bad:
-            raise ValueError(f"road mask may contain only '#' and '.', got {sorted(bad)!r}")
+        _check_road_rows(rows)
         self.width = len(rows[0])
         self.height = len(rows)
         self.road_mask = tuple(rows)
@@ -415,7 +414,7 @@ def _ground_table(obj: Objective, zero_singleton: str | None = None) -> tuple[li
     that prefix.
     """
     elements = obj.ground()
-    _size_guard(len(elements), 16)
+    _size_guard(len(elements))
     table = subset_value_table(obj, elements)
     for j, a in enumerate(elements):
         if zero_singleton is not None and table[1 << j] == 0:
@@ -583,11 +582,10 @@ def coin_ring_bound(r_s: float, r_i: float) -> float:
     return max(0.0, math.pi * (r_s * r_s - (r_i - r_s) ** 2))
 
 
-def parse_road_mask(text: str) -> list[str]:
-    """Road mask from plain text: '#' road, '.' empty, one row per line."""
-    rows = [line for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValueError("road mask text is empty")
+def _check_road_rows(rows: Sequence[str]) -> None:
+    """Raises ValueError unless rows is a non-empty rectangle of '#' and '.'; names the first bad row."""
+    if not rows or not rows[0]:
+        raise ValueError("road mask is empty")
     width = len(rows[0])
     for idx, row in enumerate(rows):
         if len(row) != width:
@@ -595,6 +593,12 @@ def parse_road_mask(text: str) -> list[str]:
         bad = set(row) - {"#", "."}
         if bad:
             raise ValueError(f"road mask row {idx} contains invalid characters {sorted(bad)!r}")
+
+
+def parse_road_mask(text: str) -> list[str]:
+    """Road mask from plain text: '#' road, '.' empty, one row per line."""
+    rows = [line for line in text.splitlines() if line.strip()]
+    _check_road_rows(rows)
     return rows
 
 
@@ -611,6 +615,18 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
     if corridor_width < 1:
         raise ValueError("corridor width must be positive")
     road = [[False] * width for _ in range(height)]
+
+    def carve(xs: range, ys: range) -> int:
+        """Makes the cells xs x ys road; returns how many were not road yet."""
+        fresh = 0
+        for y in ys:
+            row = road[y]
+            for x in xs:
+                if not row[x]:
+                    row[x] = True
+                    fresh += 1
+        return fresh
+
     total = width * height
     covered = 0
     carves = 0
@@ -619,28 +635,16 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
         if carves > 20 * (width + height):
             # random carving stalled near full density; fill rows top-down
             for y in range(height):
-                for x in range(width):
-                    if not road[y][x]:
-                        road[y][x] = True
-                        covered += 1
+                covered += carve(range(width), range(y, y + 1))
                 if covered >= density * total:
                     break
             break
-        horizontal = rng.random() < 0.5
-        if horizontal:
+        if rng.random() < 0.5:
             y0 = rng.randrange(height)
-            for y in range(y0, min(y0 + corridor_width, height)):
-                for x in range(width):
-                    if not road[y][x]:
-                        road[y][x] = True
-                        covered += 1
+            covered += carve(range(width), range(y0, min(y0 + corridor_width, height)))
         else:
             x0 = rng.randrange(width)
-            for x in range(x0, min(x0 + corridor_width, width)):
-                for y in range(height):
-                    if not road[y][x]:
-                        road[y][x] = True
-                        covered += 1
+            covered += carve(range(x0, min(x0 + corridor_width, width)), range(height))
     return ["".join("#" if c else "." for c in row) for row in road]
 
 
@@ -668,9 +672,11 @@ def rect_mask(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int)
     return mask << (y_lo * width)
 
 
-def _size_guard(size: int, limit: int) -> None:
-    if size > limit:
-        raise ValueError(f"ground set of {size} elements exceeds the exhaustive-check limit of {limit}")
+def _size_guard(size: int) -> None:
+    if size > _EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"ground set of {size} elements exceeds the exhaustive-check limit of {_EXHAUSTIVE_LIMIT}"
+        )
 
 
 def _clamp_unit(value: float, label: str) -> float:

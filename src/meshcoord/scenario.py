@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterator, Sequence, get_args, get_type_hints
@@ -161,6 +161,7 @@ class StepRecord:
 class MissionTrace:
     algorithm: str
     k: int
+    trial: int
     road_cell_count: int
     initial_positions: tuple[tuple[int, int], ...]
     records: tuple[StepRecord, ...] = field(default=())
@@ -178,17 +179,16 @@ class MissionTrace:
 
 
 @dataclass(frozen=True)
-class TrialRun:
-    algorithm: str
-    k: int
-    trial: int
-    trace: MissionTrace
-
-
-@dataclass(frozen=True)
 class VariationSummary:
+    """One variation's row of summary.json, and of aggregates.csv less the per-step series.
+
+    asdict gives the columns in field order.
+    """
+
     algorithm: str
     k: int
+    n_agents: int
+    data_rate_mbps: float
     trials: int
     mean_peak_coverage: float
     std_peak_coverage: float
@@ -318,57 +318,56 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     return MissionTrace(
         algorithm=cfg.algorithm,
         k=cfg.k,
+        trial=trial,
         road_cell_count=roads.bit_count(),
         initial_positions=initial,
         records=tuple(records),
     )
 
 
-def _run_task(task: tuple[MissionConfig, int]) -> TrialRun:
-    cfg, trial = task
-    return TrialRun(algorithm=cfg.algorithm, k=cfg.k, trial=trial, trace=run_mission(cfg, trial))
-
-
 def monte_carlo(
     variations: Sequence[MissionConfig],
     workers: int = 1,
-) -> tuple[list[TrialRun], list[VariationSummary]]:
+) -> tuple[list[MissionTrace], list[VariationSummary]]:
     """Paired trials of every variation, serial or on one process pool.
 
     Each variation is a full MissionConfig, valid by construction, and runs
     its own cfg.trials trials. With workers > 1, every (variation, trial)
     task of the whole batch is submitted to a single pool up front; the pool
     never has more processes than tasks, as all of them start at once.
-    Results are merged in (variation, trial) order however many workers
-    run, so outputs are deterministic either way.
+    Traces come back in (variation, trial) order however many workers run,
+    so outputs are deterministic either way.
     """
     if not variations:
         raise ValueError("need at least one variation")
-    tasks = [(cfg, trial) for cfg in variations for trial in range(cfg.trials)]
-    workers = min(workers, len(tasks))
+    cfgs = [cfg for cfg in variations for _ in range(cfg.trials)]
+    trials = [trial for cfg in variations for trial in range(cfg.trials)]
+    workers = min(workers, len(cfgs))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_task, tasks))
+            traces = list(pool.map(run_mission, cfgs, trials))
     else:
-        runs = [_run_task(t) for t in tasks]
+        traces = list(map(run_mission, cfgs, trials))
 
     summaries = []
     start = 0
     for cfg in variations:
-        batch = runs[start : start + cfg.trials]
+        batch = traces[start : start + cfg.trials]
         start += cfg.trials
-        peaks = [r.trace.peak_coverage for r in batch]
-        times = [r.trace.mean_step_time for r in batch]
+        peaks = [t.peak_coverage for t in batch]
+        times = [t.mean_step_time for t in batch]
         by_step = tuple(
-            fmean(r.trace.records[s].covered_cells for r in batch)
+            fmean(t.records[s].covered_cells for t in batch)
             for s in range(cfg.steps)
         )
         summaries.append(
             VariationSummary(
                 algorithm=cfg.algorithm,
                 k=cfg.k,
+                n_agents=cfg.n_agents,
+                data_rate_mbps=cfg.data_rate_mbps,
                 trials=cfg.trials,
                 mean_peak_coverage=fmean(peaks),
                 std_peak_coverage=pstdev(peaks),
@@ -377,34 +376,14 @@ def monte_carlo(
                 mean_coverage_by_step=by_step,
             )
         )
-    return runs, summaries
+    return traces, summaries
 
 
-TRACE_HEADER = (
-    "trial",
-    "algorithm",
-    "k",
-    "step",
-    "covered_cells",
-    "step_sim_time_s",
-    "gain_rounds",
-    "action_rounds",
-    "max_evals",
-)
+TRACE_HEADER = ("trial", "algorithm", "k", *(f.name for f in fields(StepRecord)))
 
 
-def trace_rows(runs: Sequence[TrialRun]) -> Iterator[list]:
-    """Flat CSV rows (without header) for a batch of trial runs."""
-    for run in runs:
-        for rec in run.trace.records:
-            yield [
-                run.trial,
-                run.algorithm,
-                run.k,
-                rec.step,
-                rec.covered_cells,
-                rec.step_sim_time_s,
-                rec.gain_rounds,
-                rec.action_rounds,
-                rec.max_evals,
-            ]
+def trace_rows(traces: Sequence[MissionTrace]) -> Iterator[list]:
+    """Flat CSV rows (without header) for a batch of mission traces."""
+    for t in traces:
+        for rec in t.records:
+            yield [t.trial, t.algorithm, t.k, *astuple(rec)]

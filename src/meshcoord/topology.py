@@ -173,6 +173,8 @@ def strongly_connected_line_plus(n: int, extra_edges: int, seed: int) -> MeshGra
     """
     if n < 2:
         raise ValueError("need at least two agents for a line")
+    if extra_edges < 0:
+        raise ValueError(f"extra_edges may not be negative, got {extra_edges}")
     # the non-line pairs (i, j), i + 1 < j, in lexicographic order: row i holds
     # (i, i+2) .. (i, n-1) and starts[i] is the index of its first pair
     starts = list(accumulate((n - 2 - i for i in range(n - 2)), initial=0))

@@ -211,7 +211,7 @@ def test_acceptance_6_coverage_trend():
         assert slope >= 0.0, (slope, peaks)
         assert all(p > peaks[0] for p in peaks[1:]), peaks
 
-        by_k = {k: [r.trace.peak_coverage for r in runs if r.k == k] for k in (0, 2)}
+        by_k = {k: [r.peak_coverage for r in runs if r.k == k] for k in (0, 2)}
         test = stats.ttest_rel(by_k[2], by_k[0], alternative="greater")
         assert test.pvalue < 0.05, test.pvalue
 

@@ -55,6 +55,20 @@ def test_parse_reports_the_offending_line():
         parse_experiment_config("emit = traces pictures\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\nsweep_algorithm = rag greedy sg\n",
+         "config line 2: sweep_algorithm accepts rag, sg, dfs-sg, dsm, random, got greedy"),
+        ("algorithm = greedy\n", "config line 1: algorithm accepts rag, sg, dfs-sg, dsm, random, got greedy"),
+    ],
+)
+def test_a_bad_choice_names_its_field_and_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_experiment_config(text)
+    assert str(info.value) == message
+
+
 def test_a_repeated_field_exits_2_naming_both_lines(tmp_path, capsys):
     with pytest.raises(ConfigError, match="config line 3: field 'n_agents' is already set on line 1"):
         parse_experiment_config("n_agents = 4\nseed = 1\nn_agents = 5\n")

@@ -101,6 +101,23 @@ def test_random_coverage_instance_matches_the_cell_build(kwargs):
         assert new_rng.getstate() == old_rng.getstate()
 
 
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [
+        ({"max_agents": 1}, "max_agents"),
+        ({"min_agents": 1}, "min_agents"),
+        ({"min_agents": 4, "max_agents": 3}, "max_agents"),
+        ({"max_actions": 0}, "max_actions"),
+    ],
+)
+def test_random_coverage_instance_rejects_bad_limits_by_name_before_drawing(kwargs, name):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        random_coverage_instance(rng, **kwargs)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("n", [1, 10, 100, 1000])
 def test_scaling_instance_matches_the_cell_build(n):
     old_rng, new_rng = random.Random(n), random.Random(n)

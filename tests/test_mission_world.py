@@ -137,6 +137,7 @@ def reference_mission(cfg: MissionConfig, trial: int) -> MissionTrace:
     return MissionTrace(
         algorithm=cfg.algorithm,
         k=cfg.k,
+        trial=trial,
         road_cell_count=len(road_cells),
         initial_positions=initial,
         records=tuple(records),

@@ -672,6 +672,80 @@ def test_random_road_mask_hits_density_deterministically(seed, density):
     assert sum(r.count("#") for r in rows) >= density * 12 * 9
 
 
+def old_random_road_mask(rng, width, height, density, corridor_width=1):
+    """random_road_mask before its three carving loops became one helper, verbatim."""
+    if width < 1 or height < 1:
+        raise ValueError("mask dimensions must be positive")
+    if not 0 < density <= 1:
+        raise ValueError("density must be in (0, 1]")
+    if corridor_width < 1:
+        raise ValueError("corridor width must be positive")
+    road = [[False] * width for _ in range(height)]
+    total = width * height
+    covered = 0
+    carves = 0
+    while covered < density * total:
+        carves += 1
+        if carves > 20 * (width + height):
+            # random carving stalled near full density; fill rows top-down
+            for y in range(height):
+                for x in range(width):
+                    if not road[y][x]:
+                        road[y][x] = True
+                        covered += 1
+                if covered >= density * total:
+                    break
+            break
+        horizontal = rng.random() < 0.5
+        if horizontal:
+            y0 = rng.randrange(height)
+            for y in range(y0, min(y0 + corridor_width, height)):
+                for x in range(width):
+                    if not road[y][x]:
+                        road[y][x] = True
+                        covered += 1
+        else:
+            x0 = rng.randrange(width)
+            for x in range(x0, min(x0 + corridor_width, width)):
+                for y in range(height):
+                    if not road[y][x]:
+                        road[y][x] = True
+                        covered += 1
+    return ["".join("#" if c else "." for c in row) for row in road]
+
+
+class StuckRandom(random.Random):
+    """Always carves the corridor at index 0, so carving stalls and the top-down fill runs."""
+
+    def randrange(self, *args):
+        return 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    width=st.integers(1, 30),
+    height=st.integers(1, 30),
+    density=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    corridor_width=st.integers(1, 4),
+    stuck=st.booleans(),
+)
+def test_random_road_mask_matches_the_three_loop_version(seed, width, height, density, corridor_width, stuck):
+    rng_type = StuckRandom if stuck else random.Random
+    new_rng, old_rng = rng_type(seed), rng_type(seed)
+    rows = random_road_mask(new_rng, width, height, density, corridor_width)
+    assert rows == old_random_road_mask(old_rng, width, height, density, corridor_width)
+    assert new_rng.getstate() == old_rng.getstate()
+    if density == 1.0:
+        assert set("".join(rows)) == {"#"}
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["", ""]])
+def test_grid_objective_rejects_an_empty_road_mask_by_name(rows):
+    with pytest.raises(ValueError, match="road mask is empty"):
+        GridCoverageObjective(rows, [[0]])
+
+
 def test_random_road_mask_validation():
     rng = random.Random(0)
     with pytest.raises(ValueError):

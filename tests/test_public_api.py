@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import meshcoord
-from meshcoord import bounds, coordination, objective, topology
+from meshcoord import bounds, coordination, objective, scenario, topology
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,6 +25,7 @@ REMOVED = [
     (objective, "exhaustive_curvature"),
     (objective, "rect_footprint"),
     (bounds, "fixed_action_gap"),
+    (scenario, "TrialRun"),
 ]
 
 

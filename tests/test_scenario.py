@@ -189,7 +189,7 @@ def test_sequential_relay_cost_is_constant_per_step():
 def test_more_neighbors_cost_more_time():
     def mean_time(k):
         runs, _ = monte_carlo([cfg(trials=3, algorithm="rag", k=k)])
-        return sum(r.trace.mean_step_time for r in runs) / len(runs)
+        return sum(r.mean_step_time for r in runs) / len(runs)
 
     t0, t3 = mean_time(0), mean_time(3)
     assert t0 < t3
@@ -200,10 +200,10 @@ def test_monte_carlo_single_trial_matches_the_trace():
     assert len(runs) == 1 and len(summaries) == 1
     s, r = summaries[0], runs[0]
     assert s.trials == 1
-    assert s.mean_peak_coverage == r.trace.peak_coverage
+    assert s.mean_peak_coverage == r.peak_coverage
     assert s.std_peak_coverage == 0.0
     assert s.mean_coverage_by_step == tuple(
-        float(rec.covered_cells) for rec in r.trace.records
+        float(rec.covered_cells) for rec in r.records
     )
 
 
@@ -279,8 +279,8 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     variations = [cfg(algorithm="random", k=2), cfg(algorithm="sg", k=2)]  # 2 x 2 trials

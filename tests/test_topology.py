@@ -226,6 +226,11 @@ def test_line_plus_rejects_infeasible_extra_edges():
         strongly_connected_line_plus(5, 7, seed=0)
 
 
+def test_line_plus_rejects_negative_extra_edges_by_name():
+    with pytest.raises(ValueError, match="extra_edges may not be negative, got -1"):
+        strongly_connected_line_plus(5, -1, 0)
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_worst_case_cycle_makes_every_handoff_cost_n_minus_2(n):
     g = worst_case_cycle(n)
