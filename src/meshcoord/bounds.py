@@ -20,7 +20,6 @@ from meshcoord.objective import (
     _size_guard,
     _table_submodular,
     _table_total_curvature,
-    coin,
     curvature,
 )
 from meshcoord.topology import MeshGraph, is_complete
@@ -51,10 +50,16 @@ class BoundReport:
 
 
 def coin_sum(obj: Objective, g: MeshGraph, actions) -> float:
-    """Sum over agents of the information their non-neighbors already hold."""
-    return sum(
-        coin(obj, i, actions, g.in_neighbors[i]) for i in range(obj.n_agents)
-    )
+    """Sum over agents of the information their non-neighbors already hold.
+
+    Charges three evaluations per agent, as coin does; coverage objectives
+    count every term from per-cell cover counts instead of evaluating it.
+    """
+    if g.n != obj.n_agents:
+        raise ValueError("graph and objective disagree on the number of agents")
+    if len(actions) != obj.n_agents:
+        raise ValueError("need one selected action per agent")
+    return sum(obj._coins(actions, g.in_neighbors))
 
 
 def _optimum(obj: Objective, optimum_value: float | None) -> float:
@@ -104,8 +109,9 @@ def aposteriori_bound(
     opt = _optimum(obj, optimum_value)
     total = 0.0
     for i, a_i in enumerate(outcome.actions):
-        ctx = frozenset(outcome.actions[j] for j in outcome.committed_in_neighbors[i])
-        total += obj.evaluate(ctx | {a_i}) - obj.evaluate(ctx)
+        ctx = obj.context(outcome.actions[j] for j in outcome.committed_in_neighbors[i])
+        obj.eval_count += 2  # f(ctx + a_i) and f(ctx)
+        total += obj._value_in(ctx, (a_i,)) - obj._value_in(ctx, ())
     return opt - kappa * total
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, compress, cycle, repeat
+from functools import cached_property, partial
+from itertools import chain, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -46,6 +47,9 @@ class Objective:
     override context, extend and _value_in together. _menu_values(agent,
     state) scores every action of one agent against a state, charging one
     evaluation per action; subclasses may override it with a fused loop.
+    _least_gain_ratio and _coins, the evaluating cores of curvature and
+    coin_sum, are overridable the same way: an override charges the same
+    evaluations and returns the same floats.
     """
 
     def __init__(self, action_counts: Sequence[int]):
@@ -82,6 +86,35 @@ class Objective:
         """f(state + a) for each action a of agent, in action order; one evaluation per action."""
         return [self.evaluate((e,), state) for e in self.actions(agent)]
 
+    def _least_gain_ratio(self) -> float:
+        """min over elements a of [f(V) - f(V \\ {a})] / f({a}); 1 + 2|V| evaluations.
+
+        Raises ValueError at the first element, in ground order, with f({a}) = 0.
+        """
+        elements = self.ground()
+        f_full = self.evaluate(elements)
+        worst = math.inf
+        full = frozenset(elements)
+        for a in elements:
+            f_single = self.evaluate([a])
+            if f_single == 0:
+                raise ValueError(f"curvature undefined: f({a}) = 0")
+            worst = min(worst, (f_full - self.evaluate(full - {a})) / f_single)
+        return worst
+
+    def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
+        """coin(self, i, actions, in_neighbors[i]) for each agent i in order; three evaluations each.
+
+        Needs one action and one in-neighborhood per agent, each neighborhood
+        within the team and without its agent, as coin_sum checks.
+        """
+        coins = [
+            _coin_term(self, self.context([a for j, a in enumerate(actions) if j != i and j not in nbrs]), actions[i])
+            for i, nbrs in enumerate(in_neighbors)
+        ]
+        self.eval_count += 3 * len(coins)
+        return coins
+
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
 
@@ -91,6 +124,12 @@ class Objective:
 
 # masks wider than this many bits are stored as windows of this many bits
 _WINDOW_BITS = 2048
+
+# up to this many agents, a coverage objective's coin sum builds each agent's
+# context, n unions per agent, rather than counting cells: on scaling_instance
+# teams (Python 3.11) the two cost the same between 20 and 40 agents, and on
+# verify's teams of 2 to 5 the contexts cost a third of the counting
+_COIN_CONTEXTS_LIMIT = 24
 
 
 class _UnionMaskObjective(Objective):
@@ -107,23 +146,41 @@ class _UnionMaskObjective(Objective):
     methods belong to a _WindowedMasks, whose context, extend, value_in and
     menu_values stand in for this object's context, extend, _value_in and
     _menu_scores; subclasses therefore do not override those four.
+    f({(i, a)}) is _counts[i][a] * cell_area.
+
+    Curvature and coin sums are counted from the footprints, not evaluated:
+    f(V \\ {a}) lacks the cells only a covers, and a coin term's two
+    contexts lack the cells that only the agent and its in-neighbours cover
+    (for teams of more than _COIN_CONTEXTS_LIMIT agents). Each count becomes
+    a float as the evaluation it stands for would have.
     """
 
     cell_area = 1.0
 
     def __init__(self, masks: Iterable[Iterable[int]], within: int):
         width = within.bit_length()
+        # the window width is read here only, so it is fixed when the objective is built
+        self._window_bits = _WINDOW_BITS
         if width <= _WINDOW_BITS:
             self._masks = tuple([tuple([mask & within for mask in menu]) for menu in masks])
+            self._window_count = 1
         else:
             within_windows = _split(within, width)
             clip = partial(_window_pairs, within_windows)
             self._masks = tuple([tuple(map(clip, menu)) for menu in masks])
+            self._window_count = len(within_windows)
             # bound to the _WindowedMasks, not to self, so the objective is no reference cycle
-            windowed = _WindowedMasks(self._masks, len(within_windows), self.cell_area)
+            windowed = _WindowedMasks(self._masks, self._counts, self._window_count, self.cell_area)
             self.context, self.extend, self._value_in = windowed.context, windowed.extend, windowed.value_in
             self._menu_scores = windowed.menu_values
         super().__init__(list(map(len, self._masks)))
+
+    @cached_property
+    def _counts(self) -> tuple[tuple[int, ...], ...]:
+        """_counts[i][a] is the cell count of _masks[i][a]; windowed objectives count when built."""
+        return tuple(
+            [tuple([sum([w.bit_count() for _, w in _as_pairs(stored)]) for stored in menu]) for menu in self._masks]
+        )
 
     def context(self, selection: Iterable[GroundElement] = ()) -> int:
         masks = self._masks
@@ -144,12 +201,66 @@ class _UnionMaskObjective(Objective):
 
     def _menu_values(self, agent: int, state) -> list[float]:
         self.eval_count += self.action_counts[agent]
-        return self._menu_scores(state, self._masks[agent])
+        return self._menu_scores(state, agent)
 
-    def _menu_scores(self, state: int, menu: tuple[int, ...]) -> list[float]:
-        """The value of state with each of menu's masks added; charges nothing."""
+    def _menu_scores(self, state: int, agent: int) -> list[float]:
+        """The value of state with each of agent's masks added; charges nothing."""
         area = self.cell_area
-        return [(state | mask).bit_count() * area for mask in menu]
+        return [(state | mask).bit_count() * area for mask in self._masks[agent]]
+
+    def _least_gain_ratio(self) -> float:
+        footprints = [list(map(_as_pairs, menu)) for menu in self._masks]
+        once = [0] * self._window_count  # cells some element covers
+        twice = [0] * self._window_count  # cells two or more elements cover
+        for menu in footprints:
+            for pairs in menu:
+                for idx, window in pairs:
+                    twice[idx] |= once[idx] & window
+                    once[idx] |= window
+        only = [o & ~t for o, t in zip(once, twice)]
+        full = sum(map(int.bit_count, once))
+        area = self.cell_area
+        f_full = full * area
+        worst = math.inf
+        position = 0
+        for i, (menu, counts) in enumerate(zip(footprints, self._counts)):
+            for a, (pairs, count) in enumerate(zip(menu, counts)):
+                f_single = count * area
+                if f_single == 0:
+                    self.eval_count += 2 + 2 * position  # f(V), two per earlier element, and this f({a})
+                    raise ValueError(f"curvature undefined: f({GroundElement(i, a)}) = 0")
+                own = sum([(window & only[idx]).bit_count() for idx, window in pairs])
+                worst = min(worst, (f_full - (full - own) * area) / f_single)
+                position += 1
+        self.eval_count += 1 + 2 * position
+        return worst
+
+    def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
+        n = self.n_agents
+        if n <= _COIN_CONTEXTS_LIMIT:
+            return super()._coins(actions, in_neighbors)
+        masks = self._masks
+        cells = [_cell_ids(_as_pairs(masks[i][a]), self._window_bits) for i, a in actions]
+        cover = Counter(chain.from_iterable(cells))  # cell -> how many agents' actions cover it
+        total = len(cover)
+        shared = [[c for c in own if cover[c] > 1] for own in cells]
+        alone = [len(own) - len(both) for own, both in zip(cells, shared)]  # cells no other agent covers
+        area = self.cell_area
+        coins = []
+        for i, nbrs in enumerate(in_neighbors):
+            local: dict[int, int] = {}  # shared cell -> how many in-neighbours cover it
+            for j in nbrs:
+                for c in shared[j]:
+                    local[c] = local.get(c, 0) + 1
+            # f(ctx + a_i) lacks the cells only in-neighbours cover; f(ctx)
+            # lacks those too, and the cells of a_i only i and in-neighbours cover
+            lost_with = sum([alone[j] for j in nbrs]) + sum([cover[c] == k for c, k in local.items()])
+            lost_ctx = lost_with + alone[i] + sum([cover[c] == local.get(c, 0) + 1 for c in shared[i]])
+            f_ctx = (total - lost_ctx) * area
+            agent, action = actions[i]
+            coins.append(self._counts[agent][action] * area - ((total - lost_with) * area - f_ctx))
+        self.eval_count += 3 * n
+        return coins
 
 
 class _WindowedMasks:
@@ -157,13 +268,15 @@ class _WindowedMasks:
 
     masks[i][a] is a tuple of (window index, window) pairs, window idx
     holding bits idx * _WINDOW_BITS onward, for the non-empty windows only.
-    A state is (covered count, list of window unions), never changed once
-    made: scoring a candidate costs one AND-NOT and one popcount per window
-    of its footprint, not a pass over the whole world.
+    counts[i][a] is the cell count of masks[i][a]. A state is (covered
+    count, list of window unions), never changed once made: scoring a
+    candidate costs one AND and one popcount per window of its footprint,
+    subtracted from its count, not a pass over the whole world.
     """
 
-    def __init__(self, masks: tuple, window_count: int, cell_area: float):
+    def __init__(self, masks: tuple, counts: tuple, window_count: int, cell_area: float):
         self.masks = masks
+        self.counts = counts
         self.window_count = window_count
         self.cell_area = cell_area
 
@@ -177,26 +290,27 @@ class _WindowedMasks:
         covered, windows = state
         windows = windows.copy()
         i, a = element
+        covered += self.counts[i][a]
         for idx, window in self.masks[i][a]:
-            covered += (window & ~windows[idx]).bit_count()
+            covered -= (window & windows[idx]).bit_count()
             windows[idx] |= window
         return covered, windows
 
     def value_in(self, state: tuple[int, list[int]], extra: Iterable[GroundElement]) -> float:
         covered, windows = state
         for idx, window in self._union(extra).items():
-            covered += (window & ~windows[idx]).bit_count()
+            covered += window.bit_count() - (window & windows[idx]).bit_count()
         return covered * self.cell_area
 
-    def menu_values(self, state: tuple[int, list[int]], menu: tuple) -> list[float]:
-        """value_in(state, (e,)) for each element e whose mask is in menu, in menu order."""
+    def menu_values(self, state: tuple[int, list[int]], agent: int) -> list[float]:
+        """value_in(state, (e,)) for each action e of agent, in action order."""
         covered, windows = state
         area = self.cell_area
         values = []
-        for footprint in menu:
-            total = covered
+        for footprint, count in zip(self.masks[agent], self.counts[agent]):
+            total = covered + count
             for idx, window in footprint:
-                total += (window & ~windows[idx]).bit_count()
+                total -= (window & windows[idx]).bit_count()
             values.append(total * area)
         return values
 
@@ -214,6 +328,23 @@ def _split(mask: int, width: int) -> list[int]:
     """mask as its ceil(width / _WINDOW_BITS) windows, window idx holding bits from idx * _WINDOW_BITS."""
     full = (1 << _WINDOW_BITS) - 1
     return [(mask >> lo) & full for lo in range(0, width, _WINDOW_BITS)]
+
+
+def _as_pairs(stored: int | tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """A stored mask as (window index, window) pairs; a plain int mask is the one pair (0, mask)."""
+    return ((0, stored),) if isinstance(stored, int) else stored
+
+
+def _cell_ids(pairs: Iterable[tuple[int, int]], window_bits: int) -> list[int]:
+    """The bit numbers of a mask given as (window index, window) pairs of window_bits bits each."""
+    cells = []
+    for idx, window in pairs:
+        base = idx * window_bits - 1
+        while window:
+            low = window & -window
+            cells.append(base + low.bit_length())
+            window ^= low
+    return cells
 
 
 def _window_pairs(within_windows: Sequence[int], mask: int) -> tuple[tuple[int, int], ...]:
@@ -367,19 +498,11 @@ def curvature(obj: Objective) -> float:
 
     Valid as the curvature only for monotone submodular f, where the full
     ground set minimizes the marginal gain; validate_structure(obj).kappa is
-    the general (exponential) form. Linear in |ground| evaluation count.
+    the general (exponential) form. Charges 1 + 2|ground| evaluations;
+    coverage objectives count the terms from their footprints in one pass
+    instead of evaluating each.
     """
-    elements = obj.ground()
-    f_full = obj.evaluate(elements)
-    worst = math.inf
-    full = frozenset(elements)
-    for a in elements:
-        f_single = obj.evaluate([a])
-        if f_single == 0:
-            raise ValueError(f"curvature undefined: f({a}) = 0")
-        ratio = (f_full - obj.evaluate(full - {a})) / f_single
-        worst = min(worst, ratio)
-    return _clamp_unit(1.0 - worst, "curvature")
+    return _clamp_unit(1.0 - obj._least_gain_ratio(), "curvature")
 
 
 def total_curvature(obj: Objective) -> float:
@@ -395,15 +518,22 @@ def total_curvature(obj: Objective) -> float:
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:
     """f over every subset of elements, indexed by bitmask (bit j = elements[j]).
 
-    Costs 2^len(elements) evaluate calls; the oracle behind the exhaustive
-    checks and the measures above.
+    Charges 2^len(elements) evaluations, one per entry; the oracle behind the
+    exhaustive checks and the measures above. The subsets are walked depth
+    first, each one's context state its parent's extended by one element, so
+    at most len(elements) + 1 states are alive at once.
     """
     m = len(elements)
     table = [0.0] * (1 << m)
-    for mask in range(1 << m):
-        table[mask] = obj.evaluate(
-            [elements[j] for j in range(m) if mask & (1 << j)]
-        )
+    value_in, extend = obj._value_in, obj.extend
+
+    def fill(state, mask: int, first: int) -> None:
+        table[mask] = value_in(state, ())
+        for j in range(first, m):
+            fill(extend(state, elements[j]), mask | 1 << j, j + 1)
+
+    obj.eval_count += 1 << m
+    fill(obj.context(), 0, 0)
     return table
 
 
@@ -444,7 +574,7 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
     for s in range(m):
         if not (monotone or second_order):
             break
-        gains = list(_differences(table, s))  # f(s | A) for every A without s
+        gains = _differences(table, s)  # f(s | A) for every A without s
         if monotone and _least(gains) < -_EPS:
             monotone = False
         # lhs - rhs of the 2nd-order inequality is the third difference of f
@@ -454,7 +584,7 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
         for x in range(s, m - 1):
             if not second_order:
                 break
-            gains_x = list(_differences(gains, x))
+            gains_x = _differences(gains, x)
             for y in range(x, m - 2):
                 if _least(_differences(gains_x, y)) < -_EPS:
                     second_order = False
@@ -486,23 +616,45 @@ def _table_submodular(table: list[float], m: int) -> bool:
     arithmetic; returns at the first violation.
     """
     for s in range(m):
-        gains = list(_differences(table, s))
+        gains = _differences(table, s)
         for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
-            if _greatest(_differences(gains, y)) > _EPS:
+            # the greatest second difference, taken slice by slice without listing them
+            slices = _difference_slices(gains, y)
+            if _greatest(chain.from_iterable(map(sub, hi, lo) for _, hi, lo in slices)) > _EPS:
                 return False
     return True
 
 
-def _differences(values: Sequence[float], k: int) -> Iterator[float]:
+def _differences(values: list[float], k: int) -> list[float]:
     """values[A + 2^k] - values[A] for every index A without bit k, in order of A.
 
-    values is indexed by bitmask. Listed, the result is indexed by A with bit
-    k deleted, so the bits above k move down by one: differencing again along
-    an element j > k of the original index uses bit j - 1.
+    values is indexed by bitmask, 2^m entries for some m > k. The result is
+    indexed by A with bit k deleted, so the bits above k move down by one:
+    differencing again along an element j > k of the original index uses bit
+    j - 1.
+    """
+    listing = [0.0] * (len(values) >> 1)
+    for where, hi, lo in _difference_slices(values, k):
+        listing[where] = map(sub, hi, lo)
+    return listing
+
+
+def _difference_slices(values: list[float], k: int) -> Iterator[tuple[slice, list[float], list[float]]]:
+    """(where, hi, lo) slices of values; hi[t] - lo[t] over all triples are _differences(values, k).
+
+    where is the place of those differences in _differences' listing. One
+    triple per block of 2^(k+1) entries, or one per offset within a block,
+    whichever is fewer.
     """
     half = 1 << k
-    keep = (True,) * half + (False,) * half
-    return map(sub, compress(values[half:], cycle(keep)), compress(values, cycle(keep)))
+    step = half << 1
+    if half * step < len(values):  # fewer offsets than blocks
+        for r in range(half):
+            yield slice(r, None, half), values[r + half::step], values[r::step]
+    else:
+        for start in range(0, len(values), step):
+            where = slice(start >> 1, (start >> 1) + half)
+            yield where, values[start + half:start + step], values[start:start + half]
 
 
 def _least(values: Iterable[float], start: float = math.inf) -> float:
@@ -561,11 +713,18 @@ def coin(
         raise ValueError("need one selected action per agent")
     if not nbrs <= set(range(n)):
         raise ValueError("neighborhood contains unknown agent ids")
-    a_i = actions[agent]
-    others = frozenset(actions[j] for j in range(n) if j != agent and j not in nbrs)
-    f_single = obj.evaluate([a_i])
-    f_ctx = obj.evaluate(others)
-    return f_single - (obj.evaluate(others | {a_i}) - f_ctx)
+    if not 0 <= agent < n:
+        raise ValueError(f"agent {agent!r} is not an agent id in [0, {n})")
+    others = obj.context(actions[j] for j in range(n) if j != agent and j not in nbrs)
+    obj.eval_count += 3
+    return _coin_term(obj, others, actions[agent])
+
+
+def _coin_term(obj: Objective, others, a_i: GroundElement) -> float:
+    """f(a_i) - [f(others + a_i) - f(others)] for a context state others; charges nothing."""
+    f_single = obj._value_in(obj.context(), (a_i,))
+    f_ctx = obj._value_in(others, ())
+    return f_single - (obj._value_in(others, (a_i,)) - f_ctx)
 
 
 def coin_ring_bound(r_s: float, r_i: float) -> float:

@@ -107,6 +107,8 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     for i, (x, y) in enumerate(positions):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"agent {i} has a non-finite position ({x!r}, {y!r})")
+    if k == 0:  # nobody is kept, so nobody is ranked
+        return edgeless_graph(n)
     range2 = comm_range * comm_range
     side = math.sqrt(range2) * (1 + 1e-9)
     extent = max((max(abs(x), abs(y)) for x, y in positions), default=0.0)

@@ -357,3 +357,61 @@ def test_knn_neighborhoods_respect_k_and_range(n, k, seed):
             dx = pts[i][0] - pts[j][0]
             dy = pts[i][1] - pts[j][1]
             assert dx * dx + dy * dy <= comm_range * comm_range + 1e-9
+
+
+def _ranking_knn_graph(positions, k, comm_range):
+    """knn_graph as it was before k = 0 skipped the ranking (verbatim)."""
+    if k < 0:
+        raise ValueError("k may not be negative")
+    n = len(positions)
+    for i, (x, y) in enumerate(positions):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"agent {i} has a non-finite position ({x!r}, {y!r})")
+    range2 = comm_range * comm_range
+    side = math.sqrt(range2) * (1 + 1e-9)
+    extent = max((max(abs(x), abs(y)) for x, y in positions), default=0.0)
+    if not (sys.float_info.min <= range2 < math.inf and extent <= 1e6 * side):
+        side = math.inf
+    cells = [(math.floor(x / side), math.floor(y / side)) for x, y in positions]
+    buckets = {}
+    for j, cell in enumerate(cells):
+        buckets.setdefault(cell, []).append(j)
+    ins = []
+    for i, (xi, yi) in enumerate(positions):
+        cx, cy = cells[i]
+        ranked = []
+        for bx in (cx - 1, cx, cx + 1):
+            for by in (cy - 1, cy, cy + 1):
+                for j in buckets.get((bx, by), ()):
+                    xj, yj = positions[j]
+                    d2 = (xj - xi) ** 2 + (yj - yi) ** 2
+                    if d2 <= range2 and j != i:
+                        ranked.append((d2, j))
+        ranked.sort()
+        ins.append([j for _, j in ranked[:k]])
+    return MeshGraph(n, ins)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)), max_size=12),
+    st.integers(-1, 2),
+    st.floats(allow_nan=True),
+)
+def test_knn_with_k_zero_skips_the_ranking_and_returns_the_same_graph(pts, k, comm_range):
+    got = _outcome(lambda: knn_graph(pts, k, comm_range))
+    expected = _outcome(lambda: _ranking_knn_graph(pts, k, comm_range))
+    if k == 0 and isinstance(expected, tuple) and expected[0] == "OverflowError":
+        # a squared distance past the float range overflowed while ranking;
+        # with k = 0 nothing is ranked
+        expected = edgeless_graph(len(pts))
+    assert got == expected
+    if k == 0 and isinstance(got, MeshGraph):
+        assert got == edgeless_graph(len(pts))
