@@ -1,11 +1,16 @@
 """Suboptimality bounds for coordination outcomes, certified against brute force.
 
 Every bound is a lower bound on the value achieved by the distributed greedy
-rule, expressed through the optimum, the objective's curvature, and either
-the information-centralization terms (coin) of the communication topology or
-the per-agent commit contexts recorded in the outcome. On small instances the
-optimum comes from the brute-force oracle and reports are certified; large
-instances may substitute a surrogate optimum and are flagged uncertified.
+rule, and each bound function is the paper's closed form in measured terms:
+the optimum f(opt), the objective's curvature kappa, and either the coin sum
+of the communication topology (apriori_bound, approx_greedy_bound) or the
+per-agent commit contexts recorded in the outcome (aposteriori_bound);
+curvature_only_bound needs neither. The caller measures the terms once, with
+brute_force_optimum, curvature and coin_sum, and passes them to every
+formula that needs them. bound_report measures them all for one outcome:
+on small instances the optimum comes from the brute-force oracle and the
+report is certified; large instances may substitute a surrogate optimum and
+are flagged uncertified.
 """
 
 from __future__ import annotations
@@ -62,41 +67,17 @@ def coin_sum(obj: Objective, g: MeshGraph, actions) -> float:
     return sum(obj._coins(actions, g.in_neighbors))
 
 
-def _optimum(obj: Objective, optimum_value: float | None) -> float:
-    if optimum_value is None:
-        _, optimum_value = brute_force_optimum(obj)
-    return optimum_value
-
-
-def apriori_bound(
-    obj: Objective,
-    g: MeshGraph,
-    outcome: CoordinationOutcome,
-    optimum_value: float | None = None,
-    kappa: float | None = None,
-) -> float:
+def apriori_bound(opt: float, kappa: float, coins: float) -> float:
     """[f(opt) - kappa * coin_sum] / (1 + kappa).
 
-    Needs only the topology and the committed actions; on a complete graph
-    the coin terms vanish and this reduces to f(opt) / (1 + kappa). Valid
-    for monotone submodular 2nd-order-submodular objectives.
+    On a complete graph the coin sum vanishes and this reduces to
+    f(opt) / (1 + kappa). Valid for monotone submodular 2nd-order-submodular
+    objectives.
     """
-    if kappa is None:
-        kappa = curvature(obj)
-    opt = _optimum(obj, optimum_value)
-    return _apriori(opt, kappa, coin_sum(obj, g, outcome.actions))
-
-
-def _apriori(opt: float, kappa: float, coins: float) -> float:
     return (opt - kappa * coins) / (1.0 + kappa)
 
 
-def aposteriori_bound(
-    obj: Objective,
-    outcome: CoordinationOutcome,
-    optimum_value: float | None = None,
-    kappa: float | None = None,
-) -> float:
+def aposteriori_bound(obj: Objective, outcome: CoordinationOutcome, opt: float, kappa: float) -> float:
     """f(opt) - kappa * sum_i f(a_i | actions of i's recorded commit context).
 
     Uses the contexts each agent actually conditioned on, so it needs an
@@ -104,9 +85,6 @@ def aposteriori_bound(
     """
     if outcome.committed_in_neighbors is None:
         raise ValueError("outcome does not record per-agent commit contexts")
-    if kappa is None:
-        kappa = curvature(obj)
-    opt = _optimum(obj, optimum_value)
     total = 0.0
     for i, a_i in enumerate(outcome.actions):
         ctx = obj.context(outcome.actions[j] for j in outcome.committed_in_neighbors[i])
@@ -115,14 +93,7 @@ def aposteriori_bound(
     return opt - kappa * total
 
 
-def approx_greedy_bound(
-    obj: Objective,
-    g: MeshGraph,
-    outcome: CoordinationOutcome,
-    eta: float,
-    optimum_value: float | None = None,
-    kappa: float | None = None,
-) -> float:
+def approx_greedy_bound(opt: float, kappa: float, coins: float, eta: float) -> float:
     """Bound for eta-approximate local greedy steps.
 
     eta / (1 + eta*kappa) * [f(opt) - (1/eta - 1 + kappa) * coin_sum];
@@ -130,43 +101,17 @@ def approx_greedy_bound(
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
-    if kappa is None:
-        kappa = curvature(obj)
-    opt = _optimum(obj, optimum_value)
-    return _approx_greedy(opt, kappa, coin_sum(obj, g, outcome.actions), eta)
-
-
-def _approx_greedy(opt: float, kappa: float, coins: float, eta: float) -> float:
     return eta / (1.0 + eta * kappa) * (opt - (1.0 / eta - 1.0 + kappa) * coins)
 
 
-def curvature_only_bound(
-    obj: Objective,
-    g: MeshGraph,
-    outcome: CoordinationOutcome,
-    optimum_value: float | None = None,
-    submodular: bool | None = None,
-) -> float:
+def curvature_only_bound(opt: float, complete: bool, submodular: bool, k: float) -> float:
     """Topology-and-curvature-only bound, no coin or context terms.
 
-    Submodular objectives: f(opt) / (1 + kappa) on a complete graph, else
-    (1 - kappa) * f(opt). Non-submodular monotone objectives use total
-    curvature c: (1-c) / (1 + c - c^2) * f(opt) on a complete graph, else
-    (1-c)^2 * f(opt). When submodular is None it is decided exhaustively
-    (size-guarded, zero-value singletons rejected as by validate_structure).
+    Submodular objectives, with k the curvature: f(opt) / (1 + k) on a
+    complete graph, else (1 - k) * f(opt). Non-submodular monotone
+    objectives, with k the total curvature c: (1-c) / (1 + c - c^2) * f(opt)
+    on a complete graph, else (1-c)^2 * f(opt).
     """
-    table = None
-    if submodular is None:
-        table = _ground_table(obj, "structure validation rejected")
-        submodular = _table_submodular(*table)
-    opt = _optimum(obj, optimum_value)
-    # the submodularity check's table, when built, also serves the total curvature
-    k = curvature(obj) if submodular else _table_total_curvature(*(table or _ground_table(obj)))
-    return _curvature_only(opt, is_complete(g), submodular, k)
-
-
-def _curvature_only(opt: float, complete: bool, submodular: bool, k: float) -> float:
-    """k is the curvature for submodular objectives, else the total curvature."""
     if submodular:
         return opt / (1.0 + k) if complete else (1.0 - k) * opt
     if complete:
@@ -194,7 +139,7 @@ def bound_report(
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
     certified = optimum_value is None
-    opt = _optimum(obj, optimum_value)
+    opt = brute_force_optimum(obj)[1] if certified else optimum_value
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
@@ -212,16 +157,16 @@ def bound_report(
     curvature_only: float | None = None
     if submodular is not None:
         k = kappa if submodular else c_total
-        curvature_only = _curvature_only(opt, is_complete(g), submodular, k)
+        curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
 
     return BoundReport(
         algorithm_value=outcome.value,
         optimum_value=opt,
-        apriori=_apriori(opt, kappa, coins),
+        apriori=apriori_bound(opt, kappa, coins),
         apriori_centralized=opt / (1.0 + kappa),
         apriori_decentralized_floor=(1.0 - kappa) * opt,
-        aposteriori=aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa),
-        approx_greedy=_approx_greedy(opt, kappa, coins, eta),
+        aposteriori=aposteriori_bound(obj, outcome, opt, kappa),
+        approx_greedy=approx_greedy_bound(opt, kappa, coins, eta),
         curvature_only=curvature_only,
         coin_sum=coins,
         kappa=kappa,

@@ -31,6 +31,7 @@ from meshcoord.bounds import (
     aposteriori_bound,
     approx_greedy_bound,
     bound_report,
+    coin_sum,
 )
 from meshcoord.coordination import (
     BRUTE_FORCE_LIMIT,
@@ -356,6 +357,11 @@ def cmd_run(config_path: str) -> int:
     return 0
 
 
+def _short(tag: str, value: float, bound: float) -> str | None:
+    """The failure detail of a value that falls short of its lower bound, else None."""
+    return f"{tag}: {value} < {bound}" if value < bound - 1e-9 else None
+
+
 def _instance_checks(
     seed: int, i: int, max_agents: int, max_actions: int
 ) -> Iterator[tuple[str, str | None]]:
@@ -372,37 +378,30 @@ def _instance_checks(
     kappa = curvature(obj)
     tag = f"instance {i}"
 
-    apriori = apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa)
-    yield "value-above-apriori-bound", (
-        f"{tag}: {outcome.value} < {apriori}" if outcome.value < apriori - 1e-9 else None
+    coins = coin_sum(obj, g, outcome.actions)
+    apriori = apriori_bound(opt, kappa, coins)
+    yield "value-above-apriori-bound", _short(tag, outcome.value, apriori)
+    yield "value-above-aposteriori-bound", _short(
+        tag, outcome.value, aposteriori_bound(obj, outcome, opt, kappa)
     )
-    apost = aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa)
-    yield "value-above-aposteriori-bound", (
-        f"{tag}: {outcome.value} < {apost}" if outcome.value < apost - 1e-9 else None
-    )
-    eta_one = approx_greedy_bound(obj, g, outcome, 1.0, optimum_value=opt, kappa=kappa)
+    eta_one = approx_greedy_bound(opt, kappa, coins, 1.0)
     yield "approx-greedy-eta1-matches-apriori", (
         f"{tag}: {eta_one} != {apriori}"
         if not math.isclose(eta_one, apriori, rel_tol=1e-12, abs_tol=1e-12)
         else None
     )
     half = run_rag(obj, g, eta=0.5, rng=random.Random(f"{seed}:{i}:eta"))
-    half_bound = approx_greedy_bound(obj, g, half, 0.5, optimum_value=opt, kappa=kappa)
-    yield "eta-half-value-above-bound", (
-        f"{tag}: {half.value} < {half_bound}" if half.value < half_bound - 1e-9 else None
+    yield "eta-half-value-above-bound", _short(
+        tag, half.value, approx_greedy_bound(opt, kappa, coin_sum(obj, g, half.actions), 0.5)
     )
 
     order = list(range(n))
     rng.shuffle(order)
     sg = run_sg(obj, order)
-    yield "sg-half-of-optimum", (
-        f"{tag}: {sg.value} < {opt / 2}" if sg.value < opt / 2 - 1e-9 else None
-    )
+    yield "sg-half-of-optimum", _short(tag, sg.value, opt / 2)
     mesh = strongly_connected_line_plus(n, min(2, n * (n - 1) // 2 - (n - 1)), seed=i)
     dfs = run_dfs_sg(obj, mesh, start=rng.randrange(n))
-    yield "dfs-sg-half-of-optimum", (
-        f"{tag}: {dfs.value} < {opt / 2}" if dfs.value < opt / 2 - 1e-9 else None
-    )
+    yield "dfs-sg-half-of-optimum", _short(tag, dfs.value, opt / 2)
     dsm = run_dsm(obj, full_access_dag(order))
     yield "dsm-full-access-matches-sg", (
         tag if not (dsm.actions == sg.actions and math.isclose(dsm.value, sg.value)) else None

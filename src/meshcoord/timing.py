@@ -79,9 +79,9 @@ def decision_time(outcome: CoordinationOutcome, dm: DelayModel) -> DecisionTime:
     rag: agents compute in parallel, so the compute term is the busiest
     agent's evaluations; scalar exchanges and action broadcasts cost one
     tau_hash / tau_c per round.
-    sg, dfs-sg: summed evaluations plus every relayed action transmission.
-    dsm: summed evaluations only (a value-level rule with no relay model).
-    random: nothing.
+    sg, dfs-sg, dsm, random: summed evaluations plus every relayed action
+    transmission. dsm has no relay model and random neither evaluates nor
+    relays, so their missing terms are zero.
     """
     algorithm = outcome.algorithm
     if algorithm == "rag":
@@ -89,15 +89,11 @@ def decision_time(outcome: CoordinationOutcome, dm: DelayModel) -> DecisionTime:
         hashes, actions = outcome.gain_rounds, outcome.action_rounds
         seconds = dm.tau_f * busiest + dm.tau_hash * hashes + dm.tau_c * actions
         return DecisionTime(busiest, actions, hashes, seconds)
+    if algorithm not in ("sg", "dfs-sg", "dsm", "random"):
+        raise ValueError(f"no time model for algorithm {algorithm!r}")
     evals = sum(outcome.eval_counts)
-    if algorithm in ("sg", "dfs-sg"):
-        relays = outcome.relay_action_transmissions
-        return DecisionTime(evals, relays, 0, dm.tau_f * evals + dm.tau_c * relays)
-    if algorithm == "dsm":
-        return DecisionTime(evals, 0, 0, dm.tau_f * evals)
-    if algorithm == "random":
-        return DecisionTime(0, 0, 0, 0.0)
-    raise ValueError(f"no time model for algorithm {algorithm!r}")
+    relays = outcome.relay_action_transmissions
+    return DecisionTime(evals, relays, 0, dm.tau_f * evals + dm.tau_c * relays)
 
 
 def rag_time_bound(

@@ -99,7 +99,8 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     relative 1e-9, which absorbs the rounding of the distance test as long
     as no coordinate lies more than 10^6 ranges from the origin. Beyond
     that, or when comm_range squared is not a positive normal float (a zero,
-    infinite, NaN or underflowing range), every agent shares one cell.
+    infinite, NaN or underflowing range), every agent shares one cell. Two
+    ranked agents whose squared distance overflows a float raise ValueError.
     """
     if k < 0:
         raise ValueError("k may not be negative")
@@ -119,18 +120,23 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     for j, cell in enumerate(cells):
         buckets.setdefault(cell, []).append(j)
     ins = []
-    for i, (xi, yi) in enumerate(positions):
-        cx, cy = cells[i]
-        ranked = []
-        for bx in (cx - 1, cx, cx + 1):
-            for by in (cy - 1, cy, cy + 1):
-                for j in buckets.get((bx, by), ()):
-                    xj, yj = positions[j]
-                    d2 = (xj - xi) ** 2 + (yj - yi) ** 2
-                    if d2 <= range2 and j != i:
-                        ranked.append((d2, j))
-        ranked.sort()
-        ins.append([j for _, j in ranked[:k]])
+    try:
+        for i, (xi, yi) in enumerate(positions):
+            cx, cy = cells[i]
+            ranked = []
+            for bx in (cx - 1, cx, cx + 1):
+                for by in (cy - 1, cy, cy + 1):
+                    for j in buckets.get((bx, by), ()):
+                        xj, yj = positions[j]
+                        d2 = (xj - xi) ** 2 + (yj - yi) ** 2
+                        if d2 <= range2 and j != i:
+                            ranked.append((d2, j))
+            ranked.sort()
+            ins.append([j for _, j in ranked[:k]])
+    except OverflowError:  # raised by ** 2, kept over x * x, which rounds some squares differently
+        raise ValueError(
+            f"agents {i} and {j} are too far apart to rank: their squared distance overflows a float"
+        ) from None
     return MeshGraph(n, ins)
 
 

@@ -21,6 +21,7 @@ from meshcoord.bounds import (
     aposteriori_bound,
     apriori_bound,
     approx_greedy_bound,
+    coin_sum,
 )
 from meshcoord.cli import main
 from meshcoord.coordination import (
@@ -35,7 +36,7 @@ from meshcoord.instances import (
     scaling_instance,
     supermodular_toy,
 )
-from meshcoord.objective import DiskCoverageObjective, coin, coin_ring_bound, validate_structure
+from meshcoord.objective import DiskCoverageObjective, coin, coin_ring_bound, curvature, validate_structure
 from meshcoord.scenario import MissionConfig, monte_carlo
 from meshcoord.timing import DelayModel, decision_time, rag_time_bound
 from meshcoord.topology import knn_graph, worst_case_cycle
@@ -94,9 +95,10 @@ def test_acceptance_2_bound_certification(certified_corpus):
     with criterion(2, "1000-instance bound certification", budget_s=120.0 - build_s):
         violations = []
         for i, obj, g, out, opt in corpus:
-            if out.value < apriori_bound(obj, g, out, optimum_value=opt) - 1e-9:
+            kappa = curvature(obj)
+            if out.value < apriori_bound(opt, kappa, coin_sum(obj, g, out.actions)) - 1e-9:
                 violations.append((i, "apriori"))
-            if out.value < aposteriori_bound(obj, out, optimum_value=opt) - 1e-9:
+            if out.value < aposteriori_bound(obj, out, opt, kappa) - 1e-9:
                 violations.append((i, "aposteriori"))
             order = list(range(obj.n_agents))
             random.Random(f"acceptance:{i}:order").shuffle(order)
@@ -112,15 +114,18 @@ def test_acceptance_3_eta_consistency():
             rng = random.Random(f"acceptance-eta:{i}")
             obj, g = random_coverage_instance(rng, max_agents=5, max_actions=3)
             out = run_rag(obj, g)
+            _, opt = brute_force_optimum(obj)
+            kappa = curvature(obj)
+            coins = coin_sum(obj, g, out.actions)
             # eta = 1 collapses the approximate bound onto the baseline one
             assert math.isclose(
-                approx_greedy_bound(obj, g, out, eta=1.0),
-                apriori_bound(obj, g, out),
+                approx_greedy_bound(opt, kappa, coins, eta=1.0),
+                apriori_bound(opt, kappa, coins),
                 rel_tol=1e-12,
                 abs_tol=1e-12,
             )
             half = run_rag(obj, g, eta=0.5, rng=random.Random(f"pick:{i}"))
-            bound = approx_greedy_bound(obj, g, half, eta=0.5)
+            bound = approx_greedy_bound(opt, kappa, coin_sum(obj, g, half.actions), eta=0.5)
             assert half.value >= bound - 1e-9
 
 

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from cell_reference import full_width_masks
 from conftest import coverage_instance, windowed_mask_objective
 from meshcoord import objective
-from meshcoord.bounds import _optimum, aposteriori_bound, bound_report, coin_sum
-from meshcoord.coordination import run_rag
+from meshcoord.bounds import aposteriori_bound, bound_report, coin_sum
+from meshcoord.coordination import brute_force_optimum, run_rag
 from meshcoord.instances import (
     logdet_toy,
     modular_objective,
@@ -135,6 +135,12 @@ def old_coin_sum(obj, g, actions):
     return sum(
         old_coin(obj, i, actions, g.in_neighbors[i]) for i in range(obj.n_agents)
     )
+
+
+def _optimum(obj, optimum_value):
+    if optimum_value is None:
+        _, optimum_value = brute_force_optimum(obj)
+    return optimum_value
 
 
 def old_aposteriori_bound(obj, outcome, optimum_value=None, kappa=None):

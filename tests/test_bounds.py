@@ -10,7 +10,6 @@ from conftest import coverage_instance
 from meshcoord import bounds, objective
 from meshcoord.bounds import (
     BoundReport,
-    _optimum,
     aposteriori_bound,
     apriori_bound,
     approx_greedy_bound,
@@ -30,7 +29,12 @@ from meshcoord.objective import (
     total_curvature,
     validate_structure,
 )
-from meshcoord.topology import complete_graph, edgeless_graph, line_graph
+from meshcoord.topology import complete_graph, edgeless_graph, is_complete, line_graph
+
+
+def _terms(obj, g, out):
+    """The measured terms of the coin-sum bounds: f(opt), kappa and the coin sum."""
+    return brute_force_optimum(obj)[1], curvature(obj), coin_sum(obj, g, out.actions)
 
 
 def test_complete_graph_apriori_reduces_to_centralized_form():
@@ -40,7 +44,7 @@ def test_complete_graph_apriori_reduces_to_centralized_form():
     assert coin_sum(obj, g, out.actions) == 0.0
     _, opt = brute_force_optimum(obj)
     k = curvature(obj)
-    assert math.isclose(apriori_bound(obj, g, out), opt / (1 + k), rel_tol=1e-12)
+    assert math.isclose(apriori_bound(*_terms(obj, g, out)), opt / (1 + k), rel_tol=1e-12)
 
 
 def _overlapping_pair():
@@ -56,7 +60,7 @@ def test_missing_edges_show_up_as_coins_and_discount_the_bound():
     g = edgeless_graph(2)
     out = run_rag(obj, g)
     assert coin_sum(obj, g, out.actions) > 0.0
-    assert apriori_bound(obj, g, out) < apriori_bound(obj, complete_graph(2), out)
+    assert apriori_bound(*_terms(obj, g, out)) < apriori_bound(*_terms(obj, complete_graph(2), out))
 
 
 @settings(max_examples=30, deadline=None)
@@ -64,18 +68,19 @@ def test_missing_edges_show_up_as_coins_and_discount_the_bound():
 def test_value_meets_both_bounds(seed):
     obj, g = coverage_instance(seed, max_agents=4)
     out = run_rag(obj, g)
-    assert out.value >= apriori_bound(obj, g, out) - 1e-9
-    assert out.value >= aposteriori_bound(obj, out) - 1e-9
+    opt, kappa, coins = _terms(obj, g, out)
+    assert out.value >= apriori_bound(opt, kappa, coins) - 1e-9
+    assert out.value >= aposteriori_bound(obj, out, opt, kappa) - 1e-9
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_eta_one_approx_bound_coincides_with_apriori(seed):
     obj, g = coverage_instance(seed, max_agents=4)
-    out = run_rag(obj, g)
+    terms = _terms(obj, g, run_rag(obj, g))
     assert math.isclose(
-        approx_greedy_bound(obj, g, out, eta=1.0),
-        apriori_bound(obj, g, out),
+        approx_greedy_bound(*terms, eta=1.0),
+        apriori_bound(*terms),
         rel_tol=1e-12,
         abs_tol=1e-12,
     )
@@ -86,45 +91,48 @@ def test_eta_one_approx_bound_coincides_with_apriori(seed):
 def test_eta_half_run_meets_its_own_bound(seed):
     obj, g = coverage_instance(seed, max_agents=4)
     out = run_rag(obj, g, eta=0.5, rng=random.Random(seed))
-    assert out.value >= approx_greedy_bound(obj, g, out, eta=0.5) - 1e-9
+    assert out.value >= approx_greedy_bound(*_terms(obj, g, out), eta=0.5) - 1e-9
 
 
 def test_approx_greedy_bound_validates_eta():
     obj, g, _ = reference_line_instance()
-    out = run_rag(obj, g)
+    terms = _terms(obj, g, run_rag(obj, g))
     with pytest.raises(ValueError):
-        approx_greedy_bound(obj, g, out, eta=0.0)
+        approx_greedy_bound(*terms, eta=0.0)
     with pytest.raises(ValueError):
-        approx_greedy_bound(obj, g, out, eta=1.5)
+        approx_greedy_bound(*terms, eta=1.5)
 
 
 def test_aposteriori_needs_recorded_contexts():
     obj, g, _ = reference_line_instance()
     baseline = run_random_baseline(obj, random.Random(0))
+    opt, kappa, _ = _terms(obj, g, baseline)
     with pytest.raises(ValueError, match="commit contexts"):
-        aposteriori_bound(obj, baseline)
+        aposteriori_bound(obj, baseline, opt, kappa)
 
 
 def test_curvature_only_submodular_cases():
     obj, g, _ = reference_line_instance()  # kappa == 1 by construction
-    out = run_rag(obj, g)
     _, opt = brute_force_optimum(obj)
-    complete = curvature_only_bound(obj, complete_graph(5), out, submodular=True)
+    kappa = curvature(obj)
+    complete = curvature_only_bound(opt, is_complete(complete_graph(5)), True, kappa)
     assert math.isclose(complete, opt / 2, rel_tol=1e-12)
-    assert curvature_only_bound(obj, g, out, submodular=True) == 0.0
+    assert curvature_only_bound(opt, is_complete(g), True, kappa) == 0.0
 
 
 def test_curvature_only_beyond_submodular_cases():
     obj = supermodular_toy()
-    out = run_rag(obj, complete_graph(3))
+    _, opt = brute_force_optimum(obj)
+    submodular, c = validate_structure(obj).is_submodular, total_curvature(obj)
+    assert not submodular
     # c = 0.8: (1-c)/(1+c-c^2) * f(opt), then (1-c)^2 * f(opt) off-complete
     assert math.isclose(
-        curvature_only_bound(obj, complete_graph(3), out),
+        curvature_only_bound(opt, is_complete(complete_graph(3)), submodular, c),
         1.5517241379310343,
         rel_tol=1e-12,
     )
     assert math.isclose(
-        curvature_only_bound(obj, line_graph(3), out), 0.36, rel_tol=1e-12
+        curvature_only_bound(opt, is_complete(line_graph(3)), submodular, c), 0.36, rel_tol=1e-12
     )
 
 
@@ -132,7 +140,7 @@ def test_logdet_bound_holds_despite_weak_submodularity():
     obj = logdet_toy()
     g = complete_graph(3)
     out = run_rag(obj, g)
-    assert out.value >= apriori_bound(obj, g, out) - 1e-9
+    assert out.value >= apriori_bound(*_terms(obj, g, out)) - 1e-9
 
 
 def test_coin_sum_monotone_in_topology():
@@ -192,13 +200,17 @@ def test_coin_sum_zero_off_complete_when_footprints_are_disjoint():
     obj, g, _ = reference_line_instance()
     out = run_rag(obj, g)
     assert coin_sum(obj, edgeless_graph(5), out.actions) == 0.0
-    assert apriori_bound(obj, g, out) == apriori_bound(obj, complete_graph(5), out)
+    assert apriori_bound(*_terms(obj, g, out)) == apriori_bound(*_terms(obj, complete_graph(5), out))
 
 
 def old_bound_report(obj, g, outcome, eta=1.0, optimum_value=None, assume_submodular=None):
-    """bound_report as it was: two subset tables and three coin sums (verbatim)."""
+    """bound_report as it was: two subset tables and three coin sums.
+
+    The table logic is verbatim; the terms each old bound function measured
+    for itself (a coin sum, the curvature) are measured again at its call.
+    """
     certified = optimum_value is None
-    opt = _optimum(obj, optimum_value)
+    opt = brute_force_optimum(obj)[1] if certified else optimum_value
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
@@ -210,20 +222,17 @@ def old_bound_report(obj, g, outcome, eta=1.0, optimum_value=None, assume_submod
             submodular = validate_structure(obj).is_submodular
     curvature_only = None
     if submodular is not None:
-        curvature_only = curvature_only_bound(
-            obj, g, outcome, optimum_value=opt, submodular=submodular
-        )
+        k = curvature(obj) if submodular else total_curvature(obj)
+        curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
 
     return BoundReport(
         algorithm_value=outcome.value,
         optimum_value=opt,
-        apriori=apriori_bound(obj, g, outcome, optimum_value=opt, kappa=kappa),
+        apriori=apriori_bound(opt, kappa, coin_sum(obj, g, outcome.actions)),
         apriori_centralized=opt / (1.0 + kappa),
         apriori_decentralized_floor=(1.0 - kappa) * opt,
-        aposteriori=aposteriori_bound(obj, outcome, optimum_value=opt, kappa=kappa),
-        approx_greedy=approx_greedy_bound(
-            obj, g, outcome, eta, optimum_value=opt, kappa=kappa
-        ),
+        aposteriori=aposteriori_bound(obj, outcome, opt, kappa),
+        approx_greedy=approx_greedy_bound(opt, kappa, coin_sum(obj, g, outcome.actions), eta),
         curvature_only=curvature_only,
         coin_sum=coins,
         kappa=kappa,
@@ -344,34 +353,9 @@ def zero_singleton_toy() -> CallableObjective:
     return CallableObjective([1, 1], lambda s: float(any(e.agent == 0 for e in s)))
 
 
-def test_curvature_only_bound_decides_submodularity_without_the_triple_pass(monkeypatch):
-    cases = [(supermodular_toy(), complete_graph(3)), (complementary_pair_toy(), line_graph(3))]
-    cases += [coverage_instance(seed, max_agents=3, max_actions=2) for seed in range(10)]
-    expected = []
-    for obj, g in cases:
-        out = run_rag(obj, g)
-        expected.append((out, curvature_only_bound(obj, g, out, submodular=validate_structure(obj).is_submodular)))
-    monkeypatch.setattr(objective, "_table_structure", lambda *args: pytest.fail("triple pass ran"))
-    for (obj, g), (out, bound) in zip(cases, expected):
-        assert curvature_only_bound(obj, g, out) == bound
-
-
-def test_curvature_only_bound_rejects_a_zero_singleton_by_name():
-    obj = zero_singleton_toy()
-    out = run_random_baseline(obj, random.Random(0))
+def test_validate_structure_rejects_a_zero_singleton_by_name():
     with pytest.raises(ValueError) as exc:
-        curvature_only_bound(obj, complete_graph(2), out)
+        validate_structure(zero_singleton_toy())
     assert str(exc.value) == (
         "structure validation rejected: f(GroundElement(agent=1, action=0)) = 0"
     )
-
-
-def test_curvature_only_bound_builds_one_subset_table():
-    obj = complementary_pair_toy()  # 3 elements, not submodular: 2^3 evaluations
-    g = line_graph(3)
-    out = run_rag(obj, g)
-    _, opt = brute_force_optimum(obj)
-    before = obj.eval_count
-    bound = curvature_only_bound(obj, g, out, optimum_value=opt)
-    assert obj.eval_count - before == 8
-    assert bound == curvature_only_bound(obj, g, out, optimum_value=opt, submodular=False)

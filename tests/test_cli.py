@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from meshcoord import cli, scenario
+from meshcoord import bounds, cli, scenario
 from meshcoord.cli import (
     DEFAULT_CONFIG_TEMPLATE,
     ConfigError,
@@ -529,6 +529,22 @@ def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, caps
     monkeypatch.setattr(cli, "_instance_checks", logged)
     assert main(["verify", "--count", "3"]) == 0
     assert log == ["build 0", "done 0", "build 1", "done 1", "build 2", "done 2"]
+
+
+def test_verify_measures_one_coin_sum_per_outcome(monkeypatch, capsys):
+    # one for the eta = 1 outcome, shared by the apriori and eta = 1 checks,
+    # and one for the eta = 1/2 outcome
+    calls = []
+    coin_sum = bounds.coin_sum
+
+    def counted(obj, g, actions):
+        calls.append(actions)
+        return coin_sum(obj, g, actions)
+
+    monkeypatch.setattr(bounds, "coin_sum", counted)
+    monkeypatch.setattr(cli, "coin_sum", counted, raising=False)
+    assert main(["verify", "--count", "5"]) == 0
+    assert len(calls) == 2 * 5
 
 
 def test_an_isolated_agent_may_not_be_charged_twice_its_menu(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 package imports nothing outside the standard library, and the README's code
 runs as written."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -33,6 +34,21 @@ REMOVED = [
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(meshcoord, name)
     assert not hasattr(module, name)
+
+
+BOUND_FORMULAS = {
+    "apriori_bound": ["opt", "kappa", "coins"],
+    "approx_greedy_bound": ["opt", "kappa", "coins", "eta"],
+    "aposteriori_bound": ["obj", "outcome", "opt", "kappa"],
+    "curvature_only_bound": ["opt", "complete", "submodular", "k"],
+}
+
+
+@pytest.mark.parametrize("name", BOUND_FORMULAS)
+def test_bound_formulas_take_their_measured_terms_without_defaults(name):
+    params = inspect.signature(getattr(meshcoord, name)).parameters.values()
+    assert [p.name for p in params] == BOUND_FORMULAS[name]
+    assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 # -S keeps site from loading .pth hooks that would import third-party modules

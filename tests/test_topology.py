@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -392,6 +393,9 @@ def _ranking_knn_graph(positions, k, comm_range):
     return MeshGraph(n, ins)
 
 
+TOO_FAR = "are too far apart to rank: their squared distance overflows a float"
+
+
 def _outcome(call):
     try:
         return call()
@@ -408,10 +412,27 @@ def _outcome(call):
 def test_knn_with_k_zero_skips_the_ranking_and_returns_the_same_graph(pts, k, comm_range):
     got = _outcome(lambda: knn_graph(pts, k, comm_range))
     expected = _outcome(lambda: _ranking_knn_graph(pts, k, comm_range))
-    if k == 0 and isinstance(expected, tuple) and expected[0] == "OverflowError":
+    if isinstance(expected, tuple) and expected[0] == "OverflowError":
         # a squared distance past the float range overflowed while ranking;
-        # with k = 0 nothing is ranked
-        expected = edgeless_graph(len(pts))
+        # with k = 0 nothing is ranked, and otherwise the pair is named
+        if k == 0:
+            expected = edgeless_graph(len(pts))
+        else:
+            i, j = map(int, re.fullmatch(r"agents (\d+) and (\d+) .*", got[1]).groups())
+            (xi, yi), (xj, yj) = pts[i], pts[j]
+            with pytest.raises(OverflowError):
+                (xj - xi) ** 2 + (yj - yi) ** 2
+            expected = ("ValueError", f"agents {i} and {j} {TOO_FAR}")
     assert got == expected
     if k == 0 and isinstance(got, MeshGraph):
         assert got == edgeless_graph(len(pts))
+
+
+@pytest.mark.parametrize("comm_range", [1.0, 1e300, math.inf])
+def test_knn_names_the_pair_whose_squared_distance_overflows(comm_range):
+    pts = [(0.0, 0.0), (0.0, 1.0), (2e154, 0.0)]
+    with pytest.raises(ValueError) as exc:
+        knn_graph(pts, 1, comm_range)
+    assert str(exc.value) == f"agents 0 and 2 {TOO_FAR}"
+    # 1.3e154 apart still squares to a finite float
+    assert knn_graph([(0.0, 0.0), (1.3e154, 0.0)], 1, math.inf).in_neighbors == (frozenset({1}), frozenset({0}))
