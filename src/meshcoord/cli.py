@@ -7,8 +7,9 @@ template. `verify` prints one PASS/FAIL line per property, a failure with
 the first failing instance. Exit codes: 0 success, 1 property violation, 2
 config or environment error, including an artifact that cannot be written.
 The MESHCOORD_WORKERS environment variable sizes the trial worker pool
-(default 1, serial); a run starts at most one pool, shared by all trials of
-all sweep variations.
+(default 1, serial). A run starts at most one pool for the whole sweep; its
+tasks are batches of the missions that draw the same world, which each
+batch builds once.
 """
 
 from __future__ import annotations

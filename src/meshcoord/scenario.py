@@ -9,7 +9,8 @@ fresh normalized monotone coverage function.
 Trials are deterministic in (seed, trial) and the world stream is independent
 of the algorithm and k, so runs of different variations with the same trial
 index share road masks and initial positions — the pairing the Monte Carlo
-comparisons rely on.
+comparisons rely on. monte_carlo builds each such world, with its footprint
+cache, once for all the missions of a batch that draw it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Iterator, Sequence, get_args, get_type_hints
@@ -220,36 +222,73 @@ def _spawn(cfg: MissionConfig, rng: random.Random, width: int, height: int) -> l
     return [(x0 + rng.randrange(bw), y0 + rng.randrange(bh)) for _ in range(cfg.n_agents)]
 
 
-def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
+@dataclass
+class _World:
+    """One trial's world, shared by the missions of a sweep that draw it.
+
+    The footprint and reach caches fill lazily and depend on the field of
+    view and the move length, so those are part of the world's key. The rng
+    state is the world stream's right after the mask draw: each mission
+    restores it to draw its own spawn.
+    """
+
+    mask: list[str]
+    roads: int
+    rng_state: tuple
+    # road footprint mask per grid position, and per agent position the
+    # destinations of its MOVES with their footprints, built on first use
+    footprints: dict[tuple[int, int], int] = field(default_factory=dict)
+    reach: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = field(
+        default_factory=dict
+    )
+
+
+# the config fields that a world's mask or caches read; with the trial, they key the world
+_WORLD_FIELDS = (
+    "seed", "world_width", "world_height", "road_density", "corridor_width",
+    "road_mask_path", "fov_width", "fov_height", "move_magnitude",
+)
+
+
+def _world_key(cfg: MissionConfig, trial: int) -> tuple:
+    return (trial, *(getattr(cfg, name) for name in _WORLD_FIELDS))
+
+
+def _build_world(cfg: MissionConfig, trial: int) -> _World:
+    rng = random.Random(f"{cfg.seed}:{trial}:world")
+    mask = _load_world(cfg, rng)
+    return _World(mask, road_bits(mask), rng.getstate())
+
+
+def run_mission(cfg: MissionConfig, trial: int = 0, *, _world: _World | None = None) -> MissionTrace:
     """One deterministic mission; trial selects the paired random streams.
 
     The world stream (mask + spawn) is keyed only by (seed, trial), the
     algorithm stream by (seed, trial, algorithm, k): two variations replayed
-    at equal trial indices start from identical worlds.
+    at equal trial indices start from identical worlds. Called alone, it
+    builds its own world; monte_carlo passes one world, keyed by
+    _world_key, to every mission of a batch.
 
     The world is kept as ints (bit y * width + x per cell): the road mask,
     the covered mask, and one road-clipped footprint mask per grid position,
-    cached for the mission. Each step's objective is the footprint masks of
+    cached with the world. Each step's objective is the footprint masks of
     the agents' candidate destinations ANDed with the still-uncovered road,
     so it counts only newly seen road cells.
     """
-    rng_world = random.Random(f"{cfg.seed}:{trial}:world")
+    world = _build_world(cfg, trial) if _world is None else _world
+    rng_world = random.Random()
+    rng_world.setstate(world.rng_state)
     rng_alg = random.Random(f"{cfg.seed}:{trial}:alg:{cfg.algorithm}:{cfg.k}")
 
-    mask = _load_world(cfg, rng_world)
-    height = len(mask)
-    width = len(mask[0])
-    roads = road_bits(mask)
+    height = len(world.mask)
+    width = len(world.mask[0])
+    roads = world.roads
     positions = _spawn(cfg, rng_world, width, height)
     initial = tuple(positions)
+    footprints, reach = world.footprints, world.reach
 
     n = cfg.n_agents
     dm = cfg.delay_model()
-
-    # road footprint mask per grid position, and per agent position the
-    # destinations of its MOVES with their footprints, built on first use
-    footprints: dict[tuple[int, int], int] = {}
-    reach: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = {}
 
     # per-trial randomness of the sequential rules: one decision order for
     # sg/dsm, one relay mesh and start for dfs-sg
@@ -325,6 +364,33 @@ def run_mission(cfg: MissionConfig, trial: int = 0) -> MissionTrace:
     )
 
 
+def _run_batch(batch: Sequence[tuple[MissionConfig, int]]) -> list[MissionTrace]:
+    """The missions of one world, in order; the world is built once for all of them."""
+    world = _build_world(*batch[0])
+    return [run_mission(cfg, trial, _world=world) for cfg, trial in batch]
+
+
+def _batches(variations: Sequence[MissionConfig], parts_wanted: int) -> list[list[tuple[int, int]]]:
+    """The (variation index, trial) missions grouped by world, trial-major.
+
+    Each world's group is split into contiguous parts until there are at
+    least parts_wanted batches (at most one mission per part).
+    """
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for trial in range(max(cfg.trials for cfg in variations)):
+        for v, cfg in enumerate(variations):
+            if trial < cfg.trials:
+                groups.setdefault(_world_key(cfg, trial), []).append((v, trial))
+    parts = 1
+    while sum(min(parts, len(g)) for g in groups.values()) < parts_wanted:
+        parts += 1
+    batches = []
+    for g in groups.values():
+        p = min(parts, len(g))
+        batches.extend(g[i * len(g) // p : (i + 1) * len(g) // p] for i in range(p))
+    return batches
+
+
 def monte_carlo(
     variations: Sequence[MissionConfig],
     workers: int = 1,
@@ -332,24 +398,33 @@ def monte_carlo(
     """Paired trials of every variation, serial or on one process pool.
 
     Each variation is a full MissionConfig, valid by construction, and runs
-    its own cfg.trials trials. With workers > 1, every (variation, trial)
-    task of the whole batch is submitted to a single pool up front; the pool
-    never has more processes than tasks, as all of them start at once.
-    Traces come back in (variation, trial) order however many workers run,
-    so outputs are deterministic either way.
+    its own cfg.trials trials. The missions that draw the same world (equal
+    trial and _WORLD_FIELDS) form one batch, which builds that world once;
+    batches run trial-major, and each holds one world at a time. With
+    workers > 1 and fewer worlds than min(workers, missions), each world's
+    batch is split into contiguous parts until there are enough, and all
+    batches are mapped over a single pool of min(workers, batches)
+    processes, so the pool never has more processes than tasks. Traces come
+    back in (variation, trial) order however many workers run, so outputs
+    are deterministic either way.
     """
     if not variations:
         raise ValueError("need at least one variation")
-    cfgs = [cfg for cfg in variations for _ in range(cfg.trials)]
-    trials = [trial for cfg in variations for trial in range(cfg.trials)]
-    workers = min(workers, len(cfgs))
+    missions = sum(cfg.trials for cfg in variations)
+    batches = _batches(variations, min(workers, missions))
+    tasks = [[(variations[v], trial) for v, trial in batch] for batch in batches]
+    workers = min(workers, len(batches))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run_mission, cfgs, trials))
+            done = list(pool.map(_run_batch, tasks))
     else:
-        traces = list(map(run_mission, cfgs, trials))
+        done = list(map(_run_batch, tasks))
+    by_mission = {
+        mission: trace for batch, traces in zip(batches, done) for mission, trace in zip(batch, traces)
+    }
+    traces = [by_mission[v, trial] for v, cfg in enumerate(variations) for trial in range(cfg.trials)]
 
     summaries = []
     start = 0
@@ -380,10 +455,11 @@ def monte_carlo(
 
 
 TRACE_HEADER = ("trial", "algorithm", "k", *(f.name for f in fields(StepRecord)))
+_record_values = attrgetter(*TRACE_HEADER[3:])
 
 
 def trace_rows(traces: Sequence[MissionTrace]) -> Iterator[list]:
     """Flat CSV rows (without header) for a batch of mission traces."""
     for t in traces:
         for rec in t.records:
-            yield [t.trial, t.algorithm, t.k, *astuple(rec)]
+            yield [t.trial, t.algorithm, t.k, *_record_values(rec)]

@@ -8,6 +8,7 @@ directed and disconnected; the undirected generators emit symmetric edges.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from bisect import bisect_right
@@ -29,7 +30,10 @@ class MeshGraph:
         outs: list[set[int]] = [set() for _ in range(n)]
         agents = frozenset(range(n))
         for i, nbrs in enumerate(in_neighbors):
-            fs = frozenset(int(j) for j in nbrs)
+            ids = tuple(nbrs)
+            if not set(map(type, ids)) <= {int}:  # the type check runs at C speed
+                ids = [_neighbor_id(i, j) for j in ids]
+            fs = frozenset(ids)
             if i in fs:
                 raise ValueError(f"agent {i} lists itself as a neighbor")
             if not fs <= agents:
@@ -55,6 +59,16 @@ class MeshGraph:
 
     def __repr__(self) -> str:
         return f"MeshGraph(n={self.n}, edges={self.edge_count()})"
+
+
+def _neighbor_id(agent: int, j) -> int:
+    """j as an int agent id: any integer type but bool, or ValueError naming agent and j."""
+    if not isinstance(j, bool):
+        try:
+            return operator.index(j)
+        except TypeError:
+            pass
+    raise ValueError(f"agent {agent} lists neighbor id {j!r}, which is not an int")
 
 
 @dataclass(frozen=True)

@@ -510,7 +510,7 @@ def test_a_mask_run_reads_the_mask_once_per_config_and_trial(tmp_path, monkeypat
     monkeypatch.setattr(scenario, "_read_road_mask", lambda path: reads.append(path) or read(path))
     path, _ = write_config(tmp_path, road_mask_path=mask, sweep_k="0 2", trials=5)
     assert main(["run", str(path)]) == 0
-    assert len(reads) == 13
+    assert len(reads) == 8
 
 
 def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, capsys):

@@ -44,6 +44,36 @@ def test_mesh_graph_validation():
         MeshGraph(2, [[1]])  # missing a neighborhood
 
 
+@pytest.mark.parametrize(
+    "in_neighbors, agent, bad",
+    [
+        ([[1.7], [2.9], ["0"]], 0, "1.7"),  # int() used to truncate these to edges
+        ([[1], [2.0], [0]], 1, "2.0"),
+        ([[1], [2], ["0"]], 2, "'0'"),
+        ([[True], [2], [0]], 0, "True"),  # a bool is not an agent id
+        ([[1], [2], [False]], 2, "False"),
+        ([[1, None], [2], [0]], 0, "None"),
+    ],
+)
+def test_mesh_graph_rejects_neighbor_ids_that_are_not_ints(in_neighbors, agent, bad):
+    message = rf"^agent {agent} lists neighbor id {re.escape(bad)}, which is not an int$"
+    with pytest.raises(ValueError, match=message):
+        MeshGraph(3, in_neighbors)
+
+
+def test_mesh_graph_accepts_any_integer_type_as_an_id():
+    class AgentId:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    g = MeshGraph(3, [iter([AgentId(1)]), (AgentId(2), 0), {1}])
+    assert g == MeshGraph(3, [[1], [2, 0], [1]])
+    assert all(type(j) is int for nbrs in g.in_neighbors for j in nbrs)
+
+
 def test_mesh_graph_equality_and_hash():
     assert MeshGraph(2, [[1], [0]]) == MeshGraph(2, [{1}, {0}])
     assert len({MeshGraph(2, [[1], [0]]), MeshGraph(2, [[1], [0]])}) == 1
