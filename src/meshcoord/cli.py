@@ -6,10 +6,14 @@ ExperimentConfig; `meshcoord run --print-default-config` emits a commented
 template. `verify` prints one PASS/FAIL line per property, a failure with
 the first failing instance. Exit codes: 0 success, 1 property violation, 2
 config or environment error, including an artifact that cannot be written.
-The MESHCOORD_WORKERS environment variable sizes the trial worker pool
-(default 1, serial). A run starts at most one pool for the whole sweep; its
-tasks are batches of the missions that draw the same world, which each
-batch builds once.
+The MESHCOORD_WORKERS environment variable sizes both worker pools, and
+either starts at most one pool, of no more processes than it has tasks:
+- `run` maps batches of the missions that draw the same world, which each
+  batch builds once. Unset, it runs serially: one mission can hold a
+  world-sized footprint cache, so missions run side by side only on request.
+- `verify` maps contiguous runs of its instances, whose few agents need
+  little memory. Unset, it uses every CPU this process may run on.
+Any worker count prints and writes the same bytes.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from meshcoord.scenario import (
     ALGORITHMS,
     MissionConfig,
     TRACE_HEADER,
+    _pool_map,
     monte_carlo,
     trace_rows,
 )
@@ -170,6 +175,8 @@ _KEY_TYPES = {**get_type_hints(ExperimentConfig), **_MISSION_TYPES}
 del _KEY_TYPES["mission"]
 # the fields that take only named values, with the values each accepts
 _CHOICES = {"algorithm": ALGORITHMS, "sweep_algorithm": ALGORITHMS, "emit": EMIT_CHOICES}
+# verify's instance runs per worker: enough to even out instances of unequal cost
+_CHUNKS_PER_WORKER = 4
 # bounds.csv columns after the instance index and its team size
 _BOUND_COLUMNS = (
     "algorithm_value", "optimum_value", "apriori", "aposteriori", "approx_greedy",
@@ -236,8 +243,10 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config error: {exc}") from None
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("MESHCOORD_WORKERS", "1")
+def _workers_from_env(default: int) -> int:
+    raw = os.environ.get("MESHCOORD_WORKERS")
+    if raw is None:
+        return default
     try:
         workers = int(raw)
     except ValueError:
@@ -299,7 +308,7 @@ def cmd_run(config_path: str) -> int:
     except OSError as exc:
         raise ConfigError(f"config error: cannot read {config_path}: {exc}") from None
     exp = parse_experiment_config(text)
-    workers = _workers_from_env()
+    workers = _workers_from_env(1)
 
     out_dir = Path(exp.output_dir)
     try:
@@ -498,6 +507,26 @@ def _reference_checks(seed: int) -> Iterator[tuple[str, str | None]]:
         yield "ring-bound-dominates-disk-coin", "" if measured > coin_ring_bound(r_s, r_i) + tol else None
 
 
+def _first_failures(checks: Iterable[tuple[str, str | None]]) -> dict[str, str | None]:
+    """Each property's first failure detail, or None while it holds, in first-seen order."""
+    first_failure: dict[str, str | None] = {}
+    for name, detail in checks:
+        if first_failure.get(name) is None:
+            first_failure[name] = detail
+    return first_failure
+
+
+def _verify_chunk(task: tuple[int, int, int, int, int]) -> dict[str, str | None]:
+    """_first_failures of instances start to stop - 1.
+
+    task is (seed, start, stop, max_agents, max_actions), so a pool can send it.
+    """
+    seed, start, stop, max_agents, max_actions = task
+    return _first_failures(
+        chain.from_iterable(_instance_checks(seed, i, max_agents, max_actions) for i in range(start, stop))
+    )
+
+
 def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
     if count < 0:
         raise ConfigError("config error: count may not be negative")
@@ -515,16 +544,22 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
             f"config error: --max-agents {max_agents} exceeds {team_cap}, "
             "the most the brute-force limit admits at two actions"
         )
+    workers = _workers_from_env(
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    )
     if count == 0:
         print("warning: count=0 — instance-based properties pass vacuously")
 
-    # each property's first failure detail, or None while it holds, in first-seen order;
-    # each instance's checks are built only once the previous instance's are used up
-    first_failure: dict[str, str | None] = {}
-    instances = (_instance_checks(seed, i, max_agents, max_actions) for i in range(count))
-    for name, detail in chain(chain.from_iterable(instances), _reference_checks(seed)):
-        if first_failure.get(name) is None:
-            first_failure[name] = detail
+    # contiguous runs of instances, a few per worker, checked on the pool; within a
+    # run each instance is built only once the previous one's checks are used up.
+    # Runs merge in instance order, so any worker count prints the same lines.
+    chunks = min(count, _CHUNKS_PER_WORKER * workers)
+    tasks = [
+        (seed, c * count // chunks, (c + 1) * count // chunks, max_agents, max_actions)
+        for c in range(chunks)
+    ]
+    found = _pool_map(_verify_chunk, tasks, workers)
+    first_failure = _first_failures(chain(*(f.items() for f in found), _reference_checks(seed)))
     for name, detail in first_failure.items():
         print(f"PASS {name}" if detail is None else f"FAIL {name}" + (f" — {detail}" if detail else ""))
 

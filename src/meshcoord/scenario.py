@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
 from statistics import fmean, pstdev
-from typing import Iterator, Sequence, get_args, get_type_hints
+from typing import Callable, Iterator, Sequence, get_args, get_type_hints
 
 from meshcoord.coordination import (
     run_dfs_sg,
@@ -391,6 +391,23 @@ def _batches(variations: Sequence[MissionConfig], parts_wanted: int) -> list[lis
     return batches
 
 
+def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> list:
+    """[fn(task) for task in tasks], on one pool of min(workers, len(tasks)) processes.
+
+    fn must be a top-level function. Below two processes the tasks run here,
+    in order, and concurrent.futures is not imported. A task's exception is
+    raised here: the pool cancels the tasks it has not yet queued for a
+    process, and shuts down once the queued ones end.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2:
+        return list(map(fn, tasks))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def monte_carlo(
     variations: Sequence[MissionConfig],
     workers: int = 1,
@@ -413,14 +430,7 @@ def monte_carlo(
     missions = sum(cfg.trials for cfg in variations)
     batches = _batches(variations, min(workers, missions))
     tasks = [[(variations[v], trial) for v, trial in batch] for batch in batches]
-    workers = min(workers, len(batches))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_batch, tasks))
-    else:
-        done = list(map(_run_batch, tasks))
+    done = _pool_map(_run_batch, tasks, workers)
     by_mission = {
         mission: trace for batch, traces in zip(batches, done) for mission, trace in zip(batch, traces)
     }

@@ -146,6 +146,9 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
                         if d2 <= range2 and j != i:
                             ranked.append((d2, j))
             ranked.sort()
+            if ranked and ranked[-1][0] == math.inf:  # two finite squares summed past the float range
+                j = next(j for d2, j in ranked if d2 == math.inf)
+                raise OverflowError
             ins.append([j for _, j in ranked[:k]])
     except OverflowError:  # raised by ** 2, kept over x * x, which rounds some squares differently
         raise ValueError(

@@ -1,7 +1,9 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import fields, replace
 
 import pytest
@@ -25,6 +27,28 @@ def small_config(out_dir, **extra):
     values = dict(n_agents=3, world_width=10, world_height=10, steps=2, trials=2, output_dir=out_dir)
     values.update(extra)
     return "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swaps in a ProcessPoolExecutor that runs its tasks here, in order; returns the sizes started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return started
 
 
 def write_config(tmp_path, **extra):
@@ -436,7 +460,8 @@ def test_verify_stdout_is_pinned(capsys):
     assert capsys.readouterr().out == VERIFY_30_STDOUT
 
 
-def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch):
+def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch, serial_pool):
+    # on serial_pool, since a pool that spawns its workers would not see the patches
     apriori_bound, coin = cli.apriori_bound, cli.coin
     monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
     monkeypatch.setattr(
@@ -455,6 +480,89 @@ def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch):
     assert [line.split(" ", 1)[1].split(" — ")[0] for line in lines[:-1]] == [
         line.split(" ", 1)[1] for line in expected
     ]
+
+
+@pytest.mark.parametrize(
+    "workers, pooled", [("1", False), ("2", True), ("3", False), ("4", False), ("5", False)]
+)
+def test_verify_stdout_is_the_same_at_any_worker_count(workers, pooled, monkeypatch, capsys, request):
+    # 2 workers start a real pool; 3 to 5 run their chunks on serial_pool
+    if not pooled:
+        request.getfixturevalue("serial_pool")
+    monkeypatch.setenv("MESHCOORD_WORKERS", workers)
+    assert main(["verify", "--count", "30"]) == 0
+    assert capsys.readouterr().out == VERIFY_30_STDOUT
+
+
+@pytest.mark.parametrize("workers", ["2", "3", "5", "30"])
+def test_pooled_verify_reports_the_serial_first_failures(workers, capsys, monkeypatch, serial_pool):
+    apriori_bound, coin, short = cli.apriori_bound, cli.coin, cli._short
+    monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
+    monkeypatch.setattr(
+        cli, "coin", lambda obj, j, *a, **kw: coin(obj, j, *a, **kw) + (1.0 if j == 1 else 0.0)
+    )
+    # every lower-bound check fails from instance 17 on, which is in a later chunk
+    monkeypatch.setattr(
+        cli, "_short", lambda tag, value, bound: short(tag, value, bound + 1e6 * (int(tag.split()[1]) >= 17))
+    )
+    monkeypatch.setenv("MESHCOORD_WORKERS", "1")
+    assert main(["verify", "--count", "30"]) == 1
+    serial = capsys.readouterr().out
+    assert serial_pool == []
+    assert "FAIL sg-half-of-optimum — instance 17: " in serial
+    assert "FAIL coin-empty-within-kappa-cap — instance 4: agent 1" in serial
+    monkeypatch.setenv("MESHCOORD_WORKERS", workers)
+    assert main(["verify", "--count", "30"]) == 1
+    assert capsys.readouterr().out == serial
+    assert serial_pool == [min(int(workers), 30)]
+
+
+def test_verify_pool_never_outnumbers_its_instances(monkeypatch, capsys, serial_pool):
+    monkeypatch.setenv("MESHCOORD_WORKERS", "64")
+    assert main(["verify", "--count", "3"]) == 0
+    assert serial_pool == [3]
+    assert main(["verify", "--count", "0"]) == 0
+    assert serial_pool == [3]  # no instances, no pool
+
+
+def test_unset_workers_give_verify_every_usable_cpu_and_run_one(tmp_path, monkeypatch, capsys, serial_pool):
+    monkeypatch.delenv("MESHCOORD_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert main(["verify", "--count", "30"]) == 0
+    assert serial_pool == [3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert main(["verify", "--count", "30"]) == 0
+    assert serial_pool == [3, 4]
+    path, _ = write_config(tmp_path, trials=4)
+    assert main(["run", str(path)]) == 0
+    assert serial_pool == [3, 4]  # the run's four missions ran serially
+
+
+def test_invalid_worker_env_is_a_config_error_for_verify(monkeypatch, capsys):
+    monkeypatch.setenv("MESHCOORD_WORKERS", "zero")
+    assert main(["verify", "--count", "3"]) == 2
+    assert "MESHCOORD_WORKERS" in capsys.readouterr().err
+
+
+def test_an_instance_error_reaches_the_caller(monkeypatch, capsys, serial_pool):
+    checks = cli._instance_checks
+
+    def failing(seed, i, *limits):
+        if i == 20:
+            raise RuntimeError("instance 20 broke")
+        return checks(seed, i, *limits)
+
+    monkeypatch.setattr(cli, "_instance_checks", failing)
+    monkeypatch.setenv("MESHCOORD_WORKERS", "3")
+    with pytest.raises(RuntimeError, match="instance 20 broke"):
+        main(["verify", "--count", "30"])
+
+
+def test_a_task_error_on_a_real_pool_reaches_the_caller():
+    with pytest.raises(ValueError, match="math domain error"):
+        scenario._pool_map(math.sqrt, [4.0, -1.0] + [9.0] * 10, 2)
+    assert scenario._pool_map(math.sqrt, [4.0, 9.0, 16.0], 2) == [2.0, 3.0, 4.0]
 
 
 # sha256 of each artifact of a tiny fixed sweep; summary.json embeds the
@@ -513,7 +621,7 @@ def test_a_mask_run_reads_the_mask_once_per_config_and_trial(tmp_path, monkeypat
     assert len(reads) == 8
 
 
-def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, capsys):
+def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, capsys, serial_pool):
     log = []
     checks = cli._instance_checks
 
@@ -527,11 +635,12 @@ def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, caps
         return run()
 
     monkeypatch.setattr(cli, "_instance_checks", logged)
+    monkeypatch.setenv("MESHCOORD_WORKERS", "2")  # on serial_pool, so the calls are seen here
     assert main(["verify", "--count", "3"]) == 0
     assert log == ["build 0", "done 0", "build 1", "done 1", "build 2", "done 2"]
 
 
-def test_verify_measures_one_coin_sum_per_outcome(monkeypatch, capsys):
+def test_verify_measures_one_coin_sum_per_outcome(monkeypatch, capsys, serial_pool):
     # one for the eta = 1 outcome, shared by the apriori and eta = 1 checks,
     # and one for the eta = 1/2 outcome
     calls = []
@@ -543,6 +652,7 @@ def test_verify_measures_one_coin_sum_per_outcome(monkeypatch, capsys):
 
     monkeypatch.setattr(bounds, "coin_sum", counted)
     monkeypatch.setattr(cli, "coin_sum", counted, raising=False)
+    monkeypatch.setenv("MESHCOORD_WORKERS", "2")  # on serial_pool, so the calls are seen here
     assert main(["verify", "--count", "5"]) == 0
     assert len(calls) == 2 * 5
 

@@ -453,6 +453,13 @@ def test_knn_with_k_zero_skips_the_ranking_and_returns_the_same_graph(pts, k, co
             with pytest.raises(OverflowError):
                 (xj - xi) ** 2 + (yj - yi) ** 2
             expected = ("ValueError", f"agents {i} and {j} {TOO_FAR}")
+    elif k > 0 and isinstance(got, tuple) and got[1].endswith(TOO_FAR):
+        # two finite squares summed past the float range: the old function
+        # ranked the pair as a tie, and now the lowest such pair is named
+        i, j = map(int, re.fullmatch(r"agents (\d+) and (\d+) .*", got[1]).groups())
+        (xi, yi), (xj, yj) = pts[i], pts[j]
+        assert (xj - xi) ** 2 + (yj - yi) ** 2 == math.inf
+        expected = got
     assert got == expected
     if k == 0 and isinstance(got, MeshGraph):
         assert got == edgeless_graph(len(pts))
@@ -466,3 +473,15 @@ def test_knn_names_the_pair_whose_squared_distance_overflows(comm_range):
     assert str(exc.value) == f"agents 0 and 2 {TOO_FAR}"
     # 1.3e154 apart still squares to a finite float
     assert knn_graph([(0.0, 0.0), (1.3e154, 0.0)], 1, math.inf).in_neighbors == (frozenset({1}), frozenset({0}))
+
+
+@pytest.mark.parametrize("comm_range", [1e300, math.inf])
+def test_knn_names_the_pair_whose_squared_distance_overflows_in_the_sum(comm_range):
+    # each square is finite, but agent 0's squared distances to 1 and 2 sum to
+    # inf, which ranked them as a tie and kept agent 1 although agent 2 is nearer
+    pts = [(0.0, 0.0), (1.3e154, 1.3e154), (1.3e154, 1.2e154)]
+    with pytest.raises(ValueError) as exc:
+        knn_graph(pts, 1, comm_range)
+    assert str(exc.value) == f"agents 0 and 1 {TOO_FAR}"
+    # a finite range leaves such pairs out of the ranking
+    assert knn_graph(pts, 1, 1e154).in_neighbors == (frozenset(), frozenset({2}), frozenset({1}))

@@ -117,6 +117,8 @@ def main() -> int:
         "machine": {
             "python": platform.python_version(),
             "nproc": os.cpu_count(),
+            # verify's default worker count when MESHCOORD_WORKERS is unset
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
             "platform": platform.platform(),
         },
         "seed": SEED,
