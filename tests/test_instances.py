@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from cell_reference import cell_masks, full_width_masks, rect_footprint
+from meshcoord import instances, objective
 from meshcoord.instances import (
     MOVES,
     _clip_move,
@@ -118,14 +119,45 @@ def test_random_coverage_instance_rejects_bad_limits_by_name_before_drawing(kwar
     assert rng.getstate() == state
 
 
-@pytest.mark.parametrize("n", [1, 10, 100, 1000])
+@pytest.mark.parametrize("n", [1, 10, 57, 58, 100, 1000])
 def test_scaling_instance_matches_the_cell_build(n):
+    # n = 57 is a 45 x 45 world of 2,025 cells, one plain-int mask each; n = 58 is 46 x 46, past 2,048
     old_rng, new_rng = random.Random(n), random.Random(n)
     mask, footprints, old_positions = old_scaling_instance(old_rng, n)
     obj, positions = scaling_instance(new_rng, n)
     assert_same_objective(obj, mask, footprints)
     assert positions == old_positions
     assert new_rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize("n,window_bits", [(1, 7), (10, 64), (58, 13), (100, 1)])
+def test_scaling_instance_matches_the_cell_build_in_narrow_windows(monkeypatch, n, window_bits):
+    # narrow windows split a box's rows, and with 1-bit windows every cell is a window of its own
+    monkeypatch.setattr(objective, "_WINDOW_BITS", window_bits)
+    assert isinstance(scaling_instance(random.Random(n), n)[0]._masks[0][0], tuple)
+    test_scaling_instance_matches_the_cell_build(n)
+
+
+def test_scaling_instance_builds_no_world_wide_footprint(monkeypatch):
+    # at n = 200 the world is 85 x 85 = 7,225 cells, so every footprint is windowed
+    def world_wide(*args):
+        raise AssertionError("a footprint was built as a world-wide int")
+
+    monkeypatch.setattr(objective, "rect_mask", world_wide)
+    monkeypatch.setattr(instances, "rect_mask", world_wide, raising=False)
+    monkeypatch.setattr(objective, "_window_pairs", world_wide)
+    obj, _ = scaling_instance(random.Random(200), 200)
+    assert obj.width * obj.height > objective._WINDOW_BITS
+    assert obj.n_agents == 200 and isinstance(obj._masks[0][0], tuple)
+
+
+@pytest.mark.parametrize("n_agents", [-1, 0, 2.5, 1.0, True, False, "3", None])
+def test_scaling_instance_rejects_a_bad_team_size_by_name_before_drawing(n_agents):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^n_agents must be an int of at least 1, got "):
+        scaling_instance(rng, n_agents)
+    assert rng.getstate() == state
 
 
 @pytest.mark.parametrize(

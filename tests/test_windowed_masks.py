@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cell_reference import full_width_masks
+from cell_reference import cell_masks, full_width_masks, rect_footprint
 from meshcoord import objective, scenario
 from meshcoord.coordination import TIE_BREAKS, run_dfs_sg, run_dsm, run_rag, run_random_baseline, run_sg
 from meshcoord.objective import (
@@ -27,6 +27,7 @@ from meshcoord.objective import (
     GridCoverageObjective,
     GroundElement,
     Objective,
+    _box_windows,
     _UnionMaskObjective,
     road_bits,
 )
@@ -211,3 +212,49 @@ def test_bad_footprints_are_named_on_both_sides_of_the_window_width(width):
     for bad in (-1, 1.5, "1"):
         with pytest.raises(ValueError, match="footprint of agent 1 action 0 must be a non-negative int"):
             GridCoverageObjective(["#" * width], [[1, 2], [bad, 4]])
+
+
+@st.composite
+def _boxes_in_a_world(draw):
+    """A window width, a world on either side of it with road in its first rows only, and boxes near every edge."""
+    window_bits = draw(st.integers(1, 64))
+    width = draw(st.integers(1, 3 * window_bits))
+    height = draw(st.integers(1, 8))
+    road_rows = draw(st.integers(0, height))  # rows from here on have no road
+    rows = [
+        "".join(draw(st.sampled_from("#.")) if y < road_rows else "." for _ in range(width)) for y in range(height)
+    ]
+
+    def coordinate(size):
+        # on, next to or past an edge, or anywhere inside
+        anchor = draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
+        return anchor + draw(st.integers(-4, 4))
+
+    boxes = [(coordinate(width), coordinate(height), draw(st.integers(1, 7))) for _ in range(draw(st.integers(1, 6)))]
+    return window_bits, rows, boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(world=_boxes_in_a_world())
+@example(world=(1, ["#" * 3] * 3, [(1, 1, 3)]))
+@example(world=(2, ["##.", "#.#", ".##"], [(0, 0, 7), (2, 2, 2), (-3, 1, 7)]))
+def test_box_windows_are_the_cell_footprint_split_into_windows(world):
+    window_bits, rows, boxes = world
+    width, height = len(rows[0]), len(rows)
+    footprints = [rect_footprint(cx, cy, fov, fov, width, height) for cx, cy, fov in boxes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objective, "_WINDOW_BITS", window_bits)
+        built = [_box_windows(cx, cy, fov, width, height) for cx, cy, fov in boxes]
+        for pairs, cells in zip(built, footprints):
+            windows: dict[int, int] = {}
+            for x, y in cells:
+                idx, offset = divmod(y * width + x, window_bits)
+                windows[idx] = windows.get(idx, 0) | 1 << offset
+            assert pairs == tuple(sorted(windows.items()))
+
+        # the pre-windowed input builds the objective the int masks build, clipped to the road
+        windowed = GridCoverageObjective(rows, [built], _windowed=True)
+        plain = GridCoverageObjective(rows, [[sum(1 << (y * width + x) for x, y in cells) for cells in footprints]])
+        assert windowed._masks == plain._masks
+        assert windowed._counts == plain._counts
+        assert full_width_masks(windowed) == tuple(map(tuple, cell_masks(rows, [footprints])))

@@ -9,13 +9,14 @@ compare against, for example made with `git archive`):
 
     python3 tools/bench_pairs.py --before PARENT --after . --out BENCH_name.json
 
-For each workload, PAIRS pairs of `bench/run.py --trace 0` runs at seed SEED,
+For each workload, PAIRS pairs of `bench/run.py --trace 0` runs at seed SEED
+(or --seed, to measure on a seed not used while writing the change),
 one per checkout, each run from its own checkout so that it measures that
 checkout's src/ and lasting the benchmark's fixed run length (`run_seconds`
 in BENCHMARK.json). Which checkout goes first alternates from one pair to
 the next. The medians and quartiles of items_per_s, setup_s and peak_rss_mb
 are recorded per checkout, next to every run's values, with the number of
-pairs the changed checkout's items_per_s won.
+pairs the changed checkout's items_per_s and setup_s won.
 
 It also runs each scale-rules rule operation once per checkout, in a fresh
 interpreter, and records the evaluations it charged (the objective's
@@ -59,9 +60,9 @@ print(json.dumps(counts))
 """
 
 
-def bench_run(root: str, workload: str) -> dict:
+def bench_run(root: str, workload: str, seed: int) -> dict:
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", "0"],
         cwd=root, check=True, capture_output=True, text=True,
     )
@@ -71,9 +72,9 @@ def bench_run(root: str, workload: str) -> dict:
     return rec
 
 
-def eval_counts(root: str) -> dict:
+def eval_counts(root: str, seed: int) -> dict:
     done = subprocess.run(
-        [sys.executable, "-c", EVAL_COUNTS, str(Path(root).resolve()), str(SEED)],
+        [sys.executable, "-c", EVAL_COUNTS, str(Path(root).resolve()), str(seed)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
@@ -84,6 +85,7 @@ def main() -> int:
     ap.add_argument("--before", required=True, help="root of the checkout to compare against")
     ap.add_argument("--after", required=True, help="root of the changed checkout")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--seed", type=int, default=SEED, help=f"seed of every run (default {SEED})")
     args = ap.parse_args()
     sides = [("before", args.before), ("after", args.after)]
     problems = []
@@ -92,7 +94,7 @@ def main() -> int:
         runs = {"before": [], "after": []}
         for pair in range(PAIRS):
             for side, root in sides if pair % 2 == 0 else sides[::-1]:
-                rec = bench_run(root, workload)
+                rec = bench_run(root, workload, args.seed)
                 runs[side].append(rec)
                 print(workload, pair, side, rec, file=sys.stderr)
                 if rec["correct"] is not True or rec["failed"]:
@@ -108,8 +110,9 @@ def main() -> int:
         entry["items_per_s_pairs_won"] = sum(
             a["items_per_s"] > b["items_per_s"] for a, b in zip(runs["after"], runs["before"])
         )
+        entry["setup_s_pairs_won"] = sum(a["setup_s"] < b["setup_s"] for a, b in zip(runs["after"], runs["before"]))
         results.append(entry)
-    charged = {side: eval_counts(root) for side, root in sides}
+    charged = {side: eval_counts(root, args.seed) for side, root in sides}
     if charged["before"] != charged["after"]:
         problems.append(f"scale-rules charged evaluations differ: {charged}")
     Path(args.out).write_text(json.dumps({
@@ -121,7 +124,7 @@ def main() -> int:
             "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
             "platform": platform.platform(),
         },
-        "seed": SEED,
+        "seed": args.seed,
         "seconds_per_run": SECONDS,
         "pairs": PAIRS,
         "results": results,
