@@ -23,8 +23,7 @@ from meshcoord.objective import (
     Objective,
     _ground_table,
     _size_guard,
-    _table_submodular,
-    _table_total_curvature,
+    _table_bound_terms,
     curvature,
 )
 from meshcoord.topology import MeshGraph, is_complete
@@ -135,6 +134,13 @@ def bound_report(
     objectives are submodular; assume_submodular short-circuits the
     exhaustive submodularity check, which costs O(2^m * m^2) arithmetic on
     the report's subset table, and stands in for it beyond the size guard.
+
+    Up to the guard, the report builds one subset table of the ground set,
+    charged 2^m evaluations for m elements as subset_value_table charges
+    them; a coverage objective counts it from footprint unions by meet in
+    the middle, holding about 2 * 2^(m/2) unions plus the table. Each
+    element's first differences are taken from the table once, and serve
+    both the total curvature and the submodularity check.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
@@ -143,15 +149,13 @@ def bound_report(
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
-    # one subset table serves the total curvature and the submodularity check
+    # one subset table, differenced once per element, serves the total
+    # curvature and the submodularity check
     m = len(obj.ground())
     submodular = assume_submodular
     c_total: float | None = None
     if m <= _EXHAUSTIVE_LIMIT:
-        table, m = _ground_table(obj)
-        c_total = _table_total_curvature(table, m)
-        if submodular is None:
-            submodular = _table_submodular(table, m)
+        c_total, submodular = _table_bound_terms(*_ground_table(obj), submodular)
     elif submodular is not None and not submodular:
         _size_guard(m)  # the non-submodular bound needs the total curvature
     curvature_only: float | None = None

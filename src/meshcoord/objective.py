@@ -49,7 +49,8 @@ class Objective:
     evaluation per action; subclasses may override it with a fused loop.
     _least_gain_ratio and _coins, the evaluating cores of curvature and
     coin_sum, are overridable the same way: an override charges the same
-    evaluations and returns the same floats.
+    evaluations and returns the same floats. So is _subset_table, the core
+    of subset_value_table, which charges nothing: its caller charges.
     """
 
     def __init__(self, action_counts: Sequence[int]):
@@ -115,6 +116,25 @@ class Objective:
         self.eval_count += 3 * len(coins)
         return coins
 
+    def _subset_table(self, elements: Sequence[GroundElement]) -> list[float]:
+        """f over every subset of elements, indexed by bitmask (bit j = elements[j]); charges nothing.
+
+        The subsets are walked depth first, each one's context state its
+        parent's extended by one element, so at most len(elements) + 1
+        states are alive at once.
+        """
+        m = len(elements)
+        table = [0.0] * (1 << m)
+        value_in, extend = self._value_in, self.extend
+
+        def fill(state, mask: int, first: int) -> None:
+            table[mask] = value_in(state, ())
+            for j in range(first, m):
+                fill(extend(state, elements[j]), mask | 1 << j, j + 1)
+
+        fill(self.context(), 0, 0)
+        return table
+
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
 
@@ -153,11 +173,13 @@ class _UnionMaskObjective(Objective):
     _menu_scores; subclasses therefore do not override those four.
     f({(i, a)}) is _counts[i][a] * cell_area.
 
-    Curvature and coin sums are counted from the footprints, not evaluated:
-    f(V \\ {a}) lacks the cells only a covers, and a coin term's two
-    contexts lack the cells that only the agent and its in-neighbours cover
-    (for teams of more than _COIN_CONTEXTS_LIMIT agents). Each count becomes
-    a float as the evaluation it stands for would have.
+    Curvature, coin sums and subset tables are counted from the footprints,
+    not evaluated: f(V \\ {a}) lacks the cells only a covers, a coin term's
+    two contexts lack the cells that only the agent and its in-neighbours
+    cover (for teams of more than _COIN_CONTEXTS_LIMIT agents), and a table
+    entry is the bit count of its subset's union, met in the middle from
+    the unions of the two halves of the elements. Each count becomes a
+    float as the evaluation it stands for would have.
     """
 
     cell_area = 1.0
@@ -241,6 +263,18 @@ class _UnionMaskObjective(Objective):
                 position += 1
         self.eval_count += 1 + 2 * position
         return worst
+
+    def _subset_table(self, elements: Sequence[GroundElement]) -> list[float]:
+        # meet in the middle: the unions of every subset of the low half of
+        # elements and of the high half, OR-ed pairwise in bitmask order
+        masks = self._masks
+        footprints = [masks[i][a] for i, a in elements]
+        if self._window_count > 1:
+            footprints = _packed(footprints, self._window_bits)
+        half = len(footprints) // 2
+        low, high = _unions(footprints[:half]), _unions(footprints[half:])
+        area = self.cell_area
+        return [(hi | lo).bit_count() * area for hi in high for lo in low]
 
     def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
         n = self.n_agents
@@ -332,9 +366,37 @@ class _WindowedMasks:
 
 
 def _split(mask: int, width: int) -> list[int]:
-    """mask as its ceil(width / _WINDOW_BITS) windows, window idx holding bits from idx * _WINDOW_BITS."""
-    full = (1 << _WINDOW_BITS) - 1
-    return [(mask >> lo) & full for lo in range(0, width, _WINDOW_BITS)]
+    """A non-negative mask as its ceil(width / _WINDOW_BITS) windows, window idx holding bits from idx * _WINDOW_BITS.
+
+    Each window is read from the bytes it spans and shifted within its
+    first byte, so the split costs time linear in the mask's width.
+    """
+    bits = _WINDOW_BITS
+    full = (1 << bits) - 1
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [
+        (int.from_bytes(raw[lo >> 3:(lo + bits + 7) >> 3], "little") >> (lo & 7)) & full
+        for lo in range(0, width, bits)
+    ]
+
+
+def _unions(masks: Sequence[int]) -> list[int]:
+    """The union of every subset of masks, indexed by bitmask (bit j = masks[j])."""
+    unions = [0]
+    for mask in masks:
+        unions += [u | mask for u in unions]
+    return unions
+
+
+def _packed(footprints: Sequence[tuple[tuple[int, int], ...]], window_bits: int) -> list[int]:
+    """Footprints of (index, window) pairs as ints over only the windows they touch.
+
+    The touched windows are numbered in index order, and window number p
+    holds bits p * window_bits onward; the unions' bit counts are the
+    footprints' own.
+    """
+    place = {idx: p * window_bits for p, idx in enumerate(sorted({idx for pairs in footprints for idx, _ in pairs}))}
+    return [sum([window << place[idx] for idx, window in pairs]) for pairs in footprints]
 
 
 def _as_pairs(stored: int | tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -571,23 +633,18 @@ def total_curvature(obj: Objective) -> float:
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:
     """f over every subset of elements, indexed by bitmask (bit j = elements[j]).
 
-    Charges 2^len(elements) evaluations, one per entry; the oracle behind the
-    exhaustive checks and the measures above. The subsets are walked depth
-    first, each one's context state its parent's extended by one element, so
-    at most len(elements) + 1 states are alive at once.
+    Charges 2^len(elements) evaluations, one per entry, before it reads
+    any element; the oracle behind the exhaustive checks and the measures
+    above. Coverage objectives count each entry from footprint unions, by
+    meet in the middle: the unions of every subset of the first half of
+    elements and of the rest, each about 2^(m/2) ints for m elements, are
+    OR-ed pairwise and popcounted, so memory is about 2 * 2^(m/2) unions
+    plus the table. Every other objective walks the subsets depth first,
+    each one's context state its parent's extended by one element, so at
+    most len(elements) + 1 states are alive at once.
     """
-    m = len(elements)
-    table = [0.0] * (1 << m)
-    value_in, extend = obj._value_in, obj.extend
-
-    def fill(state, mask: int, first: int) -> None:
-        table[mask] = value_in(state, ())
-        for j in range(first, m):
-            fill(extend(state, elements[j]), mask | 1 << j, j + 1)
-
-    obj.eval_count += 1 << m
-    fill(obj.context(), 0, 0)
-    return table
+    obj.eval_count += 1 << len(elements)
+    return obj._subset_table(elements)
 
 
 def _ground_table(obj: Objective, zero_singleton: str | None = None) -> tuple[list[float], int]:
@@ -622,14 +679,25 @@ def validate_structure(obj: Objective) -> StructureReport:
 
 
 def _table_structure(table: list[float], m: int) -> StructureReport:
-    monotone = True
-    second_order = True
+    # one pass over the elements, each one's first differences taken once
+    # and read by every check and measure that still needs them
+    monotone = submodular = second_order = True
+    worst = math.inf  # the curvature's least gain ratio
+    extremes = []  # each element's least and greatest gain, for the total curvature
+    zero_single = None  # the curvature divides by f({s}); a zero raises only if the curvature is taken
     for s in range(m):
-        if not (monotone or second_order):
+        if not (monotone or submodular or second_order):
             break
         gains = _differences(table, s)  # f(s | A) for every A without s
-        if monotone and _least(gains) < -_EPS:
-            monotone = False
+        if monotone:
+            least = _least(gains)
+            monotone = least >= -_EPS
+            extremes.append((least, _greatest(gains)))
+            try:
+                worst = _least(map(truediv, gains, repeat(table[1 << s])), worst)
+            except ZeroDivisionError as exc:
+                zero_single = zero_single or exc
+        submodular = submodular and _submodular_along(gains, s, m)
         # lhs - rhs of the 2nd-order inequality is the third difference of f
         # along s, x and y, which is symmetric in all three: checking it once
         # per set s < x < y covers every ordering. Bit x of the gains' index
@@ -644,8 +712,10 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
                     break
 
     if monotone:
-        kappa = _table_curvature(table, m)
-        c_total = _table_total_curvature(table, m)
+        if zero_single:
+            raise zero_single
+        kappa = _clamp_unit(1.0 - worst, "curvature")
+        c_total = _total_curvature(extremes)
     else:
         # both measures presume non-negative marginal gains
         kappa = c_total = math.nan
@@ -653,9 +723,25 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
         kappa=kappa,
         c_total=c_total,
         is_monotone=monotone,
-        is_submodular=_table_submodular(table, m),
+        is_submodular=submodular,
         is_second_order_submodular=second_order,
     )
+
+
+def _table_bound_terms(table: list[float], m: int, submodular: bool | None) -> tuple[float, bool | None]:
+    """The total curvature, and submodular as given or, if None, _table_submodular(table, m).
+
+    Each element's first differences are taken once and serve both: the
+    submodularity check reads them until its first violation. Raises what
+    _table_total_curvature raises.
+    """
+    extremes = []
+    check = submodular is None
+    for s in range(m):
+        gains = _differences(table, s)
+        extremes.append((_least(gains), _greatest(gains)))
+        check = check and _submodular_along(gains, s, m)
+    return _total_curvature(extremes), check if submodular is None else submodular
 
 
 def _table_submodular(table: list[float], m: int) -> bool:
@@ -668,13 +754,16 @@ def _table_submodular(table: list[float], m: int) -> bool:
     for a difference within rounding of the tolerance. O(2^m * m^2)
     arithmetic; returns at the first violation.
     """
-    for s in range(m):
-        gains = _differences(table, s)
-        for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
-            # the greatest second difference, taken slice by slice without listing them
-            slices = _difference_slices(gains, y)
-            if _greatest(chain.from_iterable(map(sub, hi, lo) for _, hi, lo in slices)) > _EPS:
-                return False
+    return all(_submodular_along(_differences(table, s), s, m) for s in range(m))
+
+
+def _submodular_along(gains: list[float], s: int, m: int) -> bool:
+    """Whether f(s | A) >= f(s | A + y) for every y > s, given gains = _differences(table, s)."""
+    for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
+        # the greatest second difference, taken slice by slice without listing them
+        slices = _difference_slices(gains, y)
+        if _greatest(chain.from_iterable(map(sub, hi, lo) for _, hi, lo in slices)) > _EPS:
+            return False
     return True
 
 
@@ -731,16 +820,23 @@ def _table_curvature(table: list[float], m: int) -> float:
 
 
 def _table_total_curvature(table: list[float], m: int) -> float:
+    return _table_bound_terms(table, m, False)[0]
+
+
+def _total_curvature(extremes: Sequence[tuple[float, float]]) -> float:
+    """1 - min over elements of least gain / greatest gain, from each element's (least, greatest) gain.
+
+    Elements whose greatest gain is zero are skipped; raises ValueError if
+    every element is.
+    """
     worst = math.inf
     skipped = 0
-    for j in range(m):
-        gains = list(_differences(table, j))
-        hi = _greatest(gains)
-        if hi == 0:
+    for least, greatest in extremes:
+        if greatest == 0:
             skipped += 1
             continue
-        worst = min(worst, _least(gains) / hi)
-    if skipped == m:
+        worst = min(worst, least / greatest)
+    if skipped == len(extremes):
         raise ValueError("total curvature undefined: every element has zero gain everywhere")
     return _clamp_unit(1.0 - worst, "total curvature")
 

@@ -3,7 +3,8 @@
 GridCoverageObjective takes each footprint as an int bitmask (bit
 y * width + x, as rect_mask builds it). Footprints used to be sets of (x, y)
 cells, converted one cell at a time; that form is kept here so tests can
-build an objective without the mask code.
+build an objective without the mask code. So is split, the window split
+that shifted the whole mask once per window.
 """
 
 from meshcoord import objective
@@ -64,3 +65,9 @@ def full_width_masks(obj) -> tuple[tuple[int, ...], ...]:
             menu.append(stored)
         masks.append(tuple(menu))
     return tuple(masks)
+
+
+def split(mask: int, width: int) -> list[int]:
+    """objective._split as it was: one shift of the whole mask per window (verbatim)."""
+    full = (1 << objective._WINDOW_BITS) - 1
+    return [(mask >> lo) & full for lo in range(0, width, objective._WINDOW_BITS)]

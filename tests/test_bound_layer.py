@@ -3,7 +3,10 @@
 subset_value_table used to evaluate every subset afresh, _differences walked
 compress/cycle iterators, curvature ran one whole-ground evaluation per
 element, and coin, coin_sum and aposteriori_bound evaluated frozensets. Those
-functions are kept here verbatim as the reference. Results must match by
+functions are kept here verbatim as the reference. So are the depth-first
+walk that built every subset table before coverage objectives counted theirs
+from footprint unions, and bound_report's table path as it was, which took
+each element's first differences twice. Results must match by
 repr, raised errors by type and message, and charged evaluations by
 eval_count delta. The objectives are grid, disk and windowed coverage (the
 window width patched to 1-64 bits while they are built) and callable toys;
@@ -12,7 +15,7 @@ coverage coin sums are drawn both ways, from contexts and from cell counts.
 
 import math
 import random
-from itertools import compress, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from types import SimpleNamespace
 from unittest import mock
@@ -24,7 +27,15 @@ from hypothesis import strategies as st
 from cell_reference import full_width_masks
 from conftest import coverage_instance, windowed_mask_objective
 from meshcoord import objective
-from meshcoord.bounds import aposteriori_bound, bound_report, coin_sum
+from meshcoord.bounds import (
+    BoundReport,
+    aposteriori_bound,
+    apriori_bound,
+    approx_greedy_bound,
+    bound_report,
+    coin_sum,
+    curvature_only_bound,
+)
 from meshcoord.coordination import brute_force_optimum, run_rag
 from meshcoord.instances import (
     logdet_toy,
@@ -35,21 +46,27 @@ from meshcoord.instances import (
 )
 from meshcoord.objective import (
     _EPS,
+    _EXHAUSTIVE_LIMIT,
     CallableObjective,
     DiskCoverageObjective,
+    GridCoverageObjective,
     GroundElement,
     Objective,
     _clamp_unit,
+    _difference_slices,
     _differences,
     _greatest,
     _least,
     _table_submodular,
     _table_total_curvature,
+    _size_guard,
     coin,
     curvature,
+    random_road_mask,
+    rect_mask,
     subset_value_table,
 )
-from meshcoord.topology import MeshGraph, knn_graph, line_graph
+from meshcoord.topology import MeshGraph, is_complete, knn_graph, line_graph
 
 # --- the replaced code, verbatim ---------------------------------------------
 
@@ -154,6 +171,98 @@ def old_aposteriori_bound(obj, outcome, optimum_value=None, kappa=None):
         ctx = frozenset(outcome.actions[j] for j in outcome.committed_in_neighbors[i])
         total += obj.evaluate(ctx | {a_i}) - obj.evaluate(ctx)
     return opt - kappa * total
+
+
+def walked_subset_value_table(obj, elements):
+    m = len(elements)
+    table = [0.0] * (1 << m)
+    value_in, extend = obj._value_in, obj.extend
+
+    def fill(state, mask: int, first: int) -> None:
+        table[mask] = value_in(state, ())
+        for j in range(first, m):
+            fill(extend(state, elements[j]), mask | 1 << j, j + 1)
+
+    obj.eval_count += 1 << m
+    fill(obj.context(), 0, 0)
+    return table
+
+
+def walked_ground_table(obj, zero_singleton=None):
+    elements = obj.ground()
+    _size_guard(len(elements))
+    table = walked_subset_value_table(obj, elements)
+    for j, a in enumerate(elements):
+        if zero_singleton is not None and table[1 << j] == 0:
+            raise ValueError(f"{zero_singleton}: f({a}) = 0")
+    return table, len(elements)
+
+
+def twice_table_submodular(table, m):
+    for s in range(m):
+        gains = _differences(table, s)
+        for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
+            # the greatest second difference, taken slice by slice without listing them
+            slices = _difference_slices(gains, y)
+            if _greatest(chain.from_iterable(map(sub, hi, lo) for _, hi, lo in slices)) > _EPS:
+                return False
+    return True
+
+
+def twice_table_total_curvature(table, m):
+    worst = math.inf
+    skipped = 0
+    for j in range(m):
+        gains = list(_differences(table, j))
+        hi = _greatest(gains)
+        if hi == 0:
+            skipped += 1
+            continue
+        worst = min(worst, _least(gains) / hi)
+    if skipped == m:
+        raise ValueError("total curvature undefined: every element has zero gain everywhere")
+    return _clamp_unit(1.0 - worst, "total curvature")
+
+
+def walked_bound_report(obj, g, outcome, eta=1.0, optimum_value=None, assume_submodular=None):
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
+    certified = optimum_value is None
+    opt = brute_force_optimum(obj)[1] if certified else optimum_value
+    kappa = curvature(obj)
+    coins = coin_sum(obj, g, outcome.actions)
+
+    # one subset table serves the total curvature and the submodularity check
+    m = len(obj.ground())
+    submodular = assume_submodular
+    c_total = None
+    if m <= _EXHAUSTIVE_LIMIT:
+        table, m = walked_ground_table(obj)
+        c_total = twice_table_total_curvature(table, m)
+        if submodular is None:
+            submodular = twice_table_submodular(table, m)
+    elif submodular is not None and not submodular:
+        _size_guard(m)  # the non-submodular bound needs the total curvature
+    curvature_only = None
+    if submodular is not None:
+        k = kappa if submodular else c_total
+        curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
+
+    return BoundReport(
+        algorithm_value=outcome.value,
+        optimum_value=opt,
+        apriori=apriori_bound(opt, kappa, coins),
+        apriori_centralized=opt / (1.0 + kappa),
+        apriori_decentralized_floor=(1.0 - kappa) * opt,
+        aposteriori=aposteriori_bound(obj, outcome, opt, kappa),
+        approx_greedy=approx_greedy_bound(opt, kappa, coins, eta),
+        curvature_only=curvature_only,
+        coin_sum=coins,
+        kappa=kappa,
+        c_total=c_total,
+        eta=eta,
+        certified=certified,
+    )
 
 
 # --- objectives --------------------------------------------------------------
@@ -390,3 +499,147 @@ def test_coin_sum_of_a_larger_team_equals_the_evaluating_code(n):
     actions = run_rag(obj, g).actions
     old, _ = scaling_instance(random.Random(n), n)
     assert _run(obj, lambda: coin_sum(obj, g, actions)) == _run(old, lambda: old_coin_sum(old, g, actions))
+
+
+# --- subset tables from footprint unions -------------------------------------
+
+
+def _table_objective(kind, rng, window_bits):
+    """A coverage objective of kind with at least 16 elements, its masks split at window_bits bits."""
+    sizes = [rng.randint(1, 4) for _ in range(rng.randint(4, 6))]
+    sizes[0] += max(0, 16 - sum(sizes))
+    if kind == "windowed":  # picks its own width, 1 to 64 bits
+        return windowed_mask_objective(rng, sizes)
+    with mock.patch.object(objective, "_WINDOW_BITS", window_bits):
+        if kind == "grid":
+            width, height = rng.randint(3, 9), rng.randint(3, 9)
+            road = random_road_mask(rng, width, height, rng.uniform(0.3, 0.9))
+            fov = rng.randint(1, 4)
+            return GridCoverageObjective(
+                road,
+                [[rect_mask(rng.randrange(width), rng.randrange(height), fov, fov, width, height) for _ in range(size)] for size in sizes],
+            )
+        side = rng.uniform(1.5, 4.0)
+        return DiskCoverageObjective(
+            [[(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(size)] for size in sizes],
+            rng.uniform(0.3, 1.5),
+            arena=(0.0, 0.0, side, side),
+            resolution=rng.choice([2, 3, 4]),
+        )
+
+
+def _run_or_raise(obj, call):
+    """_run, with an IndexError (an element outside the ground set) recorded like the others."""
+    before = obj.eval_count
+    try:
+        result = repr(call())
+    except (ValueError, ZeroDivisionError, IndexError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, obj.eval_count - before
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["grid", "disk", "windowed"]),
+    window_bits=WINDOW_BITS,
+    m=st.sampled_from(range(17)),  # uniform, so the large tables are drawn as often as the small
+    stray=st.sampled_from([None, "agent", "action"]),
+)
+@example(seed=0, kind="grid", window_bits=objective._WINDOW_BITS, m=16, stray=None)
+@example(seed=1, kind="grid", window_bits=5, m=15, stray=None)
+@example(seed=2, kind="disk", window_bits=objective._WINDOW_BITS, m=16, stray=None)
+@example(seed=3, kind="disk", window_bits=1, m=16, stray=None)
+@example(seed=4, kind="windowed", window_bits=1, m=16, stray=None)
+@example(seed=5, kind="windowed", window_bits=1, m=0, stray=None)
+@example(seed=6, kind="grid", window_bits=3, m=16, stray="action")
+def test_subset_table_from_unions_equals_the_walk(seed, kind, window_bits, m, stray):
+    """Coverage tables counted from footprint unions equal the walked ones, entry for entry, charge for charge."""
+    new, old = (_table_objective(kind, random.Random(seed), window_bits) for _ in range(2))
+    assert new._window_count > 1 or kind != "windowed"
+    rng = random.Random(seed)
+    elements = rng.sample(new.ground(), m)  # in shuffled order
+    if stray:
+        bad = GroundElement(new.n_agents, 0) if stray == "agent" else GroundElement(0, new.action_counts[0])
+        elements.insert(rng.randint(0, len(elements)), bad)
+    # each objective keeps the window width it was built with, whatever the module's reads now
+    with mock.patch.object(objective, "_WINDOW_BITS", 1):
+        result, charged = _run_or_raise(new, lambda: subset_value_table(new, elements))
+    assert (result, charged) == _run_or_raise(old, lambda: walked_subset_value_table(old, elements))
+    # an element outside the ground set raises after the whole charge, as the walk did
+    assert charged == 1 << len(elements)
+    assert (result[0] == "IndexError") == (stray is not None)
+
+
+def _certify_shaped(seed):
+    return random_coverage_instance(random.Random(seed), max_agents=5, max_actions=3, min_agents=4)
+
+
+def _sixteen_element_instances(count):
+    found = []
+    draw = 0
+    while len(found) < count:
+        obj, g = random_coverage_instance(random.Random(f"m16:{draw}"), max_agents=6, max_actions=4, min_agents=4)
+        draw += 1
+        if len(obj.ground()) == 16:
+            found.append(draw - 1)
+    return found
+
+
+def _assert_reports_match(make, assume):
+    new, g = make()
+    old, _ = make()
+    out_new, out_old = run_rag(new, g), run_rag(old, g)
+    report = _run(new, lambda: bound_report(new, g, out_new, assume_submodular=assume))
+    assert report == _run(old, lambda: walked_bound_report(old, g, out_old, assume_submodular=assume))
+    return report
+
+
+def test_bound_reports_equal_the_walked_twice_differenced_path():
+    """200 certify-shaped instances and three of 16 elements: equal reports by repr, equal charges."""
+    certified = 0
+    for seed in range(200):
+        report, _charged = _assert_reports_match(lambda: _certify_shaped(seed), (None, True, False)[seed % 3])
+        certified += report.startswith("BoundReport(") and "certified=True" in report
+    assert certified >= 150
+    # coverage plus a bonus for one pair of actions: monotone, not submodular
+    violated = 0
+    for seed in range(60):
+        cov, g = _certify_shaped(seed)
+        pair = {GroundElement(0, 0), GroundElement(1, 0)}
+        bonus = lambda sel: cov.covered_cells(sel) + 100.0 * (pair <= sel)
+        report, _charged = _assert_reports_match(lambda: (CallableObjective(cov.action_counts, bonus), g), None)
+        table, m = walked_ground_table(CallableObjective(cov.action_counts, bonus))
+        violated += report.startswith("BoundReport(") and not twice_table_submodular(table, m)
+    assert violated >= 30
+    # toys that are not submodular, or not monotone, or raise
+    for seed in range(60):
+        n = _callable(random.Random(seed)).n_agents
+        _assert_reports_match(lambda: (_callable(random.Random(seed)), line_graph(n)), None)
+    for draw in _sixteen_element_instances(3):
+        make = lambda: random_coverage_instance(random.Random(f"m16:{draw}"), max_agents=6, max_actions=4, min_agents=4)
+        report, charged = _assert_reports_match(make, None)
+        assert "certified=True" in report and charged >= 1 << 16
+
+
+def test_the_union_kernel_holds_about_two_square_roots_of_unions(monkeypatch):
+    """At m = 16 the kernel packs 16 footprints and builds 2 * 2^8 unions, never 2^16."""
+    built = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            ints = fn(*args)
+            built.append((name, len(ints)))
+            return ints
+        return wrapper
+
+    monkeypatch.setattr(objective, "_unions", counted("unions", objective._unions))
+    monkeypatch.setattr(objective, "_packed", counted("packed", objective._packed))
+    for kind, window_bits in (("grid", objective._WINDOW_BITS), ("grid", 4), ("disk", 7)):
+        obj = _table_objective(kind, random.Random(16), window_bits)
+        elements = obj.ground()[:16]
+        built.clear()
+        table = subset_value_table(obj, elements)
+        assert len(table) == 1 << 16
+        packed = [("packed", 16)] if obj._window_count > 1 else []
+        assert built == packed + [("unions", 1 << 8), ("unions", 1 << 8)]

@@ -487,6 +487,13 @@ def test_monotonicity_is_checked_past_a_2nd_order_violation():
     assert assert_structure_matches_the_old_checks(table, 3) == (False, False, False)
 
 
+def test_submodularity_is_checked_past_monotonicity_and_2nd_order_violations():
+    # element 0 already breaks monotonicity and 2nd-order submodularity, and
+    # its own gains are submodular: only elements 1 and 2 break submodularity
+    table = [0.0, 6.0, -0.5, 0.5, 4.25, 3.75, 5.75, -1.75]
+    assert assert_structure_matches_the_old_checks(table, 3) == (False, False, False)
+
+
 def test_structure_checks_treat_nan_as_no_violation_like_the_old_checks():
     for table in ([0.0, 1.0, 1.0, math.nan], [0.0, math.nan, 1.0, 5.0], [0.0, math.nan, 1.0, 0.5]):
         assert_structure_matches_the_old_checks(table, 2)

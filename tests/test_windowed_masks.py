@@ -14,12 +14,13 @@ import gc
 import random
 import weakref
 from typing import Iterable, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cell_reference import cell_masks, full_width_masks, rect_footprint
+from cell_reference import cell_masks, full_width_masks, rect_footprint, split
 from meshcoord import objective, scenario
 from meshcoord.coordination import TIE_BREAKS, run_dfs_sg, run_dsm, run_rag, run_random_baseline, run_sg
 from meshcoord.objective import (
@@ -28,6 +29,7 @@ from meshcoord.objective import (
     GroundElement,
     Objective,
     _box_windows,
+    _split,
     _UnionMaskObjective,
     road_bits,
 )
@@ -258,3 +260,22 @@ def test_box_windows_are_the_cell_footprint_split_into_windows(world):
         assert windowed._masks == plain._masks
         assert windowed._counts == plain._counts
         assert full_width_masks(windowed) == tuple(map(tuple, cell_masks(rows, [footprints])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window_bits=st.integers(1, 64) | st.sampled_from([objective._WINDOW_BITS, 8, 16, 1]),
+    width=st.integers(0, 5000),
+    data=st.data(),
+)
+@example(window_bits=objective._WINDOW_BITS, width=2 * objective._WINDOW_BITS + 1, data=None)
+def test_split_reads_the_windows_the_whole_mask_shift_reads(window_bits, width, data):
+    """Byte-sliced windows equal the shifted ones, for masks narrower and wider than width."""
+    if data is None:
+        masks = [(1 << width) - 1, 1 << (width - 1), 0]
+    else:
+        wide = data.draw(st.integers(0, width + 3 * window_bits))
+        masks = [data.draw(st.integers(0, (1 << wide) - 1)), random.Random(width).getrandbits(width)]
+    with mock.patch.object(objective, "_WINDOW_BITS", window_bits):
+        for mask in masks:
+            assert _split(mask, width) == split(mask, width)

@@ -9,8 +9,8 @@ compare against, for example made with `git archive`):
 
     python3 tools/bench_pairs.py --before PARENT --after . --out BENCH_name.json
 
-For each workload, PAIRS pairs of `bench/run.py --trace 0` runs at seed SEED
-(or --seed, to measure on a seed not used while writing the change),
+For each workload, PAIRS pairs (or --pairs) of `bench/run.py --trace 0` runs
+at seed SEED (or --seed, to measure on a seed not used while writing the change),
 one per checkout, each run from its own checkout so that it measures that
 checkout's src/ and lasting the benchmark's fixed run length (`run_seconds`
 in BENCHMARK.json). Which checkout goes first alternates from one pair to
@@ -22,6 +22,8 @@ It also runs each scale-rules rule operation once per checkout, in a fresh
 interpreter, and records the evaluations it charged (the objective's
 eval_count delta). A run that is not correct, has a failed operation, or
 charges other evaluations than the other checkout makes the script exit 1.
+With --key, the comparison is written to --out under that key, next to
+whatever the file already holds.
 """
 
 from __future__ import annotations
@@ -86,13 +88,15 @@ def main() -> int:
     ap.add_argument("--after", required=True, help="root of the changed checkout")
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed", type=int, default=SEED, help=f"seed of every run (default {SEED})")
+    ap.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs of runs per workload (default {PAIRS})")
+    ap.add_argument("--key", help="write under this key of --out, keeping the rest of the file")
     args = ap.parse_args()
     sides = [("before", args.before), ("after", args.after)]
     problems = []
     results = []
     for workload in WORKLOADS:
         runs = {"before": [], "after": []}
-        for pair in range(PAIRS):
+        for pair in range(args.pairs):
             for side, root in sides if pair % 2 == 0 else sides[::-1]:
                 rec = bench_run(root, workload, args.seed)
                 runs[side].append(rec)
@@ -115,7 +119,7 @@ def main() -> int:
     charged = {side: eval_counts(root, args.seed) for side, root in sides}
     if charged["before"] != charged["after"]:
         problems.append(f"scale-rules charged evaluations differ: {charged}")
-    Path(args.out).write_text(json.dumps({
+    doc = {
         "what": __doc__.splitlines()[0],
         "machine": {
             "python": platform.python_version(),
@@ -126,10 +130,14 @@ def main() -> int:
         },
         "seed": args.seed,
         "seconds_per_run": SECONDS,
-        "pairs": PAIRS,
+        "pairs": args.pairs,
         "results": results,
         "scale_rules_charged_evaluations": charged,
-    }, indent=2) + "\n")
+    }
+    out = Path(args.out)
+    if args.key:
+        doc = {**(json.loads(out.read_text()) if out.exists() else {}), args.key: doc}
+    out.write_text(json.dumps(doc, indent=2) + "\n")
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
