@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
-from meshcoord.objective import (
-    _EXHAUSTIVE_LIMIT,
-    Objective,
-    _ground_table,
-    _size_guard,
-    _table_bound_terms,
-    curvature,
-)
+from meshcoord.objective import Objective, _table_terms, curvature
 from meshcoord.topology import MeshGraph, is_complete
 
 
@@ -61,8 +54,7 @@ def coin_sum(obj: Objective, g: MeshGraph, actions) -> float:
     """
     if g.n != obj.n_agents:
         raise ValueError("graph and objective disagree on the number of agents")
-    if len(actions) != obj.n_agents:
-        raise ValueError("need one selected action per agent")
+    obj._check_actions(actions)
     return sum(obj._coins(actions, g.in_neighbors))
 
 
@@ -135,12 +127,9 @@ def bound_report(
     exhaustive submodularity check, which costs O(2^m * m^2) arithmetic on
     the report's subset table, and stands in for it beyond the size guard.
 
-    Up to the guard, the report builds one subset table of the ground set,
-    charged 2^m evaluations for m elements as subset_value_table charges
-    them; a coverage objective counts it from footprint unions by meet in
-    the middle, holding about 2 * 2^(m/2) unions plus the table. Each
-    element's first differences are taken from the table once, and serve
-    both the total curvature and the submodularity check.
+    Up to the guard, the total curvature and the submodularity check come
+    from one subset table of the ground set, charged 2^m evaluations for m
+    elements; _table_terms says how it is counted and read.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
@@ -149,15 +138,7 @@ def bound_report(
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
-    # one subset table, differenced once per element, serves the total
-    # curvature and the submodularity check
-    m = len(obj.ground())
-    submodular = assume_submodular
-    c_total: float | None = None
-    if m <= _EXHAUSTIVE_LIMIT:
-        c_total, submodular = _table_bound_terms(*_ground_table(obj), submodular)
-    elif submodular is not None and not submodular:
-        _size_guard(m)  # the non-submodular bound needs the total curvature
+    c_total, submodular = _table_terms(obj, assume_submodular)
     curvature_only: float | None = None
     if submodular is not None:
         k = kappa if submodular else c_total

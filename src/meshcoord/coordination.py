@@ -243,7 +243,7 @@ def run_sg(
     assumed adjacent (one hop per hand-off). The running value is known after
     every pick, so each agent costs exactly |V_i| evaluations. The exact hops
     take one breadth-first search per hand-off: up to Θ(n · edges) wall time
-    on a geometric mesh (ROADMAP direction 2).
+    on a geometric mesh.
     """
     order = list(order)
     if sorted(order) != list(range(obj.n_agents)):

@@ -99,9 +99,7 @@ def _carved_objective(
     the carved road window by window as they arrive. No footprint is ever an
     int wider than one window, and neither every mask nor every center is
     held at once, which would raise the peak memory of a large instance well
-    above what the objective keeps. With world-wide masks, scaling_instance
-    took 2.03 s at n = 10,000 and 13.0 s at n = 30,000; built this way it
-    takes 0.69 s and 2.4 s (BENCH_windowed_setup.json).
+    above what the objective keeps.
     """
     height, width = len(road), len(road[0])
     half = fov // 2

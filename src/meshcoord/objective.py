@@ -103,11 +103,25 @@ class Objective:
             worst = min(worst, (f_full - self.evaluate(full - {a})) / f_single)
         return worst
 
+    def _check_actions(self, actions: Sequence[GroundElement]) -> None:
+        """Raises ValueError unless actions[i] is an action (i, a) of agent i, for every agent i."""
+        if len(actions) != self.n_agents:
+            raise ValueError("need one selected action per agent")
+        for i, (element, count) in enumerate(zip(actions, self.action_counts)):
+            try:
+                agent, a = element
+                valid = agent == i and 0 <= a < count
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ValueError(f"actions[{i}] is {element!r}, not an action (agent {i}, a) with 0 <= a < {count}")
+
     def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
         """coin(self, i, actions, in_neighbors[i]) for each agent i in order; three evaluations each.
 
-        Needs one action and one in-neighborhood per agent, each neighborhood
-        within the team and without its agent, as coin_sum checks.
+        Needs agent i's own action at position i and one in-neighborhood per
+        agent, each neighborhood within the team and without its agent, as
+        coin_sum checks.
         """
         coins = [
             _coin_term(self, self.context([a for j, a in enumerate(actions) if j != i and j not in nbrs]), actions[i])
@@ -161,9 +175,8 @@ class _UnionMaskObjective(Objective):
     objective is built. With _windowed, each mask arrives instead as the
     (window index, window) pairs that _box_windows builds, and is clipped to
     within window by window, so that no mask as wide as the world is made:
-    scaling_instance builds its footprints this way, which cut its set-up at
-    n = 30,000 from 13.0 to 2.4 s (BENCH_windowed_setup.json). The stored
-    masks are the ones the same footprints give as ints.
+    scaling_instance builds its footprints this way. The stored masks are
+    the ones the same footprints give as ints.
 
     Up to _WINDOW_BITS bits wide (within's width), a mask is kept as one int
     and the context state is the union of the selection's masks: scoring a
@@ -627,7 +640,7 @@ def total_curvature(obj: Objective) -> float:
     subsets of ground \\ {v}. Elements whose denominator is zero for every B
     are skipped; if all are skipped the measure is undefined.
     """
-    return _table_total_curvature(*_ground_table(obj))
+    return _table_terms(obj, False)[0]
 
 
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:
@@ -660,6 +673,29 @@ def _ground_table(obj: Objective, zero_singleton: str | None = None) -> tuple[li
         if zero_singleton is not None and table[1 << j] == 0:
             raise ValueError(f"{zero_singleton}: f({a}) = 0")
     return table, len(elements)
+
+
+def _table_terms(obj: Objective, submodular: bool | None) -> tuple[float | None, bool | None]:
+    """bound_report's table terms: the total curvature, and submodular as given or checked if None.
+
+    Up to the size guard, one subset table of the ground set is built, as
+    subset_value_table builds and charges it, and each element's first
+    differences are taken from it once: they give the element's extremes
+    for the total curvature, and the submodularity check reads them until
+    its first violation. Past the guard the total curvature is None and
+    nothing is charged, unless submodular is False: the non-submodular
+    bound needs the total curvature, so the guard raises.
+    """
+    if (submodular is None or submodular) and len(obj.ground()) > _EXHAUSTIVE_LIMIT:
+        return None, submodular
+    table, m = _ground_table(obj)
+    extremes = []
+    check = submodular is None
+    for s in range(m):
+        gains = _differences(table, s)
+        extremes.append((_least(gains), _greatest(gains)))
+        check = check and _submodular_along(gains, s, m)
+    return _total_curvature(extremes), check if submodular is None else submodular
 
 
 def validate_structure(obj: Objective) -> StructureReport:
@@ -728,37 +764,13 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
     )
 
 
-def _table_bound_terms(table: list[float], m: int, submodular: bool | None) -> tuple[float, bool | None]:
-    """The total curvature, and submodular as given or, if None, _table_submodular(table, m).
-
-    Each element's first differences are taken once and serve both: the
-    submodularity check reads them until its first violation. Raises what
-    _table_total_curvature raises.
-    """
-    extremes = []
-    check = submodular is None
-    for s in range(m):
-        gains = _differences(table, s)
-        extremes.append((_least(gains), _greatest(gains)))
-        check = check and _submodular_along(gains, s, m)
-    return _total_curvature(extremes), check if submodular is None else submodular
-
-
-def _table_submodular(table: list[float], m: int) -> bool:
-    """f(A + s) + f(A + y) >= f(A) + f(A + s + y) for every A and pair s < y outside A.
-
-    This is f(s | A) >= f(s | A + y) rearranged into a form symmetric in s
-    and y, so one check per unordered pair covers both orders. The check is
-    f(s | A) - f(s | A + y) >= -_EPS as computed for the smaller element s; in
-    floating point the other order may round differently, which matters only
-    for a difference within rounding of the tolerance. O(2^m * m^2)
-    arithmetic; returns at the first violation.
-    """
-    return all(_submodular_along(_differences(table, s), s, m) for s in range(m))
-
-
 def _submodular_along(gains: list[float], s: int, m: int) -> bool:
-    """Whether f(s | A) >= f(s | A + y) for every y > s, given gains = _differences(table, s)."""
+    """Whether f(s | A) >= f(s | A + y) for every y > s, given gains = _differences(table, s).
+
+    The inequality is symmetric in s and y, so checking y > s for every s
+    covers both orders; in floating point the other order may round
+    differently, which matters only within rounding of the tolerance.
+    """
     for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
         # the greatest second difference, taken slice by slice without listing them
         slices = _difference_slices(gains, y)
@@ -812,17 +824,6 @@ def _greatest(values: Iterable[float]) -> float:
     return max(chain((-math.inf,), values))
 
 
-def _table_curvature(table: list[float], m: int) -> float:
-    worst = math.inf
-    for j in range(m):
-        worst = _least(map(truediv, _differences(table, j), repeat(table[1 << j])), worst)
-    return _clamp_unit(1.0 - worst, "curvature")
-
-
-def _table_total_curvature(table: list[float], m: int) -> float:
-    return _table_bound_terms(table, m, False)[0]
-
-
 def _total_curvature(extremes: Sequence[tuple[float, float]]) -> float:
     """1 - min over elements of least gain / greatest gain, from each element's (least, greatest) gain.
 
@@ -858,8 +859,7 @@ def coin(
     if agent in nbrs:
         raise ValueError("agent may not appear in its own neighborhood")
     n = obj.n_agents
-    if len(actions) != n:
-        raise ValueError("need one selected action per agent")
+    obj._check_actions(actions)
     if not nbrs <= set(range(n)):
         raise ValueError("neighborhood contains unknown agent ids")
     if not 0 <= agent < n:

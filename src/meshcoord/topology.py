@@ -106,7 +106,7 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     """Each agent receives from its k nearest others within comm_range.
 
     Fewer than k in range means it takes everyone in range. Distance ties are
-    broken toward the lower agent id.
+    broken toward the lower agent id. k is any integer type but bool.
 
     Agents are bucketed into square cells of side |comm_range|, so only the
     3x3 block of cells around an agent is ranked. The side is padded by a
@@ -116,6 +116,9 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     infinite, NaN or underflowing range), every agent shares one cell. Two
     ranked agents whose squared distance overflows a float raise ValueError.
     """
+    if isinstance(k, bool) or not hasattr(type(k), "__index__"):
+        raise ValueError(f"k must be an int, got {k!r}")
+    k = operator.index(k)
     if k < 0:
         raise ValueError("k may not be negative")
     n = len(positions)

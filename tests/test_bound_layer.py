@@ -57,14 +57,15 @@ from meshcoord.objective import (
     _differences,
     _greatest,
     _least,
-    _table_submodular,
-    _table_total_curvature,
     _size_guard,
+    _table_structure,
+    _table_terms,
     coin,
     curvature,
     random_road_mask,
     rect_mask,
     subset_value_table,
+    total_curvature,
 )
 from meshcoord.topology import MeshGraph, is_complete, knn_graph, line_graph
 
@@ -384,19 +385,41 @@ def _tables(draw_values):
 TABLE_VALUES = st.floats(-4, 4) | st.integers(-3, 3).map(float) | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
 
 
+def _table_callable(values):
+    """One action per agent and f(S) = values[bitmask of S]: the objective whose subset table is values."""
+    return CallableObjective([1] * (len(values).bit_length() - 1), lambda sel: values[sum(1 << e.agent for e in sel)])
+
+
+def _assert_table_measures_match(values, m):
+    """total_curvature, bound_report's _table_terms and the structure pass on values' objective equal the iterator code."""
+    obj = _table_callable(values)
+    old_c = _run(Objective([1]), lambda: old_table_total_curvature(values, m))[0]
+    assert _run(obj, lambda: total_curvature(obj)) == (old_c, 1 << m)
+    for assume in (None, True, False):
+        old = _run(
+            Objective([1]),
+            lambda: (old_table_total_curvature(values, m), old_table_submodular(values, m) if assume is None else assume),
+        )[0]
+        assert _run(obj, lambda: _table_terms(obj, assume)) == (old, 1 << m)
+    # with the total curvature stubbed out, the entry's submodularity check is read on every table
+    with mock.patch.object(objective, "_total_curvature", len):
+        assert _table_terms(obj, None)[1] == old_table_submodular(values, m)
+    try:
+        structure = _table_structure(values, m)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert structure.is_submodular == old_table_submodular(values, m)
+    if structure.is_monotone:  # the structure pass takes the curvature of monotone tables only
+        assert repr(structure.kappa) == _run(Objective([1]), lambda: old_table_curvature(values, m))[0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables(TABLE_VALUES), st.data())
 def test_table_measures_equal_the_iterator_code(table, data):
     m, values = table
     k = data.draw(st.integers(0, m - 1))
     assert repr(_differences(values, k)) == repr(list(old_differences(values, k)))
-    assert _table_submodular(values, m) == old_table_submodular(values, m)
-    assert _run(Objective([1]), lambda: _table_total_curvature(values, m)) == _run(
-        Objective([1]), lambda: old_table_total_curvature(values, m)
-    )
-    assert _run(Objective([1]), lambda: objective._table_curvature(values, m)) == _run(
-        Objective([1]), lambda: old_table_curvature(values, m)
-    )
+    _assert_table_measures_match(values, m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -406,8 +429,45 @@ def test_table_measures_of_objectives_equal_the_iterator_code(seed, kind, window
     elements = obj.ground()[:10]
     m = len(elements)
     table = subset_value_table(obj, elements)
-    assert _table_submodular(table, m) == old_table_submodular(table, m)
-    assert _run(obj, lambda: _table_total_curvature(table, m)) == _run(obj, lambda: old_table_total_curvature(table, m))
+    _assert_table_measures_match(table, m)
+
+
+def test_table_measures_cover_nan_tables_and_clamp_errors():
+    """The table inputs above reach NaN entries, both clamp errors and a zero-gain error."""
+    cases = {
+        # element 0's gains read [nan, 1, 4, 4]: its ratio 1/4 is the worst
+        "nan": [0.0, math.nan, 1.0, 2.0, 2.0, 6.0, 3.0, 7.0],
+        # element 0 loses value once element 1 is in: least gain -1, greatest 1
+        "not monotone": [0.0, 1.0, 2.0, 1.0],
+        # every gain is 0, so every element is skipped
+        "all zero": [0.0, 0.0, 0.0, 0.0],
+    }
+    for values in cases.values():
+        _assert_table_measures_match(values, len(values).bit_length() - 1)
+    assert total_curvature(_table_callable(cases["nan"])) == 0.75
+    with pytest.raises(ValueError, match=r"^total curvature 2.0 falls outside \[0, 1\]; objective is not monotone-normalized$"):
+        total_curvature(_table_callable(cases["not monotone"]))
+    with pytest.raises(ValueError, match="every element has zero gain everywhere"):
+        total_curvature(_table_callable(cases["all zero"]))
+
+
+def test_total_curvature_equals_the_walked_twice_differenced_path():
+    """Same value, charge and error text as the walked table with the old total curvature, past the guard too."""
+    def old(obj):
+        return twice_table_total_curvature(*walked_ground_table(obj))
+
+    makes = [lambda seed=seed: _certify_shaped(seed)[0] for seed in range(40)]
+    makes += [lambda seed=seed: _callable(random.Random(seed)) for seed in range(40)]
+    makes.append(lambda: scaling_instance(random.Random(0), 20)[0])  # past the size guard
+    makes.append(lambda: _table_callable([0.0, 1.0, 2.0, 1.0]))  # not monotone
+    errors = set()
+    for make in makes:
+        new, ref = make(), make()
+        result = _run(new, lambda: total_curvature(new))
+        assert result == _run(ref, lambda: old(ref))
+        if isinstance(result[0], tuple):
+            errors.add(result[0][1].partition(" ")[0])
+    assert {"ground", "total"} <= errors
 
 
 def test_subset_table_makes_the_same_value_calls_and_keeps_one_path_of_states():
@@ -478,6 +538,45 @@ def test_coin_rejects_an_agent_outside_the_team_by_name(agent):
     obj, actions = _three_agents()
     with pytest.raises(ValueError, match=rf"agent {agent} is not an agent id in \[0, 3\)"):
         coin(obj, agent, actions, set())
+
+
+def _rag_actions():
+    obj, g = random_coverage_instance(random.Random(0), max_agents=5, max_actions=3)
+    assert obj.action_counts == (1, 1, 3, 2, 2)
+    return obj, g, run_rag(obj, g).actions
+
+
+def test_coin_sum_and_coin_reject_actions_of_another_agent_by_position():
+    obj, g, actions = _rag_actions()
+    assert coin_sum(obj, g, actions) == 1.0
+    swapped = (actions[1], actions[0], *actions[2:])  # read as agent 0's, agent 1's action gave 2.0
+    message = r"^actions\[0\] is GroundElement\(agent=1, action=0\), not an action \(agent 0, a\) with 0 <= a < 1$"
+    with pytest.raises(ValueError, match=message):
+        coin_sum(obj, g, swapped)
+    with pytest.raises(ValueError, match=message):
+        coin(obj, 0, swapped, set())
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        (GroundElement(3, 2), r"GroundElement\(agent=3, action=2\)"),  # past the menu: a bare IndexError
+        (GroundElement(3, -1), r"GroundElement\(agent=3, action=-1\)"),  # read as the last action
+        ((3, "0"), r"\(3, '0'\)"),
+        (None, "None"),
+        ((3,), r"\(3,\)"),
+    ],
+    ids=["past-the-menu", "negative", "str-action", "none", "one-field"],
+)
+def test_coin_sum_and_coin_reject_an_element_that_is_not_an_action_by_position(bad, shown):
+    obj, g, actions = _rag_actions()
+    actions = (*actions[:3], bad, actions[4])
+    message = rf"^actions\[3\] is {shown}, not an action \(agent 3, a\) with 0 <= a < 2$"
+    with pytest.raises(ValueError, match=message):
+        coin_sum(obj, g, actions)
+    for agent in (0, 3):
+        with pytest.raises(ValueError, match=message):
+            coin(obj, agent, actions, set())
 
 
 @pytest.mark.parametrize("size", [2, 5])

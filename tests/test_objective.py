@@ -404,21 +404,25 @@ def structure_or_error(check, table, m):
     return repr(report)  # repr, so that NaN measures compare equal
 
 
+def table_objective(table):
+    """One action per agent and f(S) = table[bitmask of S]: the objective whose subset table is table."""
+    return CallableObjective([1] * (len(table).bit_length() - 1), lambda sel: table[sum(1 << e.agent for e in sel)])
+
+
 def assert_structure_matches_the_old_checks(table, m):
     """Returns the reference's flags, or None when it raised."""
     old = structure_or_error(old_table_structure, table, m)
     assert structure_or_error(objective._table_structure, table, m) == old
-    # the measures on their own also serve non-monotone tables
-    for new_measure, old_measure in (
-        (objective._table_curvature, old_table_curvature),
-        (objective._table_total_curvature, old_table_total_curvature),
-    ):
-        assert structure_or_error(new_measure, table, m) == structure_or_error(old_measure, table, m)
+    # the total curvature on its own also serves non-monotone tables
+    old_c = structure_or_error(old_table_total_curvature, table, m)
+    assert structure_or_error(lambda t, _: total_curvature(table_objective(t)), table, m) == old_c
     try:
         ref = old_table_structure(table, m)
     except (ValueError, ZeroDivisionError):
         return None
-    assert objective._table_submodular(table, m) == ref.is_submodular
+    # bound_report's terms: the same total curvature, and the reference's submodularity
+    terms = structure_or_error(lambda t, _: objective._table_terms(table_objective(t), None), table, m)
+    assert terms == (old_c if isinstance(old_c, tuple) else f"({old_c}, {ref.is_submodular})")
     return ref.is_monotone, ref.is_submodular, ref.is_second_order_submodular
 
 
@@ -501,12 +505,12 @@ def test_structure_checks_treat_nan_as_no_violation_like_the_old_checks():
     # differences along element 1, [nan, 6], and must not hide the 6
     table = [0.0, math.nan, 1.0, 2.0, 1.0, 2.0, 2.0, 9.0]
     assert_structure_matches_the_old_checks(table, 3)
-    assert not objective._table_submodular(table, 3)
-    assert objective._table_submodular([0.0, math.nan, 1.0, 1.0], 2)
+    assert not objective._table_terms(table_objective(table), None)[1]
+    assert objective._table_terms(table_objective([0.0, math.nan, 1.0, 1.0]), None)[1]
     # element 0's gains read [nan, 1, 4, 4]: its ratio 1/4 is the worst
     table = [0.0, math.nan, 1.0, 2.0, 2.0, 6.0, 3.0, 7.0]
     assert_structure_matches_the_old_checks(table, 3)
-    assert objective._table_total_curvature(table, 3) == 0.75
+    assert total_curvature(table_objective(table)) == 0.75
 
 
 def _joint_actions(obj, rng):

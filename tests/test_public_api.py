@@ -1,7 +1,8 @@
-"""The package's public surface: names that were removed stay removed, the
-package imports nothing outside the standard library, and the README's code
-runs as written."""
+"""The package's public surface: names that were removed stay removed, no
+private module-level name is left unused, the package imports nothing
+outside the standard library, and the README's code runs as written."""
 
+import ast
 import inspect
 import os
 import re
@@ -49,6 +50,45 @@ def test_bound_formulas_take_their_measured_terms_without_defaults(name):
     params = inspect.signature(getattr(meshcoord, name)).parameters.values()
     assert [p.name for p in params] == BOUND_FORMULAS[name]
     assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level private function, class or constant."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, stmt
+
+
+def _loaded_names(node):
+    """Every name node loads, as a Name, an Attribute or an import alias."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    """No module-level private function, class or constant is loaded only by its own definition, or not at all."""
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(meshcoord.__file__).parent.glob("*.py"))]
+    loads = [(stmt, set(_loaded_names(stmt))) for tree in trees for stmt in tree.body]
+    dead = [
+        name
+        for tree in trees
+        for name, own in _private_definitions(tree)
+        if not any(name in loaded for stmt, loaded in loads if stmt is not own)
+    ]
+    assert dead == []
 
 
 # -S keeps site from loading .pth hooks that would import third-party modules

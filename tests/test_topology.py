@@ -124,6 +124,22 @@ def test_knn_rejects_negative_k():
         knn_graph([(0.0, 0.0)], k=-1, comm_range=1.0)
 
 
+@pytest.mark.parametrize("k", [1.5, 1.0, True, False, "1", None])
+def test_knn_rejects_a_k_that_is_not_an_int_by_name(k):
+    # 1.5 raised a bare TypeError from the slice after ranking, and True was taken as 1
+    with pytest.raises(ValueError, match=rf"^k must be an int, got {re.escape(repr(k))}$"):
+        knn_graph([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], k, 5.0)
+
+
+def test_knn_takes_any_integer_type_as_k():
+    class Two:
+        def __index__(self):
+            return 2
+
+    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+    assert knn_graph(pts, Two(), 5.0).in_neighbors == knn_graph(pts, 2, 5.0).in_neighbors
+
+
 def _knn_reference(positions, k, comm_range):
     """The full sort over all other agents that the bucketed knn_graph replaces."""
     range2 = comm_range * comm_range
