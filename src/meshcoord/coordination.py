@@ -295,15 +295,20 @@ def run_random_baseline(obj: Objective, rng) -> CoordinationOutcome:
 
 def brute_force_optimum(obj: Objective) -> tuple[tuple[GroundElement, ...], float]:
     """Exhaustive maximum over the action product; ties to the lexicographically
-    smallest action vector. Guarded at 10^7 joint selections."""
+    smallest action vector. Guarded at 10^7 joint selections. A NaN value
+    raises ValueError naming the first joint selection, in product order,
+    that has one."""
     size = math.prod(obj.action_counts)
     if size > BRUTE_FORCE_LIMIT:
         raise ValueError(f"action product of {size} exceeds the brute-force limit of {BRUTE_FORCE_LIMIT}")
+    menus = [obj.actions(i) for i in range(obj.n_agents)]
+    best = tuple(menu[0] for menu in menus)  # kept when every value is -inf
     best_value = -math.inf
-    best: tuple[GroundElement, ...] = ()
-    for combo in product(*map(obj.actions, range(obj.n_agents))):
+    for combo in product(*menus):
         value = obj.evaluate(combo)
-        if value > best_value:
+        if not value <= best_value:  # the one comparison per selection; NaN lands here too
+            if math.isnan(value):
+                raise ValueError(f"objective value is NaN at joint selection {combo!r}")
             best_value = value
             best = combo
     return best, best_value

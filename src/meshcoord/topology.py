@@ -32,7 +32,7 @@ class MeshGraph:
         for i, nbrs in enumerate(in_neighbors):
             ids = tuple(nbrs)
             if not set(map(type, ids)) <= {int}:  # the type check runs at C speed
-                ids = [_neighbor_id(i, j) for j in ids]
+                ids = [_agent_id(j, f"agent {i} lists neighbor id") for j in ids]
             fs = frozenset(ids)
             if i in fs:
                 raise ValueError(f"agent {i} lists itself as a neighbor")
@@ -61,24 +61,30 @@ class MeshGraph:
         return f"MeshGraph(n={self.n}, edges={self.edge_count()})"
 
 
-def _neighbor_id(agent: int, j) -> int:
-    """j as an int agent id: any integer type but bool, or ValueError naming agent and j."""
+def _agent_id(j, where: str) -> int:
+    """j as an int agent id: any integer type but bool, or ValueError naming where j sits."""
     if not isinstance(j, bool):
         try:
             return operator.index(j)
         except TypeError:
             pass
-    raise ValueError(f"agent {agent} lists neighbor id {j!r}, which is not an int")
+    raise ValueError(f"{where} {j!r}, which is not an int")
 
 
 @dataclass(frozen=True)
 class InfoDag:
-    """A decision order plus, per position, the earlier agents it may condition on."""
+    """A decision order plus, per position, the earlier agents it may condition on.
+
+    order entries are any integer type but bool, stored as int.
+    """
 
     order: tuple[int, ...]
     access: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        if not set(map(type, self.order)) <= {int}:  # the type check runs at C speed
+            order = tuple(_agent_id(a, f"order position {pos} holds") for pos, a in enumerate(self.order))
+            object.__setattr__(self, "order", order)
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of 0..n-1")

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from meshcoord.instances import (
 )
 from meshcoord.objective import CallableObjective, GroundElement
 from meshcoord.topology import (
+    InfoDag,
     complete_graph,
     edgeless_graph,
     full_access_dag,
@@ -301,6 +303,43 @@ def test_brute_force_guards_the_product_size():
     obj = CallableObjective([200] * 4, lambda s: 0.0)
     with pytest.raises(ValueError, match="brute-force limit"):
         brute_force_optimum(obj)
+
+
+@pytest.mark.parametrize("order", [[True, False], [1.0, 0.0]])
+def test_sequential_rules_reject_order_entries_that_are_not_ints(order):
+    # a bool order used to run with bool agents, a float one to fail deep inside
+    obj = CallableObjective([2, 2], lambda s: float(len(s)))
+    with pytest.raises(ValueError, match="^order position 0 holds"):
+        run_sg(obj, order)
+    with pytest.raises(ValueError, match="^order position 0 holds"):
+        run_dsm(obj, InfoDag(order=tuple(order), access=(frozenset(), frozenset())))
+
+
+def test_brute_force_names_the_first_nan_selection():
+    # NaN compares false, so it used to be skipped without a word; here every selection but the first is NaN
+    first = {GroundElement(0, 0), GroundElement(1, 0)}
+    obj = CallableObjective([2, 2], lambda s: 0.0 if s == first else math.nan)
+    second = re.escape(repr((GroundElement(0, 0), GroundElement(1, 1))))
+    with pytest.raises(ValueError, match=f"NaN at joint selection {second}$"):
+        brute_force_optimum(obj)
+
+
+def test_brute_force_rejects_a_nan_on_the_best_selection():
+    # skipping the NaN reported the second best, 2.1, as the optimum
+    values = {(0, 0): 0.0, (0, 1): 1.1, (1, 0): 1.0, (1, 1): 2.0}
+
+    def f(sel):
+        if sel == {GroundElement(0, 1), GroundElement(1, 1)}:
+            return math.nan
+        return sum(values[(e.agent, e.action)] for e in sel)
+
+    with pytest.raises(ValueError, match="NaN at joint selection"):
+        brute_force_optimum(CallableObjective([2, 2], f))
+
+
+def test_brute_force_keeps_the_first_selection_when_every_value_is_minus_inf():
+    obj = CallableObjective([2, 3], lambda s: -math.inf if s else 0.0)
+    assert brute_force_optimum(obj) == ((GroundElement(0, 0), GroundElement(1, 0)), -math.inf)
 
 
 @settings(max_examples=25, deadline=None)

@@ -391,6 +391,24 @@ def test_info_dag_validation():
         InfoDag(order=(0, 1), access=(frozenset({1}), frozenset()))
 
 
+@pytest.mark.parametrize("order, pos, bad", [((True, False), 0, "True"), ((0, 1.0), 1, "1.0"), ((0, "1"), 1, "'1'")])
+def test_info_dag_rejects_order_entries_that_are_not_ints(order, pos, bad):
+    message = rf"^order position {pos} holds {re.escape(bad)}, which is not an int$"
+    with pytest.raises(ValueError, match=message):
+        InfoDag(order=order, access=(frozenset(),) * 2)
+    with pytest.raises(ValueError, match=message):
+        full_access_dag(order)
+
+
+def test_info_dag_stores_any_integer_type_as_int():
+    class AgentId(int):
+        pass
+
+    dag = InfoDag(order=(AgentId(1), AgentId(0)), access=(frozenset(), frozenset({1})))
+    assert dag.order == (1, 0)
+    assert all(type(agent) is int for agent in dag.order)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 7), st.integers(0, 6), st.integers(0, 500))
 def test_knn_neighborhoods_respect_k_and_range(n, k, seed):
