@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
-from meshcoord.objective import Objective, _table_terms, curvature
+from meshcoord.objective import _EXHAUSTIVE_LIMIT, Objective, _table_terms, curvature
 from meshcoord.topology import MeshGraph, is_complete
 
 
@@ -28,7 +28,7 @@ class BoundReport:
 
     certified is True when optimum_value came from the exhaustive oracle;
     c_total and curvature_only are None when the ground set exceeds the
-    exhaustive-check guard and no structural assumption was supplied.
+    exhaustive-check guard.
     """
 
     algorithm_value: float
@@ -116,20 +116,16 @@ def bound_report(
     outcome: CoordinationOutcome,
     eta: float = 1.0,
     optimum_value: float | None = None,
-    assume_submodular: bool | None = None,
 ) -> BoundReport:
     """Evaluates every bound for one outcome.
 
     optimum_value left as None runs the brute-force oracle and marks the
     report certified; passing a surrogate (e.g. a sequential-greedy value on
-    instances beyond the oracle guard) marks it uncertified. Shipped coverage
-    objectives are submodular; assume_submodular short-circuits the
-    exhaustive submodularity check, which costs O(2^m * m^2) arithmetic on
-    the report's subset table, and stands in for it beyond the size guard.
-
-    Up to the guard, the total curvature and the submodularity check come
-    from one subset table of the ground set, charged 2^m evaluations for m
-    elements; _table_terms says how it is counted and read.
+    instances beyond the oracle guard) marks it uncertified. Up to 16 ground
+    elements, the total curvature comes from one subset table, charged 2^m
+    evaluations for m elements, and so does the submodularity check, which
+    coverage objectives skip since their class states it (see _table_terms);
+    past that guard c_total and curvature_only are left out, uncharged.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
@@ -138,9 +134,9 @@ def bound_report(
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
-    c_total, submodular = _table_terms(obj, assume_submodular)
-    curvature_only: float | None = None
-    if submodular is not None:
+    c_total = curvature_only = None
+    if sum(obj.action_counts) <= _EXHAUSTIVE_LIMIT:
+        c_total, submodular = _table_terms(obj, check_submodular=not obj._known_submodular)
         k = kappa if submodular else c_total
         curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
 

@@ -286,7 +286,7 @@ def _bounds_rows(seed: int) -> list[list]:
     for i in range(50):
         rng = random.Random(f"{seed}:bounds:{i}")
         obj, g = random_coverage_instance(rng, max_agents=5, max_actions=3)
-        report = bound_report(obj, g, run_rag(obj, g), assume_submodular=True)
+        report = bound_report(obj, g, run_rag(obj, g))
         rows.append([i, obj.n_agents, *(getattr(report, c) for c in _BOUND_COLUMNS)])
     return rows
 

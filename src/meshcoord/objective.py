@@ -17,6 +17,8 @@ from itertools import chain, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from meshcoord.topology import _int_value
+
 # tolerance for float-valued objectives in the exhaustive checks; coverage
 # values are integer counts and never need it
 _EPS = 1e-9
@@ -53,8 +55,12 @@ class Objective:
     of subset_value_table, which charges nothing: its caller charges.
     """
 
+    _known_submodular = False  # True where every instance is submodular; bound_report checks the rest
+
     def __init__(self, action_counts: Sequence[int]):
-        counts = tuple(int(c) for c in action_counts)
+        counts = tuple(action_counts)
+        if not set(map(type, counts)) <= {int}:  # the type check runs at C speed
+            counts = tuple(_int_value(c, f"action_counts[{i}] is") for i, c in enumerate(counts))
         if not counts or any(c < 1 for c in counts):
             raise ValueError("every agent needs at least one action")
         self.action_counts = counts
@@ -195,6 +201,7 @@ class _UnionMaskObjective(Objective):
     float as the evaluation it stands for would have.
     """
 
+    _known_submodular = True  # a union's cell count times a positive cell_area
     cell_area = 1.0
 
     def __init__(self, masks: Iterable[Iterable], within: int, _windowed: bool = False):
@@ -640,7 +647,7 @@ def total_curvature(obj: Objective) -> float:
     subsets of ground \\ {v}. Elements whose denominator is zero for every B
     are skipped; if all are skipped the measure is undefined.
     """
-    return _table_terms(obj, False)[0]
+    return _table_terms(obj, check_submodular=False)[0]
 
 
 def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> list[float]:
@@ -660,42 +667,27 @@ def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> lis
     return obj._subset_table(elements)
 
 
-def _ground_table(obj: Objective, zero_singleton: str | None = None) -> tuple[list[float], int]:
-    """The subset table over the size-guarded ground set, and its size.
+def _table_terms(obj: Objective, check_submodular: bool) -> tuple[float, bool]:
+    """The total curvature, and whether obj is submodular: as checked, or True unchecked.
 
-    With zero_singleton set, an element of value 0 raises a ValueError with
-    that prefix.
+    Raises past the size guard. Otherwise one subset table of the ground
+    set is built, as subset_value_table builds and charges it, and each
+    element's first differences are taken from it once: they give the
+    element's extremes for the total curvature, and the submodularity
+    check, when asked for, reads them until its first violation.
     """
     elements = obj.ground()
-    _size_guard(len(elements))
+    m = len(elements)
+    _size_guard(m)
     table = subset_value_table(obj, elements)
-    for j, a in enumerate(elements):
-        if zero_singleton is not None and table[1 << j] == 0:
-            raise ValueError(f"{zero_singleton}: f({a}) = 0")
-    return table, len(elements)
-
-
-def _table_terms(obj: Objective, submodular: bool | None) -> tuple[float | None, bool | None]:
-    """bound_report's table terms: the total curvature, and submodular as given or checked if None.
-
-    Up to the size guard, one subset table of the ground set is built, as
-    subset_value_table builds and charges it, and each element's first
-    differences are taken from it once: they give the element's extremes
-    for the total curvature, and the submodularity check reads them until
-    its first violation. Past the guard the total curvature is None and
-    nothing is charged, unless submodular is False: the non-submodular
-    bound needs the total curvature, so the guard raises.
-    """
-    if (submodular is None or submodular) and len(obj.ground()) > _EXHAUSTIVE_LIMIT:
-        return None, submodular
-    table, m = _ground_table(obj)
     extremes = []
-    check = submodular is None
+    submodular = True
     for s in range(m):
         gains = _differences(table, s)
         extremes.append((_least(gains), _greatest(gains)))
-        check = check and _submodular_along(gains, s, m)
-    return _total_curvature(extremes), check if submodular is None else submodular
+        if check_submodular and submodular:
+            submodular = _submodular_along(gains, s, m)
+    return _total_curvature(extremes), submodular
 
 
 def validate_structure(obj: Objective) -> StructureReport:
@@ -708,19 +700,26 @@ def validate_structure(obj: Objective) -> StructureReport:
       2nd-order:   f(s | A) - f(s | A + x) >= f(s | A + y) - f(s | A + x + y)
     Also computes exhaustive curvature and total curvature; both are NaN when
     the function is not monotone (they presume non-negative gains). Zero-value
-    singletons are rejected (curvature is undefined there). Costs 2^m
-    evaluations and O(2^m * m^3) arithmetic for a ground set of m elements.
+    singletons are rejected (curvature is undefined there). Every check runs
+    whatever the objective's class states. Costs 2^m evaluations and
+    O(2^m * m^3) arithmetic for a ground set of m elements.
     """
-    return _table_structure(*_ground_table(obj, "structure validation rejected"))
+    elements = obj.ground()
+    _size_guard(len(elements))
+    table = subset_value_table(obj, elements)
+    for j, a in enumerate(elements):
+        if table[1 << j] == 0:
+            raise ValueError(f"structure validation rejected: f({a}) = 0")
+    return _table_structure(table, len(elements))
 
 
 def _table_structure(table: list[float], m: int) -> StructureReport:
     # one pass over the elements, each one's first differences taken once
-    # and read by every check and measure that still needs them
+    # and read by every check and measure that still needs them; no f({s})
+    # is zero, since validate_structure rejects those first
     monotone = submodular = second_order = True
     worst = math.inf  # the curvature's least gain ratio
     extremes = []  # each element's least and greatest gain, for the total curvature
-    zero_single = None  # the curvature divides by f({s}); a zero raises only if the curvature is taken
     for s in range(m):
         if not (monotone or submodular or second_order):
             break
@@ -729,10 +728,7 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
             least = _least(gains)
             monotone = least >= -_EPS
             extremes.append((least, _greatest(gains)))
-            try:
-                worst = _least(map(truediv, gains, repeat(table[1 << s])), worst)
-            except ZeroDivisionError as exc:
-                zero_single = zero_single or exc
+            worst = _least(map(truediv, gains, repeat(table[1 << s])), worst)
         submodular = submodular and _submodular_along(gains, s, m)
         # lhs - rhs of the 2nd-order inequality is the third difference of f
         # along s, x and y, which is symmetric in all three: checking it once
@@ -748,8 +744,6 @@ def _table_structure(table: list[float], m: int) -> StructureReport:
                     break
 
     if monotone:
-        if zero_single:
-            raise zero_single
         kappa = _clamp_unit(1.0 - worst, "curvature")
         c_total = _total_curvature(extremes)
     else:
@@ -855,7 +849,8 @@ def coin(
     grows as the neighborhood shrinks (non-neighbors can pre-empt more of
     a_i's value). Always within [0, f(a_i)] for monotone submodular f.
     """
-    nbrs = set(neighborhood)
+    agent = _int_value(agent, "agent")
+    nbrs = {_int_value(j, "neighborhood lists agent id") for j in neighborhood}
     if agent in nbrs:
         raise ValueError("agent may not appear in its own neighborhood")
     n = obj.n_agents

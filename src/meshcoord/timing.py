@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from meshcoord.coordination import CoordinationOutcome
-from meshcoord.topology import MeshGraph
+from meshcoord.topology import MeshGraph, _int_value
 
 
 def tau_c_from_rate(message_bytes: float, data_rate_bps: float) -> float:
@@ -110,7 +110,7 @@ def rag_time_bound(
     its committers have no undecided in-neighbors and no undecided
     listeners), and none on an edgeless graph.
     """
-    counts = [int(c) for c in per_agent_action_count]
+    counts = [_int_value(c, f"per_agent_action_count[{i}] is") for i, c in enumerate(per_agent_action_count)]
     if len(counts) != g.n:
         raise ValueError("need one action count per agent")
     if any(c < 1 for c in counts):

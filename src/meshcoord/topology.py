@@ -22,6 +22,7 @@ class MeshGraph:
     """Immutable directed graph over agents 0..n-1 with in/out neighbor maps."""
 
     def __init__(self, n: int, in_neighbors: Sequence[Iterable[int]]):
+        n = _int_value(n, "the agent count n is")
         if n < 1:
             raise ValueError("graph needs at least one agent")
         if len(in_neighbors) != n:
@@ -32,7 +33,7 @@ class MeshGraph:
         for i, nbrs in enumerate(in_neighbors):
             ids = tuple(nbrs)
             if not set(map(type, ids)) <= {int}:  # the type check runs at C speed
-                ids = [_agent_id(j, f"agent {i} lists neighbor id") for j in ids]
+                ids = [_int_value(j, f"agent {i} lists neighbor id") for j in ids]
             fs = frozenset(ids)
             if i in fs:
                 raise ValueError(f"agent {i} lists itself as a neighbor")
@@ -61,8 +62,8 @@ class MeshGraph:
         return f"MeshGraph(n={self.n}, edges={self.edge_count()})"
 
 
-def _agent_id(j, where: str) -> int:
-    """j as an int agent id: any integer type but bool, or ValueError naming where j sits."""
+def _int_value(j, where: str) -> int:
+    """j as an int, for an id or a count: any integer type but bool, or ValueError naming where j sits."""
     if not isinstance(j, bool):
         try:
             return operator.index(j)
@@ -83,7 +84,7 @@ class InfoDag:
 
     def __post_init__(self):
         if not set(map(type, self.order)) <= {int}:  # the type check runs at C speed
-            order = tuple(_agent_id(a, f"order position {pos} holds") for pos, a in enumerate(self.order))
+            order = tuple(_int_value(a, f"order position {pos} holds") for pos, a in enumerate(self.order))
             object.__setattr__(self, "order", order)
         n = len(self.order)
         if sorted(self.order) != list(range(n)):

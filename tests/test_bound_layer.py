@@ -11,17 +11,20 @@ repr, raised errors by type and message, and charged evaluations by
 eval_count delta. The objectives are grid, disk and windowed coverage (the
 window width patched to 1-64 bits while they are built) and callable toys;
 coverage coin sums are drawn both ways, from contexts and from cell counts.
+Last, validate_structure audits the submodularity that coverage classes
+state and bound_report trusts.
 """
 
 import math
 import random
+import re
 from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cell_reference import full_width_masks
@@ -66,8 +69,9 @@ from meshcoord.objective import (
     rect_mask,
     subset_value_table,
     total_curvature,
+    validate_structure,
 )
-from meshcoord.topology import MeshGraph, is_complete, knn_graph, line_graph
+from meshcoord.topology import MeshGraph, complete_graph, is_complete, knn_graph, line_graph
 
 # --- the replaced code, verbatim ---------------------------------------------
 
@@ -395,15 +399,15 @@ def _assert_table_measures_match(values, m):
     obj = _table_callable(values)
     old_c = _run(Objective([1]), lambda: old_table_total_curvature(values, m))[0]
     assert _run(obj, lambda: total_curvature(obj)) == (old_c, 1 << m)
-    for assume in (None, True, False):
+    for check in (True, False):
         old = _run(
             Objective([1]),
-            lambda: (old_table_total_curvature(values, m), old_table_submodular(values, m) if assume is None else assume),
+            lambda: (old_table_total_curvature(values, m), old_table_submodular(values, m) if check else True),
         )[0]
-        assert _run(obj, lambda: _table_terms(obj, assume)) == (old, 1 << m)
+        assert _run(obj, lambda: _table_terms(obj, check)) == (old, 1 << m)
     # with the total curvature stubbed out, the entry's submodularity check is read on every table
     with mock.patch.object(objective, "_total_curvature", len):
-        assert _table_terms(obj, None)[1] == old_table_submodular(values, m)
+        assert _table_terms(obj, True)[1] == old_table_submodular(values, m)
     try:
         structure = _table_structure(values, m)
     except (ValueError, ZeroDivisionError):
@@ -538,6 +542,20 @@ def test_coin_rejects_an_agent_outside_the_team_by_name(agent):
     obj, actions = _three_agents()
     with pytest.raises(ValueError, match=rf"agent {agent} is not an agent id in \[0, 3\)"):
         coin(obj, agent, actions, set())
+
+
+@pytest.mark.parametrize(
+    "agent, neighborhood, message",
+    [
+        (True, set(), "agent True"),  # True == 1: it would be agent 1's coin
+        (1.0, set(), "agent 1.0"),
+        (0, {True}, "neighborhood lists agent id True"),
+    ],
+)
+def test_coin_rejects_agent_ids_that_are_not_ints_by_name(agent, neighborhood, message):
+    obj, actions = _three_agents()
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, which is not an int$"):
+        coin(obj, agent, actions, neighborhood)
 
 
 def _rag_actions():
@@ -685,12 +703,13 @@ def _sixteen_element_instances(count):
     return found
 
 
-def _assert_reports_match(make, assume):
+def _assert_reports_match(make):
+    """bound_report equals walked_bound_report with submodularity decided, assume_submodular=None."""
     new, g = make()
     old, _ = make()
     out_new, out_old = run_rag(new, g), run_rag(old, g)
-    report = _run(new, lambda: bound_report(new, g, out_new, assume_submodular=assume))
-    assert report == _run(old, lambda: walked_bound_report(old, g, out_old, assume_submodular=assume))
+    report = _run(new, lambda: bound_report(new, g, out_new))
+    assert report == _run(old, lambda: walked_bound_report(old, g, out_old))
     return report
 
 
@@ -698,7 +717,7 @@ def test_bound_reports_equal_the_walked_twice_differenced_path():
     """200 certify-shaped instances and three of 16 elements: equal reports by repr, equal charges."""
     certified = 0
     for seed in range(200):
-        report, _charged = _assert_reports_match(lambda: _certify_shaped(seed), (None, True, False)[seed % 3])
+        report, _charged = _assert_reports_match(lambda: _certify_shaped(seed))
         certified += report.startswith("BoundReport(") and "certified=True" in report
     assert certified >= 150
     # coverage plus a bonus for one pair of actions: monotone, not submodular
@@ -707,17 +726,17 @@ def test_bound_reports_equal_the_walked_twice_differenced_path():
         cov, g = _certify_shaped(seed)
         pair = {GroundElement(0, 0), GroundElement(1, 0)}
         bonus = lambda sel: cov.covered_cells(sel) + 100.0 * (pair <= sel)
-        report, _charged = _assert_reports_match(lambda: (CallableObjective(cov.action_counts, bonus), g), None)
+        report, _charged = _assert_reports_match(lambda: (CallableObjective(cov.action_counts, bonus), g))
         table, m = walked_ground_table(CallableObjective(cov.action_counts, bonus))
         violated += report.startswith("BoundReport(") and not twice_table_submodular(table, m)
     assert violated >= 30
     # toys that are not submodular, or not monotone, or raise
     for seed in range(60):
         n = _callable(random.Random(seed)).n_agents
-        _assert_reports_match(lambda: (_callable(random.Random(seed)), line_graph(n)), None)
+        _assert_reports_match(lambda: (_callable(random.Random(seed)), line_graph(n)))
     for draw in _sixteen_element_instances(3):
         make = lambda: random_coverage_instance(random.Random(f"m16:{draw}"), max_agents=6, max_actions=4, min_agents=4)
-        report, charged = _assert_reports_match(make, None)
+        report, charged = _assert_reports_match(make)
         assert "certified=True" in report and charged >= 1 << 16
 
 
@@ -742,3 +761,39 @@ def test_the_union_kernel_holds_about_two_square_roots_of_unions(monkeypatch):
         assert len(table) == 1 << 16
         packed = [("packed", 16)] if obj._window_count > 1 else []
         assert built == packed + [("unions", 1 << 8), ("unions", 1 << 8)]
+
+
+# --- submodularity stated by the class ------------------------------------------
+
+
+def _stated_submodular(kind, rng):
+    """A plain grid, disk or windowed coverage objective of at most 12 elements."""
+    if kind == "grid":
+        return random_coverage_instance(rng, max_agents=4, max_actions=3)[0]
+    if kind == "disk":
+        return _disk(rng)
+    return windowed_mask_objective(rng, [rng.randint(1, 3) for _ in range(rng.randint(2, 4))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["grid", "disk", "windowed"]))
+def test_objectives_that_state_submodularity_pass_the_full_audit(seed, kind):
+    """bound_report trusts _known_submodular; validate_structure checks it."""
+    obj = _stated_submodular(kind, random.Random(seed))
+    assert obj._known_submodular and len(obj.ground()) <= 12
+    assume(all(obj.evaluate([e]) > 0 for e in obj.ground()))
+    report = validate_structure(obj)
+    assert report.is_monotone and report.is_submodular
+
+
+def test_only_objectives_without_stated_submodularity_pay_its_check(monkeypatch):
+    calls = []
+    along = objective._submodular_along
+    monkeypatch.setattr(objective, "_submodular_along", lambda *args: calls.append(args[1:]) or along(*args))
+    for seed in range(10):
+        obj, g = _certify_shaped(seed)
+        assert bound_report(obj, g, run_rag(obj, g)).c_total is not None
+    assert calls == []
+    toy = logdet_toy()
+    report = bound_report(toy, complete_graph(3), run_rag(toy, complete_graph(3)))
+    assert calls and report.curvature_only is not None

@@ -176,13 +176,6 @@ def test_bound_report_with_surrogate_optimum_is_uncertified():
     assert rep.optimum_value == out.value
 
 
-def test_bound_report_assumed_submodularity_restores_curvature_only():
-    obj, g, _ = reference_line_instance()
-    out = run_rag(obj, g)
-    rep = bound_report(obj, g, out, assume_submodular=True)
-    assert rep.curvature_only == 0.0  # kappa 1 on a non-complete graph
-
-
 def test_bound_report_small_ground_fills_everything():
     obj = logdet_toy()
     g = complete_graph(3)
@@ -252,6 +245,7 @@ def report_and_evals(obj, report):
 
 
 def assert_report_matches_the_old_path(obj, g, out, **kwargs):
+    """bound_report equals old_bound_report with submodularity decided, assume_submodular=None."""
     new, new_evals = report_and_evals(obj, lambda: bound_report(obj, g, out, **kwargs))
     old, old_evals = report_and_evals(obj, lambda: old_bound_report(obj, g, out, **kwargs))
     assert new == old
@@ -262,19 +256,12 @@ def assert_report_matches_the_old_path(obj, g, out, **kwargs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 10_000),
-    st.sampled_from([None, True, False]),
-    st.sampled_from([1.0, 0.5]),
-    st.booleans(),
-)
-def test_bound_report_matches_the_two_table_path(seed, assume, eta, surrogate):
+@given(st.integers(0, 10_000), st.sampled_from([1.0, 0.5]), st.booleans())
+def test_bound_report_matches_the_two_table_path(seed, eta, surrogate):
     obj, g = coverage_instance(seed, max_agents=4)
     out = run_rag(obj, g)
     optimum = out.value if surrogate else None
-    assert_report_matches_the_old_path(
-        obj, g, out, eta=eta, optimum_value=optimum, assume_submodular=assume
-    )
+    assert_report_matches_the_old_path(obj, g, out, eta=eta, optimum_value=optimum)
 
 
 def complementary_pair_toy() -> CallableObjective:
@@ -286,12 +273,11 @@ def complementary_pair_toy() -> CallableObjective:
 
 
 @pytest.mark.parametrize("make", [complementary_pair_toy, supermodular_toy, logdet_toy])
-@pytest.mark.parametrize("assume", [None, True, False])
-def test_bound_report_matches_the_two_table_path_off_submodularity(make, assume):
+def test_bound_report_matches_the_two_table_path_off_submodularity(make):
     obj = make()
     for g in (complete_graph(3), line_graph(3)):
         out = run_rag(obj, g)
-        rep = assert_report_matches_the_old_path(obj, g, out, assume_submodular=assume)
+        rep = assert_report_matches_the_old_path(obj, g, out)
         if make is complementary_pair_toy:
             assert not validate_structure(obj).is_submodular
             assert isinstance(rep, BoundReport) and rep.curvature_only is not None
@@ -300,10 +286,13 @@ def test_bound_report_matches_the_two_table_path_off_submodularity(make, assume)
 def test_bound_report_matches_the_old_path_on_its_errors():
     obj, g, _ = reference_line_instance()  # 20 elements, past the table guard
     out = run_rag(obj, g)
-    rep = assert_report_matches_the_old_path(obj, g, out, assume_submodular=False)
-    assert rep[0] == "error" and "exhaustive-check limit" in rep[1]
     rep = assert_report_matches_the_old_path(obj, g, out, eta=1.5)
     assert rep == ("error", "eta must be in (0, 1]")
+    # past the guard a report leaves the table terms out, and total_curvature raises
+    rep = assert_report_matches_the_old_path(obj, g, out)
+    assert rep.c_total is None and rep.curvature_only is None
+    with pytest.raises(ValueError, match="^ground set of 20 elements exceeds the exhaustive-check limit of 16$"):
+        total_curvature(obj)
 
 
 def test_bound_report_builds_one_table_and_one_coin_sum(monkeypatch):
@@ -343,7 +332,7 @@ def test_bound_report_never_runs_the_triple_pass(monkeypatch):
             patched.setattr(objective, "_table_structure", triple_pass)
             # also the name, in case bounds imports it
             patched.setattr(bounds, "_table_structure", triple_pass, raising=False)
-            assert bound_report(obj, g, out, assume_submodular=None) == old
+            assert bound_report(obj, g, out) == old
         reports += 1
     assert reports >= 10
 

@@ -294,6 +294,25 @@ def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch, capsys)
         assert [line.split(" peak")[0] for line in lines] == expected
 
 
+def test_one_world_split_over_a_real_pool_writes_the_serial_bytes(tmp_path, monkeypatch, capsys):
+    # one trial: the five missions draw one world, whose batch 3 processes split
+    pool_map, pools = scenario._pool_map, []
+
+    def counted(fn, tasks, workers):
+        pools.append(min(workers, len(tasks)))
+        return pool_map(fn, tasks, workers)
+
+    monkeypatch.setattr(scenario, "_pool_map", counted)
+    written = []
+    for workers in ("1", "3"):
+        path, out_dir = write_config(tmp_path / workers, trials=1, sweep_algorithm="rag sg dfs-sg dsm random")
+        monkeypatch.setenv("MESHCOORD_WORKERS", workers)
+        assert main(["run", str(path)]) == 0
+        written.append([(out_dir / name).read_bytes() for name in ("traces.csv", "aggregates.csv")])
+    assert pools == [1, 3]
+    assert written[0] == written[1]
+
+
 @pytest.mark.parametrize(
     "key", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
 )
@@ -483,10 +502,10 @@ def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch, seri
 
 
 @pytest.mark.parametrize(
-    "workers, pooled", [("1", False), ("2", True), ("3", False), ("4", False), ("5", False)]
+    "workers, pooled", [("1", False), ("2", True), ("3", True), ("4", False), ("5", False)]
 )
 def test_verify_stdout_is_the_same_at_any_worker_count(workers, pooled, monkeypatch, capsys, request):
-    # 2 workers start a real pool; 3 to 5 run their chunks on serial_pool
+    # 2 and 3 workers start a real pool; 4 and 5 run their chunks on serial_pool
     if not pooled:
         request.getfixturevalue("serial_pool")
     monkeypatch.setenv("MESHCOORD_WORKERS", workers)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,16 @@ def test_objective_rejects_bad_action_counts():
         CallableObjective([], lambda s: 0.0)
     with pytest.raises(ValueError):
         CallableObjective([2, 0], lambda s: 0.0)
+
+
+@pytest.mark.parametrize(
+    "counts, bad",
+    [([2.5], "[0] is 2.5"), (["3"], "[0] is '3'"), ([2, True], "[1] is True"), ([1, 2.0], "[1] is 2.0")],
+)
+def test_objective_rejects_action_counts_that_are_not_ints_by_position(counts, bad):
+    # int() would truncate 2.5 to 2 actions and read "3" as 3
+    with pytest.raises(ValueError, match=rf"^action_counts{re.escape(bad)}, which is not an int$"):
+        CallableObjective(counts, lambda s: 0.0)
 
 
 def test_ground_and_menus():
@@ -412,7 +423,8 @@ def table_objective(table):
 def assert_structure_matches_the_old_checks(table, m):
     """Returns the reference's flags, or None when it raised."""
     old = structure_or_error(old_table_structure, table, m)
-    assert structure_or_error(objective._table_structure, table, m) == old
+    if all(table[1 << j] != 0 for j in range(m)):  # validate_structure rejects zero singletons first
+        assert structure_or_error(objective._table_structure, table, m) == old
     # the total curvature on its own also serves non-monotone tables
     old_c = structure_or_error(old_table_total_curvature, table, m)
     assert structure_or_error(lambda t, _: total_curvature(table_objective(t)), table, m) == old_c
@@ -421,7 +433,7 @@ def assert_structure_matches_the_old_checks(table, m):
     except (ValueError, ZeroDivisionError):
         return None
     # bound_report's terms: the same total curvature, and the reference's submodularity
-    terms = structure_or_error(lambda t, _: objective._table_terms(table_objective(t), None), table, m)
+    terms = structure_or_error(lambda t, _: objective._table_terms(table_objective(t), True), table, m)
     assert terms == (old_c if isinstance(old_c, tuple) else f"({old_c}, {ref.is_submodular})")
     return ref.is_monotone, ref.is_submodular, ref.is_second_order_submodular
 
@@ -505,8 +517,8 @@ def test_structure_checks_treat_nan_as_no_violation_like_the_old_checks():
     # differences along element 1, [nan, 6], and must not hide the 6
     table = [0.0, math.nan, 1.0, 2.0, 1.0, 2.0, 2.0, 9.0]
     assert_structure_matches_the_old_checks(table, 3)
-    assert not objective._table_terms(table_objective(table), None)[1]
-    assert objective._table_terms(table_objective([0.0, math.nan, 1.0, 1.0]), None)[1]
+    assert not objective._table_terms(table_objective(table), True)[1]
+    assert objective._table_terms(table_objective([0.0, math.nan, 1.0, 1.0]), True)[1]
     # element 0's gains read [nan, 1, 4, 4]: its ratio 1/4 is the worst
     table = [0.0, math.nan, 1.0, 2.0, 2.0, 6.0, 3.0, 7.0]
     assert_structure_matches_the_old_checks(table, 3)

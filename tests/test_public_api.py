@@ -52,6 +52,18 @@ def test_bound_formulas_take_their_measured_terms_without_defaults(name):
     assert all(p.default is inspect.Parameter.empty for p in params)
 
 
+def test_bound_report_takes_no_structural_option():
+    """Submodularity comes from the objective: no assume_submodular, no other option."""
+    params = inspect.signature(meshcoord.bound_report).parameters.values()
+    assert [(p.name, p.default) for p in params] == [
+        ("obj", inspect.Parameter.empty),
+        ("g", inspect.Parameter.empty),
+        ("outcome", inspect.Parameter.empty),
+        ("eta", 1.0),
+        ("optimum_value", None),
+    ]
+
+
 def _private_definitions(tree):
     """(name, statement) for each module-level private function, class or constant."""
     for stmt in tree.body:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from typing import Sequence
 
 import pytest
@@ -151,6 +152,13 @@ def test_time_bound_complete_four_compute_term():
 def test_time_bound_edgeless_graph_drops_the_round_terms():
     unit = DelayModel(tau_f=1.0, tau_c=1.0, tau_hash=1.0)
     assert rag_time_bound(edgeless_graph(3), unit, [4, 4, 4]) == 4.0
+
+
+@pytest.mark.parametrize("counts, bad", [([2.9, 1], "[0] is 2.9"), ([1, True], "[1] is True"), (["3", 1], "[0] is '3'")])
+def test_time_bound_rejects_action_counts_that_are_not_ints_by_position(counts, bad):
+    # int() would charge 2.9 actions as 2
+    with pytest.raises(ValueError, match=rf"^per_agent_action_count{re.escape(bad)}, which is not an int$"):
+        rag_time_bound(line_graph(2), EXACT, counts)
 
 
 @settings(max_examples=40, deadline=None)

@@ -61,6 +61,13 @@ def test_mesh_graph_rejects_neighbor_ids_that_are_not_ints(in_neighbors, agent, 
         MeshGraph(3, in_neighbors)
 
 
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_mesh_graph_rejects_an_agent_count_that_is_not_an_int(n):
+    # True == 1, so it would make a one-agent graph whose n is True
+    with pytest.raises(ValueError, match=rf"^the agent count n is {re.escape(repr(n))}, which is not an int$"):
+        MeshGraph(n, [[]])
+
+
 def test_mesh_graph_accepts_any_integer_type_as_an_id():
     class AgentId:
         def __init__(self, value):
