@@ -73,7 +73,10 @@ def aposteriori_bound(obj: Objective, outcome: CoordinationOutcome, opt: float, 
 
     Uses the contexts each agent actually conditioned on, so it needs an
     outcome that recorded them; 2nd-order submodularity is not required.
+    Raises ValueError, as coin_sum does, unless outcome.actions[i] is an
+    action of agent i for every agent i.
     """
+    obj._check_actions(outcome.actions)
     if outcome.committed_in_neighbors is None:
         raise ValueError("outcome does not record per-agent commit contexts")
     total = 0.0

@@ -8,6 +8,7 @@ would miss it.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -113,7 +114,7 @@ def _carved_objective(
                 road[cy] = road[cy][:cx] + "#" + road[cy][cx + 1:]
     return GridCoverageObjective(
         road,
-        ((_box_windows(cx, cy, fov, width, height) for cx, cy in menu) for menu in centers()),
+        ((_box_windows(cx, cy, fov, fov, width, height) for cx, cy in menu) for menu in centers()),
         _windowed=True,
     )
 
@@ -226,11 +227,12 @@ def scaling_instance(
     The arena grows with the team so neighborhood structure stays local;
     actions are the 8 unit moves at a random magnitude with a 3x3 FOV.
     Returns (objective, positions) so callers can self-configure a graph.
-    n_agents must be an int of at least 1; it is checked before anything is
-    drawn from rng.
+    n_agents must be of an integer type other than bool, at least 1; it is
+    checked before anything is drawn from rng.
     """
-    if not isinstance(n_agents, int) or isinstance(n_agents, bool) or n_agents < 1:
+    if isinstance(n_agents, bool) or not hasattr(type(n_agents), "__index__") or operator.index(n_agents) < 1:
         raise ValueError(f"n_agents must be an int of at least 1, got {n_agents!r}")
+    n_agents = operator.index(n_agents)
     side = max(8, round((n_agents * 36) ** 0.5))
     density = 0.6
     road = _random_rows(rng, side, side, density)

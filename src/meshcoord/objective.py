@@ -210,12 +210,14 @@ class _UnionMaskObjective(Objective):
         self._window_bits = _WINDOW_BITS
         if width <= _WINDOW_BITS:
             if _windowed:
-                masks = (map(_low_window, menu) for menu in masks)
+                masks = (map(_joined, menu) for menu in masks)
             self._masks = tuple([tuple([mask & within for mask in menu]) for menu in masks])
             self._window_count = 1
         else:
+            if not _windowed:
+                masks = (map(_int_pairs, menu) for menu in masks)
             within_windows = _split(within, width)
-            clip = partial(_clipped_pairs if _windowed else _window_pairs, within_windows)
+            clip = partial(_clipped_pairs, within_windows)
             self._masks = tuple([tuple(map(clip, menu)) for menu in masks])
             self._window_count = len(within_windows)
             # bound to the _WindowedMasks, not to self, so the objective is no reference cycle
@@ -442,13 +444,26 @@ def _clipped_pairs(within_windows: Sequence[int], pairs: Iterable[tuple[int, int
     return tuple([(idx, clipped) for idx, window in pairs if idx < count and (clipped := window & within_windows[idx])])
 
 
-def _low_window(pairs: Sequence[tuple[int, int]]) -> int:
-    """Window 0 of (index, window) pairs in index order, or 0 if it is not among them."""
-    return pairs[0][1] if pairs and not pairs[0][0] else 0
+def _joined(pairs: Iterable[tuple[int, int]]) -> int:
+    """(index, window) pairs as one int, window idx placed at bit idx * _WINDOW_BITS."""
+    return sum([window << idx * _WINDOW_BITS for idx, window in pairs])
 
 
-def _box_windows(cx: int, cy: int, fov: int, width: int, height: int) -> tuple[tuple[int, int], ...]:
-    """The cells of rect_mask(cx, cy, fov, fov, width, height), as (window index, window) pairs.
+def _int_pairs(mask: int) -> Iterable[tuple[int, int]]:
+    """A non-negative int mask as (index, window) pairs, from its lowest non-empty window to its highest.
+
+    Windows inside that span may be empty. The mask is read once to find its
+    lowest bit and split linearly across its span only, not from window 0.
+    """
+    if not mask:
+        return ()
+    first = ((mask & -mask).bit_length() - 1) // _WINDOW_BITS
+    span = mask.bit_length() - first * _WINDOW_BITS
+    return enumerate(_split(mask >> first * _WINDOW_BITS, span), first)
+
+
+def _box_windows(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> tuple[tuple[int, int], ...]:
+    """The cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid, as (index, window) pairs.
 
     Window idx holds bits idx * _WINDOW_BITS onward, read when called; only
     non-empty windows are listed, in index order. The box is built one
@@ -457,14 +472,14 @@ def _box_windows(cx: int, cy: int, fov: int, width: int, height: int) -> tuple[t
     no int wider than one window is made, however wide the world is.
     """
     bits = _WINDOW_BITS
-    x0, y0 = cx - fov // 2, cy - fov // 2
+    x0, y0 = cx - fov_w // 2, cy - fov_h // 2
     lo = max(0, x0)
-    run = min(width, x0 + fov) - lo
+    run = min(width, x0 + fov_w) - lo
     pairs = []
     idx, window = -1, 0
     if run > 0:
         row = (1 << run) - 1
-        for start in range(max(0, y0) * width + lo, min(height, y0 + fov) * width, width):
+        for start in range(max(0, y0) * width + lo, min(height, y0 + fov_h) * width, width):
             i, offset = divmod(start, bits)
             if i != idx:
                 if window:
@@ -477,24 +492,6 @@ def _box_windows(cx: int, cy: int, fov: int, width: int, height: int) -> tuple[t
                 window >>= bits
     if window:
         pairs.append((idx, window))
-    return tuple(pairs)
-
-
-def _window_pairs(within_windows: Sequence[int], mask: int) -> tuple[tuple[int, int], ...]:
-    """mask ANDed with a clip that _split made, as (index, window) pairs for its non-empty windows.
-
-    Costs one pass over mask to find its lowest bit, then work in proportion
-    to the windows its bits span; bits past the clip's last window are dropped.
-    """
-    if not mask:
-        return ()
-    first = ((mask & -mask).bit_length() - 1) // _WINDOW_BITS
-    last = min((mask.bit_length() - 1) // _WINDOW_BITS, len(within_windows) - 1)
-    pairs = []
-    for idx in range(first, last + 1):
-        window = (mask >> (idx * _WINDOW_BITS)) & within_windows[idx]
-        if window:
-            pairs.append((idx, window))
     return tuple(pairs)
 
 
@@ -962,17 +959,9 @@ def road_bits(rows: Sequence[str]) -> int:
 def rect_mask(cx: int, cy: int, fov_w: int, fov_h: int, width: int, height: int) -> int:
     """The cells of a fov_w x fov_h rectangle centered at (cx, cy), clipped to the grid.
 
-    A bitmask, bit y * width + x per cell: one clipped row mask per clipped row.
+    A bitmask, bit y * width + x per cell: the windows _box_windows builds, joined.
     """
-    x0 = cx - fov_w // 2
-    y0 = cy - fov_h // 2
-    lo, hi = max(0, x0), min(width, x0 + fov_w)
-    row = ((1 << max(0, hi - lo)) - 1) << lo
-    y_lo = max(0, y0)
-    mask = 0
-    for y in range(min(height, y0 + fov_h) - y_lo):  # from row 0, so only the last shift is world-wide
-        mask |= row << (y * width)
-    return mask << (y_lo * width)
+    return _joined(_box_windows(cx, cy, fov_w, fov_h, width, height))
 
 
 def _size_guard(size: int) -> None:

@@ -45,6 +45,15 @@ from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 
+# the most world cells, and the most agents, a mission may have: 2^22, just
+# above the 2,000 x 2,000 world of README's 450-agent mission. Peak RSS of one
+# run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
+# 648 MB, as every destination keeps a footprint as wide as the world; a
+# 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
+# an agent); drawing an 8,192 x 8,192 world alone, 593 MB (about 9 bytes a
+# cell). Past the limit either size fails by name, before anything is drawn.
+_MISSION_SIZE_LIMIT = 1 << 22
+
 
 @dataclass(frozen=True)
 class MissionConfig:
@@ -90,8 +99,15 @@ class MissionConfig:
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.n_agents < 1:
             raise ValueError("n_agents must be at least 1")
+        if self.n_agents > _MISSION_SIZE_LIMIT:
+            raise ValueError(f"n_agents may be at most {_MISSION_SIZE_LIMIT:,}, got {self.n_agents:,}")
         if self.world_width < 1 or self.world_height < 1:
             raise ValueError("world_width and world_height must be positive")
+        if self.road_mask_path is None and self.world_width * self.world_height > _MISSION_SIZE_LIMIT:
+            raise ValueError(
+                f"world_width x world_height may be at most {_MISSION_SIZE_LIMIT:,} cells,"
+                f" got {self.world_width:,} x {self.world_height:,}"
+            )
         if self.fov_width < 1 or self.fov_height < 1:
             raise ValueError("fov_width and fov_height must be positive")
         if self.road_mask_path is None:
@@ -201,8 +217,15 @@ class VariationSummary:
 
 
 def _read_road_mask(path: str) -> list[str]:
+    """The mask file's rows, once its size and then its cell count are within _MISSION_SIZE_LIMIT."""
     try:
-        return parse_road_mask(Path(path).read_text())
+        size = Path(path).stat().st_size
+        if size > 3 * _MISSION_SIZE_LIMIT:  # a cell is one byte, plus at most two for a line end
+            raise ValueError(f"its {size:,} bytes are more than a mask of {_MISSION_SIZE_LIMIT:,} cells can take")
+        rows = parse_road_mask(Path(path).read_text())
+        if len(rows) * len(rows[0]) > _MISSION_SIZE_LIMIT:
+            raise ValueError(f"its {len(rows[0]):,} x {len(rows):,} cells are more than {_MISSION_SIZE_LIMIT:,}")
+        return rows
     except (OSError, ValueError) as exc:
         raise ValueError(f"road_mask_path {path!r} is not a usable road mask: {exc}") from None
 

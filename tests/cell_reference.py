@@ -4,8 +4,12 @@ GridCoverageObjective takes each footprint as an int bitmask (bit
 y * width + x, as rect_mask builds it). Footprints used to be sets of (x, y)
 cells, converted one cell at a time; that form is kept here so tests can
 build an objective without the mask code. So is split, the window split
-that shifted the whole mask once per window.
+that shifted the whole mask once per window, and window_pairs, the clip of
+int masks wider than one window that the span split through
+objective._clipped_pairs replaced.
 """
+
+from typing import Sequence
 
 from meshcoord import objective
 from meshcoord.objective import road_bits
@@ -71,3 +75,24 @@ def split(mask: int, width: int) -> list[int]:
     """objective._split as it was: one shift of the whole mask per window (verbatim)."""
     full = (1 << objective._WINDOW_BITS) - 1
     return [(mask >> lo) & full for lo in range(0, width, objective._WINDOW_BITS)]
+
+
+def window_pairs(within_windows: Sequence[int], mask: int) -> tuple[tuple[int, int], ...]:
+    """objective._window_pairs as it was (verbatim).
+
+    mask ANDed with a clip that _split made, as (index, window) pairs for its non-empty windows.
+
+    Costs one pass over mask to find its lowest bit, then work in proportion
+    to the windows its bits span; bits past the clip's last window are dropped.
+    """
+    _WINDOW_BITS = objective._WINDOW_BITS
+    if not mask:
+        return ()
+    first = ((mask & -mask).bit_length() - 1) // _WINDOW_BITS
+    last = min((mask.bit_length() - 1) // _WINDOW_BITS, len(within_windows) - 1)
+    pairs = []
+    for idx in range(first, last + 1):
+        window = (mask >> (idx * _WINDOW_BITS)) & within_windows[idx]
+        if window:
+            pairs.append((idx, window))
+    return tuple(pairs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from meshcoord.instances import (
 )
 from meshcoord.objective import (
     CallableObjective,
+    GroundElement,
     curvature,
     total_curvature,
     validate_structure,
@@ -109,6 +111,20 @@ def test_aposteriori_needs_recorded_contexts():
     opt, kappa, _ = _terms(obj, g, baseline)
     with pytest.raises(ValueError, match="commit contexts"):
         aposteriori_bound(obj, baseline, opt, kappa)
+
+
+@pytest.mark.parametrize("swap", [True, False])
+def test_aposteriori_rejects_actions_not_of_the_objective(swap):
+    # the first two agents' actions swapped, or an action agent 0 does not have
+    obj, g, _ = reference_line_instance()
+    out = run_rag(obj, g)
+    kappa = curvature(obj)
+    _, opt = brute_force_optimum(obj)
+    a, b, *rest = out.actions
+    bad = dataclasses.replace(out, actions=(b, a, *rest) if swap else (GroundElement(0, 7), b, *rest))
+    for reject in (lambda: coin_sum(obj, g, bad.actions), lambda: aposteriori_bound(obj, bad, opt, kappa)):
+        with pytest.raises(ValueError, match=r"^actions\[0\] is "):
+            reject()
 
 
 def test_curvature_only_submodular_cases():

@@ -328,6 +328,22 @@ def test_nan_sweep_rate_is_rejected_before_any_work(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (dict(n_agents="99999999999999999999"), "n_agents may be at most"),
+        (dict(world_width="1000000", world_height="1000000"), "world_width x world_height may be at most"),
+    ],
+)
+def test_a_mission_too_large_to_run_exits_2_before_any_work(tmp_path, capsys, extra, message):
+    path, out_dir = write_config(tmp_path, **extra)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_overflowing_sweep_link_is_rejected_before_any_work(tmp_path, capsys):
     path, out_dir = write_config(tmp_path, message_kib="1e306", sweep_data_rate_mbps="0.25 1.0")
     assert main(["run", str(path)]) == 2

@@ -145,7 +145,8 @@ def test_scaling_instance_builds_no_world_wide_footprint(monkeypatch):
 
     monkeypatch.setattr(objective, "rect_mask", world_wide)
     monkeypatch.setattr(instances, "rect_mask", world_wide, raising=False)
-    monkeypatch.setattr(objective, "_window_pairs", world_wide)
+    monkeypatch.setattr(objective, "_int_pairs", world_wide)
+    monkeypatch.setattr(objective, "_joined", world_wide)
     obj, _ = scaling_instance(random.Random(200), 200)
     assert obj.width * obj.height > objective._WINDOW_BITS
     assert obj.n_agents == 200 and isinstance(obj._masks[0][0], tuple)
@@ -157,6 +158,30 @@ def test_scaling_instance_rejects_a_bad_team_size_by_name_before_drawing(n_agent
     state = rng.getstate()
     with pytest.raises(ValueError, match="^n_agents must be an int of at least 1, got "):
         scaling_instance(rng, n_agents)
+    assert rng.getstate() == state
+
+
+class _Count:
+    """An integer type that is not int: it has only __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"_Count({self.value})"
+
+
+def test_scaling_instance_takes_any_integer_type_but_bool():
+    obj, positions = scaling_instance(random.Random(5), _Count(5))
+    expected, expected_positions = scaling_instance(random.Random(5), 5)
+    assert (obj._masks, positions) == (expected._masks, expected_positions)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^n_agents must be an int of at least 1, got _Count\(0\)$"):
+        scaling_instance(rng, _Count(0))
     assert rng.getstate() == state
 
 

@@ -792,12 +792,15 @@ def test_rect_footprint_clips_to_grid():
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 9), st.integers(1, 9), st.integers(-4, 12), st.integers(-4, 12),
-    st.integers(1, 11), st.integers(1, 11),
+    st.integers(1, 11), st.integers(1, 11), st.just(objective._WINDOW_BITS) | st.integers(1, 64),
 )
-def test_rect_mask_is_the_footprint_as_bits(width, height, cx, cy, fov_w, fov_h):
+def test_rect_mask_is_the_footprint_as_bits(width, height, cx, cy, fov_w, fov_h, window_bits):
+    # rect_mask joins _box_windows' windows, so narrow windows split its rows between them
     cells = rect_footprint(cx, cy, fov_w, fov_h, width, height)
     expected = sum(1 << (y * width + x) for x, y in cells)
-    assert rect_mask(cx, cy, fov_w, fov_h, width, height) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objective, "_WINDOW_BITS", window_bits)
+        assert rect_mask(cx, cy, fov_w, fov_h, width, height) == expected
 
 
 def test_road_bits_number_cells_row_major():

@@ -33,7 +33,9 @@ def test_defaults_validate():
     "field,value",
     [
         ("n_agents", 0),
+        ("n_agents", 99999999999999999999),
         ("world_width", 0),
+        ("world_height", 1000000),
         ("road_density", 1.5),
         ("fov_width", -1),
         ("move_magnitude", 0),
@@ -252,6 +254,36 @@ def test_fov_must_fit_inside_the_loaded_mask(tmp_path):
     mask.write_text("##\n##\n")
     with pytest.raises(ValueError, match="must fit inside the 2x2 world"):
         cfg(road_mask_path=str(mask), world_width=2, world_height=2, fov_width=3, fov_height=3)
+
+
+def test_the_mission_size_limit_admits_the_documented_mission_and_no_more():
+    MissionConfig(n_agents=450, world_width=2000, world_height=2000)
+    MissionConfig(n_agents=scenario._MISSION_SIZE_LIMIT, world_width=2048, world_height=2048)
+    with pytest.raises(ValueError, match="^n_agents may be at most 4,194,304, got 4,194,305$"):
+        MissionConfig(n_agents=scenario._MISSION_SIZE_LIMIT + 1)
+    with pytest.raises(ValueError, match="^world_width x world_height may be at most 4,194,304 cells, got 2,049 x"):
+        MissionConfig(world_width=2049, world_height=2048)
+
+
+def test_a_mask_file_too_large_is_rejected_by_its_size_unread(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario, "_MISSION_SIZE_LIMIT", 12)
+    mask = tmp_path / "roads.txt"
+    mask.write_text("####\n" * 8)  # 40 bytes, past 3 bytes a cell for 12 cells
+    monkeypatch.setattr(scenario, "parse_road_mask", lambda text: pytest.fail("the mask file was read"))
+    with pytest.raises(ValueError, match="is not a usable road mask: its 40 bytes are more than a mask of 12 cells"):
+        cfg(road_mask_path=str(mask), world_width=2, world_height=2)
+
+
+def test_a_mask_file_of_too_many_cells_is_rejected_by_name(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario, "_MISSION_SIZE_LIMIT", 12)
+    mask = tmp_path / "roads.txt"
+    mask.write_text("###\n" * 4)
+    cfg(road_mask_path=str(mask), world_width=2, world_height=2)  # 12 cells is the limit
+    mask.write_bytes(b"#\r\n" * 12)  # 36 bytes, the most 12 cells can take
+    cfg(road_mask_path=str(mask), world_width=2, world_height=2, fov_width=1, fov_height=1)
+    mask.write_text("#####\n" * 3)
+    with pytest.raises(ValueError, match="is not a usable road mask: its 5 x 3 cells are more than 12$"):
+        cfg(road_mask_path=str(mask), world_width=2, world_height=2)
 
 
 def test_dfs_needs_a_second_agent():

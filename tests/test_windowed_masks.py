@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cell_reference import cell_masks, full_width_masks, rect_footprint, split
+from cell_reference import cell_masks, full_width_masks, rect_footprint, split, window_pairs
 from meshcoord import objective, scenario
 from meshcoord.coordination import TIE_BREAKS, run_dfs_sg, run_dsm, run_rag, run_random_baseline, run_sg
 from meshcoord.objective import (
@@ -29,6 +29,8 @@ from meshcoord.objective import (
     GroundElement,
     Objective,
     _box_windows,
+    _clipped_pairs,
+    _int_pairs,
     _split,
     _UnionMaskObjective,
     road_bits,
@@ -232,21 +234,25 @@ def _boxes_in_a_world(draw):
         anchor = draw(st.sampled_from([0, size - 1]) | st.integers(0, size - 1))
         return anchor + draw(st.integers(-4, 4))
 
-    boxes = [(coordinate(width), coordinate(height), draw(st.integers(1, 7))) for _ in range(draw(st.integers(1, 6)))]
+    boxes = [
+        (coordinate(width), coordinate(height), draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+        for _ in range(draw(st.integers(1, 6)))
+    ]
     return window_bits, rows, boxes
 
 
 @settings(max_examples=300, deadline=None)
 @given(world=_boxes_in_a_world())
-@example(world=(1, ["#" * 3] * 3, [(1, 1, 3)]))
-@example(world=(2, ["##.", "#.#", ".##"], [(0, 0, 7), (2, 2, 2), (-3, 1, 7)]))
+@example(world=(1, ["#" * 3] * 3, [(1, 1, 3, 3)]))
+@example(world=(2, ["##.", "#.#", ".##"], [(0, 0, 7, 7), (2, 2, 2, 2), (-3, 1, 7, 7)]))
+@example(world=(4, ["#" * 9] * 3, [(4, 1, 7, 1), (4, 1, 1, 3), (0, 2, 2, 5)]))
 def test_box_windows_are_the_cell_footprint_split_into_windows(world):
     window_bits, rows, boxes = world
     width, height = len(rows[0]), len(rows)
-    footprints = [rect_footprint(cx, cy, fov, fov, width, height) for cx, cy, fov in boxes]
+    footprints = [rect_footprint(cx, cy, fov_w, fov_h, width, height) for cx, cy, fov_w, fov_h in boxes]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(objective, "_WINDOW_BITS", window_bits)
-        built = [_box_windows(cx, cy, fov, width, height) for cx, cy, fov in boxes]
+        built = [_box_windows(cx, cy, fov_w, fov_h, width, height) for cx, cy, fov_w, fov_h in boxes]
         for pairs, cells in zip(built, footprints):
             windows: dict[int, int] = {}
             for x, y in cells:
@@ -279,3 +285,39 @@ def test_split_reads_the_windows_the_whole_mask_shift_reads(window_bits, width, 
     with mock.patch.object(objective, "_WINDOW_BITS", window_bits):
         for mask in masks:
             assert _split(mask, width) == split(mask, width)
+
+
+@st.composite
+def _masks_against_a_clip(draw):
+    """A window width, a clip wider than one window, and masks on every side of it."""
+    bits = draw(st.integers(1, 64) | st.just(2048))
+    width = draw(st.integers(bits + 1, 6 * bits))
+    within = draw(st.integers(1 << (width - 1), (1 << width) - 1))
+
+    def straddling():
+        # a run of bits from just below a window edge to past it, perhaps past the clip too
+        edge = draw(st.integers(1, width // bits + 2)) * bits
+        lo = edge - draw(st.integers(1, bits))
+        return ((1 << draw(st.integers(edge - lo + 1, edge - lo + 2 * bits))) - 1) << lo
+
+    masks = [
+        0,
+        draw(st.integers(0, within)) & within,  # inside the clip
+        draw(st.integers(0, (1 << (width + draw(st.integers(1, 3 * bits)))) - 1)),  # wider than the clip
+        1 << draw(st.integers(0, width + 3 * bits)),  # a single bit, perhaps past the clip
+        straddling(),
+    ]
+    return bits, within, masks
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_masks_against_a_clip())
+@example(case=(2048, (1 << 4097) - 1, [0, 1 << 4096, ((1 << 4) - 1) << 2046, 1 << 9000, (1 << 5000) - 1]))
+@example(case=(1, 0b101, [0b1010, 0b11111, 1 << 2, 1 << 3]))
+def test_span_split_clips_wide_int_masks_as_the_window_shift_did(case):
+    """Int masks split across their span, then clipped by _clipped_pairs, give the old window clip's pairs."""
+    bits, within, masks = case
+    with mock.patch.object(objective, "_WINDOW_BITS", bits):
+        within_windows = _split(within, within.bit_length())
+        for mask in masks:
+            assert _clipped_pairs(within_windows, _int_pairs(mask)) == window_pairs(within_windows, mask), mask
