@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
-from meshcoord.objective import _EXHAUSTIVE_LIMIT, Objective, _table_terms, curvature
+from meshcoord.objective import _EXHAUSTIVE_LIMIT, Objective, _table_terms, _UnionMaskObjective, curvature
 from meshcoord.topology import MeshGraph, is_complete
 
 
@@ -127,8 +127,13 @@ def bound_report(
     instances beyond the oracle guard) marks it uncertified. Up to 16 ground
     elements, the total curvature comes from one subset table, charged 2^m
     evaluations for m elements, and so does the submodularity check, which
-    coverage objectives skip since their class states it (see _table_terms);
-    past that guard c_total and curvature_only are left out, uncharged.
+    coverage objectives skip since their class states it (see _table_terms).
+    A coverage objective that counts whole cells (cell_area 1.0) builds no
+    table: each element's least gain in it is the cells only that element
+    covers and its greatest is its own count, the very integers kappa
+    divides, so c_total is kappa; the 2^m evaluations are still charged,
+    as if the table were built. Past the guard c_total and curvature_only
+    are left out, uncharged.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
@@ -138,8 +143,13 @@ def bound_report(
     coins = coin_sum(obj, g, outcome.actions)
 
     c_total = curvature_only = None
-    if sum(obj.action_counts) <= _EXHAUSTIVE_LIMIT:
-        c_total, submodular = _table_terms(obj, check_submodular=not obj._known_submodular)
+    m = sum(obj.action_counts)
+    if m <= _EXHAUSTIVE_LIMIT:
+        if isinstance(obj, _UnionMaskObjective) and obj.cell_area == 1.0:
+            obj.eval_count += 1 << m  # the table's charge, as subset_value_table makes it
+            c_total, submodular = kappa, True
+        else:
+            c_total, submodular = _table_terms(obj, check_submodular=not obj._known_submodular)
         k = kappa if submodular else c_total
         curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
 

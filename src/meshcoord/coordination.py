@@ -180,53 +180,83 @@ def run_rag(
     )
 
 
-def _run_sequential(
-    algorithm: str,
-    obj: Objective,
-    dag: InfoDag,
-    g: MeshGraph | None,
-    relayed: bool,
-) -> CoordinationOutcome:
-    """One agent at a time in dag.order, each conditioning on its access set.
+@dataclass(frozen=True)
+class _Schedule:
+    """The fields of a sequential outcome that follow from the DAG and the relay graph alone."""
 
-    An agent that sees every predecessor scores against the running state
-    (one free extend per commit), any other against a state built from its
-    access set; either way it costs |V_i| evaluations. Each hand-off relays
-    all commits so far along g's shortest directed path, or one hop without
-    a graph. relayed=False is the value-level rule: no relay model, and the
-    value, which no agent learns, is evaluated once at the end.
+    algorithm: str
+    dag: InfoDag
+    relayed: bool
+    selection_order: tuple[int, ...]
+    events: tuple[IterationEvent, ...]
+    relay_action_transmissions: int
+    committed_in_neighbors: tuple[frozenset[int], ...]
+
+
+def _schedule(algorithm: str, dag: InfoDag, g: MeshGraph | None, relayed: bool) -> _Schedule:
+    """Everything of a sequential run but its picks, checked before any agent scores.
+
+    Each hand-off relays all commits so far along g's shortest directed
+    path, one breadth-first search each, or one hop without a graph; an
+    unreachable hand-off raises here. relayed=False counts no relay.
     """
-    n = obj.n_agents
-    chosen: dict[int, GroundElement] = {}
-    running = obj.context()
+    order = dag.order
+    n = len(order)
     relay = 0
-    events: list[IterationEvent] = []
-    for pos, i in enumerate(dag.order):
-        if pos > 0 and relayed:
-            src = dag.order[pos - 1]
+    if relayed:
+        for pos in range(1, n):
+            src, i = order[pos - 1], order[pos]
             hops = 1 if g is None else shortest_hops(g, src, i)
             if hops is None:
                 raise ValueError(f"no directed path from agent {src} to agent {i} for the hand-off")
             relay += pos * hops
+    events = []
+    for pos, i in enumerate(order):
+        agent = frozenset([i])
+        events.append(IterationEvent(pos + 1, agent, False, agent, pos + 1 < n))
+    positions = sorted(range(n), key=order.__getitem__)  # agent i decides at positions[i]
+    return _Schedule(
+        algorithm=algorithm,
+        dag=dag,
+        relayed=relayed,
+        selection_order=tuple(pos + 1 for pos in positions),
+        events=tuple(events),
+        relay_action_transmissions=relay,
+        committed_in_neighbors=tuple(dag.access[pos] for pos in positions),
+    )
+
+
+def _run_sequential(obj: Objective, schedule: _Schedule) -> CoordinationOutcome:
+    """One agent at a time in the schedule's order, each conditioning on its access set.
+
+    An agent that sees every predecessor scores against the running state
+    (one free extend per commit), any other against a state built from its
+    access set; either way it costs |V_i| evaluations. A schedule that is
+    not relayed is the value-level rule: the value, which no agent learns,
+    is evaluated once at the end.
+    """
+    n = obj.n_agents
+    dag = schedule.dag
+    chosen: dict[int, GroundElement] = {}
+    running = obj.context()
+    for pos, i in enumerate(dag.order):
         access = dag.access[pos]
         state = running if len(access) == pos else obj.context(chosen[j] for j in access)
         value, chosen[i] = _pick(i, obj._menu_values(i, state))
         running = obj.extend(running, chosen[i])
-        events.append(IterationEvent(pos + 1, frozenset([i]), False, frozenset([i]), pos + 1 < n))
 
     actions = tuple(chosen[i] for i in range(n))
-    positions = sorted(range(n), key=dag.order.__getitem__)  # agent i decides at positions[i]
     return CoordinationOutcome(
-        algorithm=algorithm,
+        algorithm=schedule.algorithm,
         actions=actions,
-        value=value if relayed else obj.evaluate(actions),
-        selection_order=tuple(pos + 1 for pos in positions),
-        events=tuple(events),
+        value=value if schedule.relayed else obj.evaluate(actions),
+        selection_order=schedule.selection_order,
+        events=schedule.events,
         eval_counts=obj.action_counts,  # each agent scores its whole menu once
         gain_rounds=0,
         action_rounds=n - 1,
-        relay_action_transmissions=relay,
-        committed_in_neighbors=tuple(dag.access[pos] for pos in positions),
+        relay_action_transmissions=schedule.relay_action_transmissions,
+        committed_in_neighbors=schedule.committed_in_neighbors,
     )
 
 
@@ -243,14 +273,16 @@ def run_sg(
     assumed adjacent (one hop per hand-off). The running value is known after
     every pick, so each agent costs exactly |V_i| evaluations. The exact hops
     take one breadth-first search per hand-off: up to Θ(n · edges) wall time
-    on a geometric mesh.
+    on a geometric mesh. The schedule (order, events and relay count) is
+    built first, so a hand-off with no directed path raises before any agent
+    scores and charges nothing.
     """
     order = list(order)
     if sorted(order) != list(range(obj.n_agents)):
         raise ValueError("order must be a permutation of all agents")
     if g is not None and g.n != obj.n_agents:
         raise ValueError("graph and objective disagree on the number of agents")
-    return _run_sequential("sg", obj, full_access_dag(order), g, relayed=True)
+    return _run_sequential(obj, _schedule("sg", full_access_dag(order), g, relayed=True))
 
 
 def run_dsm(obj: Objective, dag: InfoDag) -> CoordinationOutcome:
@@ -264,15 +296,19 @@ def run_dsm(obj: Objective, dag: InfoDag) -> CoordinationOutcome:
     """
     if len(dag.order) != obj.n_agents:
         raise ValueError("dag and objective disagree on the number of agents")
-    return _run_sequential("dsm", obj, dag, None, relayed=False)
+    return _run_sequential(obj, _schedule("dsm", dag, None, relayed=False))
 
 
 def run_dfs_sg(obj: Objective, g: MeshGraph, start: int) -> CoordinationOutcome:
-    """Sequential greedy in depth-first preorder of g, with relay accounting on g."""
+    """Sequential greedy in depth-first preorder of g, with relay accounting on g.
+
+    As in run_sg, the schedule is built first: a hand-off with no directed
+    path raises before any agent scores and charges nothing.
+    """
     dag = dfs_order(g, start)
     if g.n != obj.n_agents:  # the walk's order covers g's agents
         raise ValueError("order must be a permutation of all agents")
-    return _run_sequential("dfs-sg", obj, dag, g, relayed=True)
+    return _run_sequential(obj, _schedule("dfs-sg", dag, g, relayed=True))
 
 
 def run_random_baseline(obj: Objective, rng) -> CoordinationOutcome:

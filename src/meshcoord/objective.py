@@ -914,7 +914,8 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
         raise ValueError("density must be in (0, 1]")
     if corridor_width < 1:
         raise ValueError("corridor width must be positive")
-    road = [[False] * width for _ in range(height)]
+    # one byte a cell, b"." or b"#", decoded once at the end
+    road = [bytearray(b"." * width) for _ in range(height)]
 
     def carve(xs: range, ys: range) -> int:
         """Makes the cells xs x ys road; returns how many were not road yet."""
@@ -922,8 +923,8 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
         for y in ys:
             row = road[y]
             for x in xs:
-                if not row[x]:
-                    row[x] = True
+                if row[x] != _ROAD:
+                    row[x] = _ROAD
                     fresh += 1
         return fresh
 
@@ -945,9 +946,10 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
         else:
             x0 = rng.randrange(width)
             covered += carve(range(x0, min(x0 + corridor_width, width)), range(height))
-    return ["".join("#" if c else "." for c in row) for row in road]
+    return [row.decode() for row in road]
 
 
+_ROAD = ord("#")
 _ROAD_DIGITS = str.maketrans("#.", "10")
 
 

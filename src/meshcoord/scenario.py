@@ -26,11 +26,11 @@ from statistics import fmean
 from typing import Callable, Iterator, Sequence, get_args, get_type_hints
 
 from meshcoord.coordination import (
-    run_dfs_sg,
+    _run_sequential,
+    _schedule,
     run_dsm,
     run_rag,
     run_random_baseline,
-    run_sg,
 )
 from meshcoord.instances import MOVES, _clip_move
 from meshcoord.objective import (
@@ -41,7 +41,7 @@ from meshcoord.objective import (
     road_bits,
 )
 from meshcoord.timing import DelayModel, decision_time
-from meshcoord.topology import InfoDag, knn_graph, strongly_connected_line_plus
+from meshcoord.topology import InfoDag, dfs_order, full_access_dag, knn_graph, strongly_connected_line_plus
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 
@@ -50,8 +50,9 @@ ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 # run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
 # 648 MB, as every destination keeps a footprint as wide as the world; a
 # 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
-# an agent); drawing an 8,192 x 8,192 world alone, 593 MB (about 9 bytes a
-# cell). Past the limit either size fails by name, before anything is drawn.
+# an agent); a mission of no steps in a 2,048 x 2,048 world, 32 MB, as the
+# draw holds one byte a cell. Past the limit either size fails by name,
+# before anything is drawn.
 _MISSION_SIZE_LIMIT = 1 << 22
 
 
@@ -315,17 +316,20 @@ def run_mission(cfg: MissionConfig, trial: int = 0, *, _world: _World | None = N
     dm = cfg.delay_model()
 
     # per-trial randomness of the sequential rules: one decision order for
-    # sg/dsm, one relay mesh and start for dfs-sg
+    # sg/dsm, one relay mesh and start for dfs-sg; sg's and dfs-sg's whole
+    # schedule (order, events, relay count) is fixed by them for the mission
     order = list(range(n))
     rng_alg.shuffle(order)
-    dfs_graph = None
-    dfs_start = 0
-    if cfg.algorithm == "dfs-sg":
+    schedule = None
+    if cfg.algorithm == "sg":
+        schedule = _schedule("sg", full_access_dag(order), None, relayed=True)
+    elif cfg.algorithm == "dfs-sg":
         max_extra = n * (n - 1) // 2 - (n - 1)
         dfs_graph = strongly_connected_line_plus(
             n, min(2 * n, max_extra), seed=rng_alg.randrange(2**32)
         )
         dfs_start = rng_alg.randrange(n)
+        schedule = _schedule("dfs-sg", dfs_order(dfs_graph, dfs_start), dfs_graph, relayed=True)
 
     covered = 0
     records: list[StepRecord] = []
@@ -346,10 +350,8 @@ def run_mission(cfg: MissionConfig, trial: int = 0, *, _world: _World | None = N
         if cfg.algorithm == "rag":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             outcome = run_rag(obj, g)
-        elif cfg.algorithm == "sg":
-            outcome = run_sg(obj, order)
-        elif cfg.algorithm == "dfs-sg":
-            outcome = run_dfs_sg(obj, dfs_graph, dfs_start)
+        elif schedule is not None:  # sg or dfs-sg
+            outcome = _run_sequential(obj, schedule)
         elif cfg.algorithm == "dsm":
             g = knn_graph(pts, cfg.k, cfg.comm_range)
             seen: set[int] = set()

@@ -6,7 +6,9 @@ cells, converted one cell at a time; that form is kept here so tests can
 build an objective without the mask code. So is split, the window split
 that shifted the whole mask once per window, and window_pairs, the clip of
 int masks wider than one window that the span split through
-objective._clipped_pairs replaced.
+objective._clipped_pairs replaced. And so is list_road_mask, random_road_mask
+as it was when it carved the world into one list of bools per row, about
+9 bytes a cell, before rows became bytearrays.
 """
 
 from typing import Sequence
@@ -96,3 +98,49 @@ def window_pairs(within_windows: Sequence[int], mask: int) -> tuple[tuple[int, i
         if window:
             pairs.append((idx, window))
     return tuple(pairs)
+
+
+def list_road_mask(rng, width: int, height: int, density: float, corridor_width: int = 1) -> list[str]:
+    """Random corridor map: full-span road bands carved until density is reached.
+
+    Deterministic in rng. The achieved density is the first value at or above
+    the target (whole corridors are carved at a time).
+    """
+    if width < 1 or height < 1:
+        raise ValueError("mask dimensions must be positive")
+    if not 0 < density <= 1:
+        raise ValueError("density must be in (0, 1]")
+    if corridor_width < 1:
+        raise ValueError("corridor width must be positive")
+    road = [[False] * width for _ in range(height)]
+
+    def carve(xs: range, ys: range) -> int:
+        """Makes the cells xs x ys road; returns how many were not road yet."""
+        fresh = 0
+        for y in ys:
+            row = road[y]
+            for x in xs:
+                if not row[x]:
+                    row[x] = True
+                    fresh += 1
+        return fresh
+
+    total = width * height
+    covered = 0
+    carves = 0
+    while covered < density * total:
+        carves += 1
+        if carves > 20 * (width + height):
+            # random carving stalled near full density; fill rows top-down
+            for y in range(height):
+                covered += carve(range(width), range(y, y + 1))
+                if covered >= density * total:
+                    break
+            break
+        if rng.random() < 0.5:
+            y0 = rng.randrange(height)
+            covered += carve(range(width), range(y0, min(y0 + corridor_width, height)))
+        else:
+            x0 = rng.randrange(width)
+            covered += carve(range(x0, min(x0 + corridor_width, width)), range(height))
+    return ["".join("#" if c else "." for c in row) for row in road]

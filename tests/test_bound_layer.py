@@ -6,8 +6,9 @@ element, and coin, coin_sum and aposteriori_bound evaluated frozensets. Those
 functions are kept here verbatim as the reference. So are the depth-first
 walk that built every subset table before coverage objectives counted theirs
 from footprint unions, and bound_report's table path as it was, which took
-each element's first differences twice. Results must match by
-repr, raised errors by type and message, and charged evaluations by
+each element's first differences twice, and bound_report as it was
+before it took a coverage report's c_total from kappa. Results must match
+by repr, raised errors by type and message, and charged evaluations by
 eval_count delta. The objectives are grid, disk and windowed coverage (the
 window width patched to 1-64 bits while they are built) and callable toys;
 coverage coin sums are drawn both ways, from contexts and from cell counts.
@@ -250,6 +251,43 @@ def walked_bound_report(obj, g, outcome, eta=1.0, optimum_value=None, assume_sub
         _size_guard(m)  # the non-submodular bound needs the total curvature
     curvature_only = None
     if submodular is not None:
+        k = kappa if submodular else c_total
+        curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
+
+    return BoundReport(
+        algorithm_value=outcome.value,
+        optimum_value=opt,
+        apriori=apriori_bound(opt, kappa, coins),
+        apriori_centralized=opt / (1.0 + kappa),
+        apriori_decentralized_floor=(1.0 - kappa) * opt,
+        aposteriori=aposteriori_bound(obj, outcome, opt, kappa),
+        approx_greedy=approx_greedy_bound(opt, kappa, coins, eta),
+        curvature_only=curvature_only,
+        coin_sum=coins,
+        kappa=kappa,
+        c_total=c_total,
+        eta=eta,
+        certified=certified,
+    )
+
+
+def table_bound_report(
+    obj: Objective,
+    g: MeshGraph,
+    outcome,
+    eta: float = 1.0,
+    optimum_value: float | None = None,
+) -> BoundReport:
+    if not 0 < eta <= 1:
+        raise ValueError("eta must be in (0, 1]")
+    certified = optimum_value is None
+    opt = brute_force_optimum(obj)[1] if certified else optimum_value
+    kappa = curvature(obj)
+    coins = coin_sum(obj, g, outcome.actions)
+
+    c_total = curvature_only = None
+    if sum(obj.action_counts) <= _EXHAUSTIVE_LIMIT:
+        c_total, submodular = _table_terms(obj, check_submodular=not obj._known_submodular)
         k = kappa if submodular else c_total
         curvature_only = curvature_only_bound(opt, is_complete(g), submodular, k)
 
@@ -761,6 +799,67 @@ def test_the_union_kernel_holds_about_two_square_roots_of_unions(monkeypatch):
         assert len(table) == 1 << 16
         packed = [("packed", 16)] if obj._window_count > 1 else []
         assert built == packed + [("unions", 1 << 8), ("unions", 1 << 8)]
+
+
+# --- c_total of counted cells, from kappa --------------------------------------
+
+
+def _shaped_grid(rng, shape, window_bits):
+    """A grid objective of at most 15 elements, built with the window width patched.
+
+    Every footprint holds a road cell. "duplicate" copies one element's
+    footprint onto another, "nested" gives one a part of another's, and
+    "covered" gives one only cells that the others cover, so no cell is its
+    own: those three reach a total curvature of 1.0 where "random" need not.
+    """
+    width, height = rng.randint(2, 12), rng.randint(2, 12)
+    road = random_road_mask(rng, width, height, rng.uniform(0.2, 1.0))
+    cells = [b for b in range(width * height) if road[b // width][b % width] == "#"]
+
+    def footprint(pool):
+        mask = 1 << rng.choice(pool)
+        for b in rng.sample(pool, rng.randint(0, len(pool))):
+            mask |= 1 << b
+        return mask
+
+    masks = [[footprint(cells) for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 5))]
+    elements = [(i, a) for i, menu in enumerate(masks) for a in range(len(menu))]
+    (i, a), (j, b) = rng.sample(elements, 2)
+    if shape == "duplicate":
+        masks[j][b] = masks[i][a]
+    elif shape == "nested":
+        masks[j][b] = footprint([c for c in cells if masks[i][a] >> c & 1])
+    elif shape == "covered":
+        others = 0
+        for e in elements:
+            if e != (j, b):
+                others |= masks[e[0]][e[1]]
+        masks[j][b] = footprint([c for c in cells if others >> c & 1])
+    with mock.patch.object(objective, "_WINDOW_BITS", window_bits):
+        return GridCoverageObjective(road, masks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(["random", "duplicate", "nested", "covered"]),
+    window_bits=WINDOW_BITS,
+    graph=st.sampled_from([complete_graph, line_graph]),
+)
+@example(seed=0, shape="covered", window_bits=1, graph=line_graph)
+@example(seed=1, shape="duplicate", window_bits=objective._WINDOW_BITS, graph=complete_graph)
+@example(seed=2, shape="nested", window_bits=64, graph=line_graph)
+def test_a_counted_cells_report_takes_the_tables_c_total_from_kappa(seed, shape, window_bits, graph):
+    """bound_report's c_total is _table_terms' bit for bit; report and charge equal the table path's."""
+    new, old = (_shaped_grid(random.Random(seed), shape, window_bits) for _ in range(2))
+    g = graph(new.n_agents)
+    out = run_rag(new, g)
+    assert run_rag(old, g) == out
+    report, charged = _run(new, lambda: bound_report(new, g, out))
+    assert (report, charged) == _run(old, lambda: table_bound_report(old, g, out))
+    assert bound_report(new, g, out).c_total == _table_terms(new, False)[0]
+    if shape in ("duplicate", "covered"):
+        assert bound_report(new, g, out).c_total == 1.0
 
 
 # --- submodularity stated by the class ------------------------------------------

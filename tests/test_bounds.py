@@ -21,11 +21,13 @@ from meshcoord.bounds import (
 from meshcoord.coordination import brute_force_optimum, run_rag, run_random_baseline
 from meshcoord.instances import (
     logdet_toy,
+    modular_objective,
     reference_line_instance,
     supermodular_toy,
 )
 from meshcoord.objective import (
     CallableObjective,
+    DiskCoverageObjective,
     GroundElement,
     curvature,
     total_curvature,
@@ -311,7 +313,8 @@ def test_bound_report_matches_the_old_path_on_its_errors():
         total_curvature(obj)
 
 
-def test_bound_report_builds_one_table_and_one_coin_sum(monkeypatch):
+def _count_tables_and_coin_sums(monkeypatch):
+    """Counts subset_value_table and coin_sum calls from here on, in the returned dict."""
     calls = {"table": 0, "coins": 0}
 
     def counted(name, fn):
@@ -322,15 +325,52 @@ def test_bound_report_builds_one_table_and_one_coin_sum(monkeypatch):
 
     monkeypatch.setattr(objective, "subset_value_table", counted("table", objective.subset_value_table))
     monkeypatch.setattr(bounds, "coin_sum", counted("coins", bounds.coin_sum))
+    return calls
+
+
+def test_a_grid_bound_report_builds_no_table_and_charges_one(monkeypatch):
+    """A grid report equals, charge for charge, the report of the same function as a
+    CallableObjective, which builds the one table the grid report only charges."""
+    calls = _count_tables_and_coin_sums(monkeypatch)
     reports = 0
     for seed in range(30):
         obj, g = coverage_instance(seed, max_agents=4)
         if len(obj.ground()) > 16:
             continue
-        bound_report(obj, g, run_rag(obj, g))
+        out = run_rag(obj, g)
+        report, charged = report_and_evals(obj, lambda: bound_report(obj, g, out))
+        assert calls == {"table": reports, "coins": 2 * reports + 1}
+        assert isinstance(report, BoundReport) and charged >= 1 << len(obj.ground())
+        twin = CallableObjective(obj.action_counts, obj.covered_cells)
+        assert report_and_evals(twin, lambda: bound_report(twin, g, out)) == (report, charged)
         reports += 1
-        assert calls == {"table": reports, "coins": reports}
+        assert calls == {"table": reports, "coins": 2 * reports}
     assert reports >= 10
+
+
+@pytest.mark.parametrize("make", [complementary_pair_toy, logdet_toy, lambda: modular_objective([2, 1, 1])])
+def test_a_callable_bound_report_builds_one_table(monkeypatch, make):
+    calls = _count_tables_and_coin_sums(monkeypatch)
+    obj = make()
+    bound_report(obj, line_graph(3), run_rag(obj, line_graph(3)))
+    assert calls == {"table": 1, "coins": 1}
+
+
+def test_a_disk_bound_report_builds_one_table(monkeypatch):
+    """Disk values are cell counts times 1/resolution^2, so their c_total still comes from the table."""
+    calls = _count_tables_and_coin_sums(monkeypatch)
+    rng = random.Random(7)
+    for reports, resolution in enumerate([2, 3, 4, 10], start=1):
+        obj = DiskCoverageObjective(
+            [[(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(2)] for _ in range(3)],
+            1.0,
+            arena=(0.0, 0.0, 4.0, 4.0),
+            resolution=resolution,
+        )
+        assert obj.cell_area != 1.0
+        report = bound_report(obj, line_graph(3), run_rag(obj, line_graph(3)))
+        assert report.c_total is not None
+        assert calls == {"table": reports, "coins": reports}
 
 
 def test_bound_report_never_runs_the_triple_pass(monkeypatch):

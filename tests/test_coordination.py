@@ -23,6 +23,7 @@ from meshcoord.instances import (
 from meshcoord.objective import CallableObjective, GroundElement
 from meshcoord.topology import (
     InfoDag,
+    MeshGraph,
     complete_graph,
     edgeless_graph,
     full_access_dag,
@@ -208,6 +209,22 @@ def test_sg_order_validation_and_unreachable_handoff():
         run_sg(obj, [0, 0, 1, 2, 3])
     with pytest.raises(ValueError, match="no directed path"):
         run_sg(obj, [0, 1, 2, 3, 4], g=edgeless_graph(5))
+
+
+def test_an_unreachable_hand_off_raises_before_any_agent_scores():
+    # 0 -> 1 is an edge and 1 -> 2 has no path, so two agents could score first
+    chain = MeshGraph(3, [(), (0,), ()])
+    obj = CallableObjective([2, 1, 1], lambda s: float(len(s)))
+    with pytest.raises(ValueError, match="^no directed path from agent 1 to agent 2 for the hand-off$"):
+        run_sg(obj, [0, 1, 2], chain)
+    assert obj.eval_count == 0
+    # it also wins over a first score that is NaN
+    nan_first = CallableObjective([2, 1, 1], lambda s: math.nan if GroundElement(0, 0) in s else float(len(s)))
+    with pytest.raises(ValueError, match="^no directed path from agent 1 to agent 2 for the hand-off$"):
+        run_sg(nan_first, [0, 1, 2], chain)
+    assert nan_first.eval_count == 0
+    with pytest.raises(ValueError, match="^agent 0: action 0 scores nan"):
+        run_sg(nan_first, [0, 1, 2], line_graph(3))
 
 
 @settings(max_examples=30, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cell_reference import rect_footprint
+from cell_reference import list_road_mask, rect_footprint
 from conftest import coverage_instance
 from meshcoord import objective
 from meshcoord.instances import logdet_toy, modular_objective, supermodular_toy
@@ -761,6 +761,24 @@ def test_random_road_mask_matches_the_three_loop_version(seed, width, height, de
     assert new_rng.getstate() == old_rng.getstate()
     if density == 1.0:
         assert set("".join(rows)) == {"#"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    width=st.integers(1, 40),
+    height=st.integers(1, 40),
+    density=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    corridor_width=st.integers(1, 4),
+    stuck=st.booleans(),
+)
+def test_random_road_mask_matches_the_list_of_bools_version(seed, width, height, density, corridor_width, stuck):
+    rng_type = StuckRandom if stuck else random.Random
+    new_rng, old_rng = rng_type(seed), rng_type(seed)
+    rows = random_road_mask(new_rng, width, height, density, corridor_width)
+    assert rows == list_road_mask(old_rng, width, height, density, corridor_width)
+    assert new_rng.getstate() == old_rng.getstate()
+    assert all(type(row) is str for row in rows)
 
 
 @pytest.mark.parametrize("rows", [[], [""], ["", ""]])

@@ -20,8 +20,10 @@ pairs the changed checkout's items_per_s and setup_s won.
 
 It also runs each scale-rules rule operation once per checkout, in a fresh
 interpreter, and records the evaluations it charged (the objective's
-eval_count delta). A run that is not correct, has a failed operation, or
-charges other evaluations than the other checkout makes the script exit 1.
+eval_count delta), and likewise what run_rag plus bound_report charge on
+each report of the certify corpus. A run that is not correct, has a failed
+operation, or charges other evaluations than the other checkout makes the
+script exit 1.
 With --key, the comparison is written to --out under that key, next to
 whatever the file already holds.
 """
@@ -47,7 +49,9 @@ EVAL_COUNTS = r"""
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
 import workloads
-inputs = workloads.setup_scale(int(sys.argv[2]), "full")
+from meshcoord import bounds, coordination
+seed = int(sys.argv[2])
+inputs = workloads.setup_scale(seed, "full")
 obj = inputs["obj"]
 counts = {}
 for name, _, _, call in workloads._rule_ops(inputs):
@@ -58,7 +62,16 @@ for name, _, _, call in workloads._rule_ops(inputs):
         counts[name] = type(exc).__name__
     else:
         counts[name] = obj.eval_count - before
-print(json.dumps(counts))
+reports = []
+for obj, g in workloads.setup_certify(seed, "full")["corpus"]:
+    before = obj.eval_count
+    try:
+        bounds.bound_report(obj, g, coordination.run_rag(obj, g))
+    except Exception as exc:
+        reports.append(type(exc).__name__)
+    else:
+        reports.append(obj.eval_count - before)
+print(json.dumps({"scale-rules": counts, "certify-reports": reports}))
 """
 
 
@@ -117,8 +130,9 @@ def main() -> int:
         entry["setup_s_pairs_won"] = sum(a["setup_s"] < b["setup_s"] for a, b in zip(runs["after"], runs["before"]))
         results.append(entry)
     charged = {side: eval_counts(root, args.seed) for side, root in sides}
-    if charged["before"] != charged["after"]:
-        problems.append(f"scale-rules charged evaluations differ: {charged}")
+    for part in ("scale-rules", "certify-reports"):
+        if charged["before"][part] != charged["after"][part]:
+            problems.append(f"{part} charged evaluations differ: {charged}")
     doc = {
         "what": __doc__.splitlines()[0],
         "machine": {
@@ -132,7 +146,8 @@ def main() -> int:
         "seconds_per_run": SECONDS,
         "pairs": args.pairs,
         "results": results,
-        "scale_rules_charged_evaluations": charged,
+        "scale_rules_charged_evaluations": {side: c["scale-rules"] for side, c in charged.items()},
+        "certify_reports_charged_evaluations": {side: c["certify-reports"] for side, c in charged.items()},
     }
     out = Path(args.out)
     if args.key:
