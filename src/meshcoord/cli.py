@@ -4,8 +4,9 @@ Configs are flat `key = value` text files (blank lines and full-line `#`
 comments ignored) whose keys are exactly the fields of MissionConfig and
 ExperimentConfig; `meshcoord run --print-default-config` emits a commented
 template. `verify` prints one PASS/FAIL line per property, a failure with
-the first failing instance. Exit codes: 0 success, 1 property violation, 2
-config or environment error, including an artifact that cannot be written.
+where its first failing check was made, the value and the bound. Exit codes: 0 success, 1 property violation, 2
+config or environment error, including an artifact that cannot be written
+and running out of memory.
 The MESHCOORD_WORKERS environment variable sizes both worker pools, and
 either starts at most one pool, of no more processes than it has tasks:
 - `run` maps batches of the missions that draw the same world, which each
@@ -367,18 +368,27 @@ def cmd_run(config_path: str) -> int:
     return 0
 
 
-def _short(tag: str, value: float, bound: float) -> str | None:
-    """The failure detail of a value that falls short of its lower bound, else None."""
-    return f"{tag}: {value} < {bound}" if value < bound - 1e-9 else None
+# A check is a record (property, where, value, kind, bound[, tol]). Each kind
+# maps to the comparison that fails a record, and to the sign its detail
+# prints. Each comparison states the failure, as verify always has, so NaN and
+# infinite values fail where they always did. close takes its tol as
+# math.isclose's (rel_tol, abs_tol), and defaults to isclose's own.
+_KINDS = {
+    "at-least": (lambda value, bound, tol=0: value < bound - tol, "<"),
+    "at-most": (lambda value, bound, tol=0: value > bound + tol, ">"),
+    "close": (
+        lambda value, bound, tol=(1e-9, 0.0): not math.isclose(value, bound, rel_tol=tol[0], abs_tol=tol[1]),
+        "!=",
+    ),
+    "equal": (lambda value, bound: value != bound, "!="),
+}
 
 
-def _instance_checks(
-    seed: int, i: int, max_agents: int, max_actions: int
-) -> Iterator[tuple[str, str | None]]:
-    """(property, None or a failure detail) for each check on random instance i.
+def _instance_checks(seed: int, i: int, max_agents: int, max_actions: int) -> Iterator[tuple]:
+    """The check records on random instance i.
 
-    Details are built only on failure. The rng draws keep their order, so
-    each instance and its checks depend only on (seed, i).
+    The rng draws keep their order, so each instance and its checks depend
+    only on (seed, i).
     """
     rng = random.Random(f"{seed}:{i}")
     obj, g = random_coverage_instance(rng, max_agents=max_agents, max_actions=max_actions)
@@ -387,109 +397,73 @@ def _instance_checks(
     _, opt = brute_force_optimum(obj)
     kappa = curvature(obj)
     tag = f"instance {i}"
+    agents = [f"{tag}: agent {j}" for j in range(n)]
 
     coins = coin_sum(obj, g, outcome.actions)
     apriori = apriori_bound(opt, kappa, coins)
-    yield "value-above-apriori-bound", _short(tag, outcome.value, apriori)
-    yield "value-above-aposteriori-bound", _short(
-        tag, outcome.value, aposteriori_bound(obj, outcome, opt, kappa)
-    )
+    yield "value-above-apriori-bound", tag, outcome.value, "at-least", apriori, 1e-9
+    aposteriori = aposteriori_bound(obj, outcome, opt, kappa)
+    yield "value-above-aposteriori-bound", tag, outcome.value, "at-least", aposteriori, 1e-9
     eta_one = approx_greedy_bound(opt, kappa, coins, 1.0)
-    yield "approx-greedy-eta1-matches-apriori", (
-        f"{tag}: {eta_one} != {apriori}"
-        if not math.isclose(eta_one, apriori, rel_tol=1e-12, abs_tol=1e-12)
-        else None
-    )
+    yield "approx-greedy-eta1-matches-apriori", tag, eta_one, "close", apriori, (1e-12, 1e-12)
     half = run_rag(obj, g, eta=0.5, rng=random.Random(f"{seed}:{i}:eta"))
-    yield "eta-half-value-above-bound", _short(
-        tag, half.value, approx_greedy_bound(opt, kappa, coin_sum(obj, g, half.actions), 0.5)
-    )
+    half_bound = approx_greedy_bound(opt, kappa, coin_sum(obj, g, half.actions), 0.5)
+    yield "eta-half-value-above-bound", tag, half.value, "at-least", half_bound, 1e-9
 
     order = list(range(n))
     rng.shuffle(order)
     sg = run_sg(obj, order)
-    yield "sg-half-of-optimum", _short(tag, sg.value, opt / 2)
+    yield "sg-half-of-optimum", tag, sg.value, "at-least", opt / 2, 1e-9
     mesh = strongly_connected_line_plus(n, min(2, n * (n - 1) // 2 - (n - 1)), seed=i)
     dfs = run_dfs_sg(obj, mesh, start=rng.randrange(n))
-    yield "dfs-sg-half-of-optimum", _short(tag, dfs.value, opt / 2)
+    yield "dfs-sg-half-of-optimum", tag, dfs.value, "at-least", opt / 2, 1e-9
     dsm = run_dsm(obj, full_access_dag(order))
-    yield "dsm-full-access-matches-sg", (
-        tag if not (dsm.actions == sg.actions and math.isclose(dsm.value, sg.value)) else None
-    )
+    yield "dsm-full-access-matches-sg", tag, dsm.actions, "equal", sg.actions
+    yield "dsm-full-access-matches-sg", tag, dsm.value, "close", sg.value
 
-    budgets = [_rag_eval_cap(c, g.in_neighbors[j]) for j, c in enumerate(obj.action_counts)]
-    yield "eval-counts-within-budget", (
-        f"{tag}: {outcome.eval_counts} > {budgets}"
-        if any(e > b for e, b in zip(outcome.eval_counts, budgets))
-        else None
-    )
+    for j, (evals, count) in enumerate(zip(outcome.eval_counts, obj.action_counts)):
+        yield "eval-counts-within-budget", agents[j], evals, "at-most", _rag_eval_cap(count, g.in_neighbors[j])
     round_cap = n - 1 if g.has_edges() else 0
-    yield "rounds-within-agent-count", (
-        f"{tag}: rounds {outcome.gain_rounds}/{outcome.action_rounds} > {round_cap}"
-        if outcome.gain_rounds > round_cap or outcome.action_rounds > round_cap
-        else None
-    )
+    yield "rounds-within-agent-count", f"{tag}: gain rounds", outcome.gain_rounds, "at-most", round_cap
+    yield "rounds-within-agent-count", f"{tag}: action rounds", outcome.action_rounds, "at-most", round_cap
     dm = DelayModel(tau_f=0.001, tau_c=0.01, tau_hash=0.0005)
-    yield "sim-time-within-bound", (
-        tag
-        if decision_time(outcome, dm).seconds > rag_time_bound(g, dm, obj.action_counts) + 1e-12
-        else None
-    )
+    seconds, time_bound = decision_time(outcome, dm).seconds, rag_time_bound(g, dm, obj.action_counts)
+    yield "sim-time-within-bound", tag, seconds, "at-most", time_bound, 1e-12
 
     for j in range(n):
         full_nbh = set(range(n)) - {j}
-        yield "coin-centralized-zero", (
-            f"{tag}: agent {j}" if abs(coin(obj, j, outcome.actions, full_nbh)) > 1e-9 else None
-        )
+        centralized = abs(coin(obj, j, outcome.actions, full_nbh))
+        yield "coin-centralized-zero", agents[j], centralized, "at-most", 0.0, 1e-9
         empty = coin(obj, j, outcome.actions, set())
-        single = obj.evaluate([outcome.actions[j]])
-        yield "coin-empty-within-kappa-cap", (
-            f"{tag}: agent {j}" if empty > kappa * single + 1e-9 else None
-        )
+        cap = kappa * obj.evaluate([outcome.actions[j]])
+        yield "coin-empty-within-kappa-cap", agents[j], empty, "at-most", cap, 1e-9
         smaller = {a for a in full_nbh if rng.random() < 0.4}
         larger = smaller | {a for a in full_nbh if rng.random() < 0.4}
-        yield "coin-nested-monotone", (
-            f"{tag}: agent {j}"
-            if coin(obj, j, outcome.actions, larger) > coin(obj, j, outcome.actions, smaller) + 1e-9
-            else None
-        )
+        grown, shrunk = coin(obj, j, outcome.actions, larger), coin(obj, j, outcome.actions, smaller)
+        yield "coin-nested-monotone", agents[j], grown, "at-most", shrunk, 1e-9
 
 
-def _reference_checks(seed: int) -> Iterator[tuple[str, str | None]]:
-    """(property, None or a failure detail) for the instance-free checks.
-
-    A failure without a detail has the detail "".
-    """
+def _reference_checks(seed: int) -> Iterator[tuple]:
+    """The check records of the instance-free properties."""
     # reference timing reproductions, exact by construction
     dm = DelayModel(tau_f=2**-10, tau_c=2**-1, tau_hash=2**-13)
-    relays = {}
+    relays = []
     for name, _, counts, rag, sg in _reference_runs():
-        got = decision_time(rag, dm).seconds
         expect = 2 * counts[0] * dm.tau_f + dm.tau_c + dm.tau_hash
-        yield f"reference-{name}-timing-exact", (
-            f"got {got}, want {expect}" if got != expect else None
-        )
-        relays[name] = sg.relay_action_transmissions
-    yield "sg-relay-counts", (
-        f"line {relays['line']}, star {relays['star']}"
-        if relays != {"line": 10, "star": 17}
-        else None
-    )
+        yield f"reference-{name}-timing-exact", f"{name} graph", decision_time(rag, dm).seconds, "equal", expect
+        expect_relays = {"line": 10, "star": 17}[name]
+        relays.append(("sg-relay-counts", f"{name} graph", sg.relay_action_transmissions, "equal", expect_relays))
+    yield from relays
 
     obj, g, _ = reference_line_instance()
     corrupted = run_rag(obj, g, tie_break="min-gain-highest-id")
-    yield "negative-control-detects-corruption", (
-        "corrupted tie-break still reproduced the reference gain arrangement"
-        if sorted(corrupted.events[0].selectors) == [1, 3]
-        else None
-    )
+    reproduced = sorted(corrupted.events[0].selectors) == [1, 3]
+    where = "corrupted tie-break reproduced selectors [1, 3]"
+    yield "negative-control-detects-corruption", where, reproduced, "equal", False
 
-    endpoints = (
-        coin_ring_bound(1.0, 2.0) == 0.0
-        and math.isclose(coin_ring_bound(1.0, 1.0), math.pi)
-        and coin_ring_bound(1.0, 3.0) == 0.0
-    )
-    yield "ring-bound-endpoints", None if endpoints else ""
+    yield "ring-bound-endpoints", "r_i 2.0", coin_ring_bound(1.0, 2.0), "equal", 0.0
+    yield "ring-bound-endpoints", "r_i 1.0", coin_ring_bound(1.0, 1.0), "close", math.pi
+    yield "ring-bound-endpoints", "r_i 3.0", coin_ring_bound(1.0, 3.0), "equal", 0.0
 
     r_s = 1.0
     rng = random.Random(seed)
@@ -501,10 +475,16 @@ def _reference_checks(seed: int) -> Iterator[tuple[str, str | None]]:
             [(5.0 + r_i * math.cos(theta), 5.0 + r_i * math.sin(theta))],
         ]
         disk = DiskCoverageObjective(centers, r_s, arena=(0.0, 0.0, 10.0, 10.0), resolution=10)
-        actions = (disk.actions(0)[0], disk.actions(1)[0])
-        measured = coin(disk, 0, actions, set())
+        measured = coin(disk, 0, (disk.actions(0)[0], disk.actions(1)[0]), set())
         tol = 2 * math.pi * r_s * disk.cell_area * disk.resolution  # one boundary-cell layer
-        yield "ring-bound-dominates-disk-coin", "" if measured > coin_ring_bound(r_s, r_i) + tol else None
+        yield "ring-bound-dominates-disk-coin", f"r_i {r_i}", measured, "at-most", coin_ring_bound(r_s, r_i), tol
+
+
+def _details(records: Iterable[tuple]) -> Iterator[tuple[str, str | None]]:
+    """(property, None or a failure detail) of each record; a detail is built only on failure."""
+    for name, where, value, kind, bound, *tol in records:
+        fails, sign = _KINDS[kind]
+        yield name, f"{where}: {value} {sign} {bound}" if fails(value, bound, *tol) else None
 
 
 def _first_failures(checks: Iterable[tuple[str, str | None]]) -> dict[str, str | None]:
@@ -523,7 +503,7 @@ def _verify_chunk(task: tuple[int, int, int, int, int]) -> dict[str, str | None]
     """
     seed, start, stop, max_agents, max_actions = task
     return _first_failures(
-        chain.from_iterable(_instance_checks(seed, i, max_agents, max_actions) for i in range(start, stop))
+        _details(chain.from_iterable(_instance_checks(seed, i, max_agents, max_actions) for i in range(start, stop)))
     )
 
 
@@ -559,9 +539,9 @@ def cmd_verify(seed: int, count: int, max_agents: int, max_actions: int) -> int:
         for c in range(chunks)
     ]
     found = _pool_map(_verify_chunk, tasks, workers)
-    first_failure = _first_failures(chain(*(f.items() for f in found), _reference_checks(seed)))
+    first_failure = _first_failures(chain(*(f.items() for f in found), _details(_reference_checks(seed))))
     for name, detail in first_failure.items():
-        print(f"PASS {name}" if detail is None else f"FAIL {name}" + (f" — {detail}" if detail else ""))
+        print(f"PASS {name}" if detail is None else f"FAIL {name} — {detail}")
 
     failures = sum(detail is not None for detail in first_failure.values())
     if failures:
@@ -652,6 +632,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return cmd_figures(args.out)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"environment error: {args.command} ran out of memory", file=sys.stderr)
         return 2
 
 

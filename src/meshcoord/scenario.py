@@ -19,10 +19,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
-from statistics import fmean
+from statistics import fmean, pstdev
 from typing import Callable, Iterator, Sequence, get_args, get_type_hints
 
 from meshcoord.coordination import (
@@ -434,29 +433,6 @@ def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _pstdev(data: Sequence[float]) -> float:
-    """Population standard deviation of finite values, correctly rounded.
-
-    The variance is exact as a fraction, and its root is taken as Python
-    3.11's statistics.pstdev takes it: an integer square root at 109 bits,
-    rounded to odd, then rounded once to a float. That result is unique, so
-    aggregates.csv has the same bytes on every Python; 3.10's pstdev rounds
-    twice and can differ in the last digit.
-    """
-    exact = [Fraction(x) for x in data]
-    mean = sum(exact) / len(exact)
-    variance = sum((x - mean) ** 2 for x in exact) / len(exact)
-    n, m = variance.numerator, variance.denominator
-    q = (n.bit_length() - m.bit_length() - 2 * sys.float_info.mant_dig - 3) // 2
-    if q >= 0:
-        m <<= 2 * q
-    else:
-        n <<= -2 * q
-    root = math.isqrt(n // m)
-    root |= root * root * m != n  # round to odd: a sticky last bit for an inexact root
-    return float(root << q) if q >= 0 else root / (1 << -q)
-
-
 def monte_carlo(
     variations: Sequence[MissionConfig],
     workers: int = 1,
@@ -504,9 +480,9 @@ def monte_carlo(
                 data_rate_mbps=cfg.data_rate_mbps,
                 trials=cfg.trials,
                 mean_peak_coverage=fmean(peaks),
-                std_peak_coverage=_pstdev(peaks),
+                std_peak_coverage=pstdev(peaks),
                 mean_step_time_s=fmean(times),
-                std_step_time_s=_pstdev(times),
+                std_step_time_s=pstdev(times),
                 mean_coverage_by_step=by_step,
             )
         )

@@ -1,13 +1,20 @@
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import meshcoord
 from meshcoord import bounds, cli, scenario
 from meshcoord.cli import (
     DEFAULT_CONFIG_TEMPLATE,
@@ -18,6 +25,7 @@ from meshcoord.cli import (
 )
 from meshcoord.coordination import run_rag
 from meshcoord.instances import random_coverage_instance
+from meshcoord.objective import DiskCoverageObjective
 from meshcoord.scenario import MissionConfig
 from meshcoord.topology import edgeless_graph
 
@@ -313,6 +321,36 @@ def test_one_world_split_over_a_real_pool_writes_the_serial_bytes(tmp_path, monk
     assert written[0] == written[1]
 
 
+START_METHOD_RUN = """
+import multiprocessing
+multiprocessing.set_start_method({method!r})
+from meshcoord.cli import main
+assert main(["run", "exp.cfg"]) == 0
+assert main(["verify", "--count", "30"]) == 0
+"""
+
+
+def test_every_start_method_prints_and_writes_the_fork_bytes(tmp_path):
+    # Python 3.14 makes forkserver the default on Linux; each child runs a
+    # two-variation sweep and a verify on a pool of two workers
+    env = {**os.environ, "MESHCOORD_WORKERS": "2", "PYTHONPATH": str(Path(meshcoord.__file__).parents[1])}
+    seen = {}
+    for method in ("fork", "spawn", "forkserver"):
+        cwd = tmp_path / method
+        cwd.mkdir()
+        (cwd / "exp.cfg").write_text(small_config("out", sweep_algorithm="rag sg"))
+        child = subprocess.run(
+            [sys.executable, "-c", START_METHOD_RUN.format(method=method)],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        artifacts = {path.name: path.read_bytes() for path in sorted((cwd / "out").iterdir())}
+        seen[method] = (child.stdout, artifacts)
+    assert "all properties passed on 30 instances" in seen["fork"][0]
+    assert sorted(seen["fork"][1]) == ["aggregates.csv", "summary.json", "traces.csv"]
+    assert seen["spawn"] == seen["fork"]
+    assert seen["forkserver"] == seen["fork"]
+
 @pytest.mark.parametrize(
     "key", ["road_density", "comm_range", "tau_f", "tau_hash", "message_kib", "data_rate_mbps"]
 )
@@ -507,14 +545,282 @@ def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch, seri
     assert [line for line in lines if not line.startswith("PASS ")] == [
         "FAIL value-above-apriori-bound — instance 0: 10.0 < 1000005.0",
         "FAIL approx-greedy-eta1-matches-apriori — instance 0: 5.0 != 1000005.0",
-        "FAIL coin-centralized-zero — instance 0: agent 1",
-        "FAIL coin-empty-within-kappa-cap — instance 4: agent 1",
+        "FAIL coin-centralized-zero — instance 0: agent 1: 1.0 > 0.0",
+        "FAIL coin-empty-within-kappa-cap — instance 4: agent 1: 4.0 > 3.0",
         "4 properties FAILED",
     ]
     expected = VERIFY_30_STDOUT.splitlines()[:-1]
     assert [line.split(" ", 1)[1].split(" — ")[0] for line in lines[:-1]] == [
         line.split(" ", 1)[1] for line in expected
     ]
+
+
+def _outcome_patch(name, change, when=lambda obj, kw: True):
+    """Patches cli.<name>, a rule, so each outcome it returns where when(obj, kwargs) holds goes through change."""
+
+    def patch(monkeypatch):
+        rule = getattr(cli, name)
+
+        def changed(obj, *args, **kw):
+            out = rule(obj, *args, **kw)
+            return change(out) if when(obj, kw) else out
+
+        monkeypatch.setattr(cli, name, changed)
+
+    return patch
+
+
+def _bound_patch(name, shift):
+    """Patches cli.<name>, a bound, to return its value plus shift(*args)."""
+
+    def patch(monkeypatch):
+        bound = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args: bound(*args) + shift(*args))
+
+    return patch
+
+
+def _drawn_rag_patch(change):
+    """Changes the rag outcome (eta = 1) of each random instance, and no reference run's."""
+
+    def patch(monkeypatch):
+        drawn, draw = {}, cli.random_coverage_instance
+
+        def recorded(rng, **limits):
+            obj, g = draw(rng, **limits)
+            drawn[id(obj)] = obj  # held, so no later object takes its id
+            return obj, g
+
+        monkeypatch.setattr(cli, "random_coverage_instance", recorded)
+        _outcome_patch("run_rag", change, lambda obj, kw: id(obj) in drawn and not kw)(monkeypatch)
+
+    return patch
+
+
+def _reference_patch(graph, change_rag=lambda out: out, change_sg=lambda out: out):
+    """Changes the reference rag and sg outcomes on one graph."""
+
+    def patch(monkeypatch):
+        runs = cli._reference_runs
+
+        def changed():
+            for name, g, counts, rag, sg in runs():
+                if name == graph:
+                    rag, sg = change_rag(rag), change_sg(sg)
+                yield name, g, counts, rag, sg
+
+        monkeypatch.setattr(cli, "_reference_runs", changed)
+
+    return patch
+
+
+def _coin_patch(shift):
+    """Patches cli.coin to return its value plus shift(obj, neighborhood)."""
+
+    def patch(monkeypatch):
+        coin = cli.coin
+        monkeypatch.setattr(cli, "coin", lambda obj, j, actions, nbh: coin(obj, j, actions, nbh) + shift(obj, nbh))
+
+    return patch
+
+
+def _honest_tie_break(monkeypatch):
+    """Makes cli.run_rag ignore its tie_break, so the negative control runs the reference rule."""
+    rag = cli.run_rag
+    monkeypatch.setattr(cli, "run_rag", lambda obj, g, tie_break=None, **kw: rag(obj, g, **kw))
+
+
+# one forced failure per property the earlier tests do not fail, each with the
+# FAIL lines it prints
+FORCED_FAILURES = {
+    "aposteriori": (
+        _bound_patch("aposteriori_bound", lambda *a: 1e6),
+        ["FAIL value-above-aposteriori-bound — instance 0: 10.0 < 1000000.0"],
+    ),
+    "eta-half": (
+        _bound_patch("approx_greedy_bound", lambda opt, kappa, coins, eta: 1e6 * (eta == 0.5)),
+        ["FAIL eta-half-value-above-bound — instance 0: 10.0 < 1000003.3333333334"],
+    ),
+    "dfs-sg": (
+        _outcome_patch("run_dfs_sg", lambda out: replace(out, value=-1.0)),
+        ["FAIL dfs-sg-half-of-optimum — instance 0: -1.0 < 5.0"],
+    ),
+    "dsm-actions": (
+        _outcome_patch("run_dsm", lambda out: replace(out, actions=out.actions[::-1])),
+        [
+            "FAIL dsm-full-access-matches-sg — instance 0: "
+            "(GroundElement(agent=1, action=0), GroundElement(agent=0, action=0)) != "
+            "(GroundElement(agent=0, action=0), GroundElement(agent=1, action=0))"
+        ],
+    ),
+    "dsm-value": (
+        _outcome_patch("run_dsm", lambda out: replace(out, value=out.value + 1.0)),
+        ["FAIL dsm-full-access-matches-sg — instance 0: 11.0 != 10.0"],
+    ),
+    "gain-rounds": (
+        _drawn_rag_patch(lambda out: replace(out, gain_rounds=out.gain_rounds + 5)),
+        [
+            "FAIL rounds-within-agent-count — instance 0: gain rounds: 6 > 1",
+            "FAIL sim-time-within-bound — instance 0: 0.015 > 0.0145",
+        ],
+    ),
+    "action-rounds": (
+        _drawn_rag_patch(lambda out: replace(out, action_rounds=out.action_rounds + 5)),
+        [
+            "FAIL rounds-within-agent-count — instance 0: action rounds: 6 > 1",
+            "FAIL sim-time-within-bound — instance 0: 0.0625 > 0.0145",
+        ],
+    ),
+    "sim-time": (
+        _bound_patch("rag_time_bound", lambda *a: -1e-3),
+        ["FAIL sim-time-within-bound — instance 14: 0.0125 > 0.0115"],
+    ),
+    "coin-nested": (
+        _coin_patch(lambda obj, nbh: 1e3 * len(set(nbh))),
+        [
+            "FAIL coin-centralized-zero — instance 0: agent 0: 1000.0 > 0.0",
+            "FAIL coin-nested-monotone — instance 1: agent 1: 1000.0 > 0.0",
+        ],
+    ),
+    "line-timing": (
+        _reference_patch("line", lambda out: replace(out, gain_rounds=out.gain_rounds + 1)),
+        ["FAIL reference-line-timing-exact — line graph: 0.508056640625 != 0.5079345703125"],
+    ),
+    "star-timing": (
+        _reference_patch("star", lambda out: replace(out, action_rounds=out.action_rounds + 1)),
+        ["FAIL reference-star-timing-exact — star graph: 1.0079345703125 != 0.5079345703125"],
+    ),
+    "relays": (
+        _reference_patch("star", change_sg=lambda out: replace(out, relay_action_transmissions=18)),
+        ["FAIL sg-relay-counts — star graph: 18 != 17"],
+    ),
+    "negative-control": (
+        _honest_tie_break,
+        [
+            "FAIL negative-control-detects-corruption — "
+            "corrupted tie-break reproduced selectors [1, 3]: True != False"
+        ],
+    ),
+    "ring-endpoints": (
+        _bound_patch("coin_ring_bound", lambda r_s, r_i: 1.0),
+        ["FAIL ring-bound-endpoints — r_i 2.0: 1.0 != 0.0"],
+    ),
+    "ring-dominance": (
+        _coin_patch(lambda obj, nbh: 1.0 * isinstance(obj, DiskCoverageObjective)),
+        ["FAIL ring-bound-dominates-disk-coin — r_i 2.6888437030500962: 0.9999999999999996 > 0.0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FORCED_FAILURES)
+def test_each_property_fails_on_its_forced_violation(case, capsys, monkeypatch, serial_pool):
+    patch, expected = FORCED_FAILURES[case]
+    patch(monkeypatch)
+    assert main(["verify", "--count", "30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")][:-1] == expected
+
+
+# the boundary-cell tolerance of ring-bound-dominates-disk-coin, as verify computes it
+_RING_DISK = DiskCoverageObjective([[(5.0, 5.0)]], 1.0, arena=(0.0, 0.0, 10.0, 10.0), resolution=10)
+_RING_TOL = 2 * math.pi * 1.0 * _RING_DISK.cell_area * _RING_DISK.resolution
+
+# Each property's failing comparison as verify wrote it before its checks
+# became records, over the raw numbers of one check site: (how many raw
+# numbers a site takes, the (value, bound) of each record the site yields,
+# the old comparison). eval counts and the coin checks have one site per
+# agent, and the property fails if any site does, as the old any() did.
+PARENT_FAILURES = {
+    "value-above-apriori-bound": (2, lambda v, b: [(v, b)], lambda v, b: v < b - 1e-9),
+    "value-above-aposteriori-bound": (2, lambda v, b: [(v, b)], lambda v, b: v < b - 1e-9),
+    "approx-greedy-eta1-matches-apriori": (
+        2,
+        lambda eta_one, apriori: [(eta_one, apriori)],
+        lambda eta_one, apriori: not math.isclose(eta_one, apriori, rel_tol=1e-12, abs_tol=1e-12),
+    ),
+    "eta-half-value-above-bound": (2, lambda v, b: [(v, b)], lambda v, b: v < b - 1e-9),
+    "sg-half-of-optimum": (2, lambda v, b: [(v, b)], lambda v, b: v < b - 1e-9),
+    "dfs-sg-half-of-optimum": (2, lambda v, b: [(v, b)], lambda v, b: v < b - 1e-9),
+    "dsm-full-access-matches-sg": (
+        4,
+        lambda dsm_a, sg_a, dsm_v, sg_v: [(dsm_a, sg_a), (dsm_v, sg_v)],
+        lambda dsm_a, sg_a, dsm_v, sg_v: not (dsm_a == sg_a and math.isclose(dsm_v, sg_v)),
+    ),
+    "eval-counts-within-budget": (2, lambda e, b: [(e, b)], lambda e, b: e > b),
+    "rounds-within-agent-count": (
+        3,
+        lambda gain, action, cap: [(gain, cap), (action, cap)],
+        lambda gain, action, cap: gain > cap or action > cap,
+    ),
+    "sim-time-within-bound": (2, lambda t, b: [(t, b)], lambda t, b: t > b + 1e-12),
+    "coin-centralized-zero": (1, lambda c: [(abs(c), 0.0)], lambda c: abs(c) > 1e-9),
+    "coin-empty-within-kappa-cap": (2, lambda c, cap: [(c, cap)], lambda c, cap: c > cap + 1e-9),
+    "coin-nested-monotone": (2, lambda grown, shrunk: [(grown, shrunk)], lambda grown, shrunk: grown > shrunk + 1e-9),
+    "reference-line-timing-exact": (2, lambda got, want: [(got, want)], lambda got, want: got != want),
+    "reference-star-timing-exact": (2, lambda got, want: [(got, want)], lambda got, want: got != want),
+    "sg-relay-counts": (
+        2,
+        lambda line, star: [(line, 10), (star, 17)],
+        lambda line, star: {"line": line, "star": star} != {"line": 10, "star": 17},
+    ),
+    "negative-control-detects-corruption": (
+        2,
+        lambda a, b: [(sorted([a, b]) == [1, 3], False)],
+        lambda a, b: sorted([a, b]) == [1, 3],
+    ),
+    "ring-bound-endpoints": (
+        3,
+        lambda at2, at1, at3: [(at2, 0.0), (at1, math.pi), (at3, 0.0)],
+        lambda at2, at1, at3: not (at2 == 0.0 and math.isclose(at1, math.pi) and at3 == 0.0),
+    ),
+    "ring-bound-dominates-disk-coin": (2, lambda m, ring: [(m, ring)], lambda m, ring: m > ring + _RING_TOL),
+}
+
+
+@functools.cache
+def _record_shapes():
+    """Each property's (kind, tol) per record of one site, read from the checks verify runs."""
+    records = [r for i in range(8) for r in cli._instance_checks(0, i, 5, 3)]
+    records += cli._reference_checks(0)
+    by_property = {}
+    for name, _, _, kind, _, *tol in records:
+        by_property.setdefault(name, []).append((kind, tuple(tol)))
+    shapes = {}
+    for name, found in by_property.items():
+        size = len(PARENT_FAILURES[name][1](*[0.0] * PARENT_FAILURES[name][0]))
+        sites = {tuple(found[k : k + size]) for k in range(0, len(found), size)}
+        assert len(sites) == 1, (name, sites)  # every site of a property compares alike
+        (shapes[name],) = sites
+    return shapes
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-20, 20),
+    st.sampled_from([0.0, -0.0, 1.0, 3.0, 10, 17, math.pi, math.inf, -math.inf, math.nan]),
+)
+
+
+def test_the_records_cover_every_property_in_print_order():
+    assert list(_record_shapes()) == [line.split()[1] for line in VERIFY_30_STDOUT.splitlines()[:-1]]
+    assert set(_record_shapes()) == set(PARENT_FAILURES)
+
+
+@pytest.mark.parametrize("name", PARENT_FAILURES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_property_fails_on_its_old_comparison(name, data):
+    # raw numbers are free, or another raw number moved by a tolerance, so
+    # values land exactly at bound ± tol, and NaN and ±inf are drawn
+    count, site, parent = PARENT_FAILURES[name]
+    raw = [data.draw(_NUMBERS)]
+    for _ in range(count - 1):
+        anchor = data.draw(st.sampled_from(raw))
+        shift = data.draw(st.sampled_from([0, 1e-12, -1e-12, 1e-9, -1e-9, _RING_TOL, -_RING_TOL]))
+        raw.append(data.draw(st.one_of(_NUMBERS, st.just(anchor + shift))))
+    shapes = _record_shapes()[name]
+    fails = [cli._KINDS[kind][0](value, bound, *tol) for (value, bound), (kind, tol) in zip(site(*raw), shapes)]
+    assert any(fails) == parent(*raw)
 
 
 @pytest.mark.parametrize(
@@ -531,21 +837,24 @@ def test_verify_stdout_is_the_same_at_any_worker_count(workers, pooled, monkeypa
 
 @pytest.mark.parametrize("workers", ["2", "3", "5", "30"])
 def test_pooled_verify_reports_the_serial_first_failures(workers, capsys, monkeypatch, serial_pool):
-    apriori_bound, coin, short = cli.apriori_bound, cli.coin, cli._short
+    apriori_bound, coin, checks = cli.apriori_bound, cli.coin, cli._instance_checks
     monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
     monkeypatch.setattr(
         cli, "coin", lambda obj, j, *a, **kw: coin(obj, j, *a, **kw) + (1.0 if j == 1 else 0.0)
     )
+
     # every lower-bound check fails from instance 17 on, which is in a later chunk
-    monkeypatch.setattr(
-        cli, "_short", lambda tag, value, bound: short(tag, value, bound + 1e6 * (int(tag.split()[1]) >= 17))
-    )
+    def shifted(seed, i, *limits):
+        for name, where, value, kind, bound, *tol in checks(seed, i, *limits):
+            yield name, where, value, kind, bound + 1e6 if kind == "at-least" and i >= 17 else bound, *tol
+
+    monkeypatch.setattr(cli, "_instance_checks", shifted)
     monkeypatch.setenv("MESHCOORD_WORKERS", "1")
     assert main(["verify", "--count", "30"]) == 1
     serial = capsys.readouterr().out
     assert serial_pool == []
     assert "FAIL sg-half-of-optimum — instance 17: " in serial
-    assert "FAIL coin-empty-within-kappa-cap — instance 4: agent 1" in serial
+    assert "FAIL coin-empty-within-kappa-cap — instance 4: agent 1: 4.0 > 3.0" in serial
     monkeypatch.setenv("MESHCOORD_WORKERS", workers)
     assert main(["verify", "--count", "30"]) == 1
     assert capsys.readouterr().out == serial
@@ -593,6 +902,18 @@ def test_an_instance_error_reaches_the_caller(monkeypatch, capsys, serial_pool):
     with pytest.raises(RuntimeError, match="instance 20 broke"):
         main(["verify", "--count", "30"])
 
+
+@pytest.mark.parametrize("command, patched", [("run", "monte_carlo"), ("verify", "_instance_checks")])
+def test_running_out_of_memory_exits_2_naming_the_command(command, patched, tmp_path, monkeypatch, capsys):
+    # exit 1 means a property violation, so an escaping MemoryError is an environment error
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, patched, exhausted)
+    monkeypatch.setenv("MESHCOORD_WORKERS", "1")
+    path, _ = write_config(tmp_path)
+    assert main(["run", str(path)] if command == "run" else ["verify", "--count", "3"]) == 2
+    assert capsys.readouterr().err == f"environment error: {command} ran out of memory\n"
 
 def test_a_task_error_on_a_real_pool_reaches_the_caller():
     with pytest.raises(ValueError, match="math domain error"):

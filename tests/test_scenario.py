@@ -1,12 +1,8 @@
 import dataclasses
 import math
 import pickle
-import statistics
-import sys
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from meshcoord import scenario
 from meshcoord.scenario import (
@@ -336,21 +332,3 @@ def test_unpickled_configs_are_not_checked_again(monkeypatch):
     assert calls == []
     dataclasses.replace(config, k=3)
     assert calls == [None]
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.pstdev is correctly rounded from 3.11")
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**30), 10**30)),
-        min_size=1,
-        max_size=12,
-    )
-)
-@example([7.25])
-@example([0.1, 0.1, 0.1])
-@example([5e-324, 0.0, 1e-310])
-@example([1.7e308, -1.7e308, 1e308])
-@example([2**80, 3, -7])
-def test_pstdev_matches_python_3_11(data):
-    assert scenario._pstdev(data) == statistics.pstdev(data)
