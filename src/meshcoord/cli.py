@@ -370,12 +370,12 @@ def cmd_run(config_path: str) -> int:
 
 # A check is a record (property, where, value, kind, bound[, tol]). Each kind
 # maps to the comparison that fails a record, and to the sign its detail
-# prints. Each comparison states the failure, as verify always has, so NaN and
-# infinite values fail where they always did. close takes its tol as
-# math.isclose's (rel_tol, abs_tol), and defaults to isclose's own.
+# prints. at-least and at-most fail unless the bound holds, so a NaN value or
+# bound fails every kind. close takes its tol as math.isclose's (rel_tol,
+# abs_tol), and defaults to isclose's own.
 _KINDS = {
-    "at-least": (lambda value, bound, tol=0: value < bound - tol, "<"),
-    "at-most": (lambda value, bound, tol=0: value > bound + tol, ">"),
+    "at-least": (lambda value, bound, tol=0: not value >= bound - tol, "<"),
+    "at-most": (lambda value, bound, tol=0: not value <= bound + tol, ">"),
     "close": (
         lambda value, bound, tol=(1e-9, 0.0): not math.isclose(value, bound, rel_tol=tol[0], abs_tol=tol[1]),
         "!=",

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, replace
+from itertools import chain, product
 from typing import Sequence
 
 from meshcoord.objective import GroundElement, Objective
-from meshcoord.topology import InfoDag, MeshGraph, dfs_order, full_access_dag, shortest_hops
+from meshcoord.topology import InfoDag, MeshGraph, _int_value, dfs_order, full_access_dag, shortest_hops
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -292,10 +292,17 @@ def run_dsm(obj: Objective, dag: InfoDag) -> CoordinationOutcome:
     full-access DAGs reproduce run_sg's selections and value but not its
     hand-off accounting). The conditioning value f(A_access) is unknown to
     the agent, so scoring uses augmented-context values, |V_i| evaluations
-    per agent, and the outcome value is evaluated once at the end.
+    per agent, and the outcome value is evaluated once at the end. Access
+    ids are any integer type but bool, stored as int.
     """
     if len(dag.order) != obj.n_agents:
         raise ValueError("dag and objective disagree on the number of agents")
+    if not set(map(type, chain.from_iterable(dag.access))) <= {int}:  # the type check runs at C speed
+        access = [
+            frozenset([_int_value(j, f"access at position {pos} holds") for j in ids])
+            for pos, ids in enumerate(dag.access)
+        ]
+        dag = replace(dag, access=tuple(access))
     return _run_sequential(obj, _schedule("dsm", dag, None, relayed=False))
 
 

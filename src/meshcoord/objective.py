@@ -51,8 +51,7 @@ class Objective:
     evaluation per action; subclasses may override it with a fused loop.
     _least_gain_ratio and _coins, the evaluating cores of curvature and
     coin_sum, are overridable the same way: an override charges the same
-    evaluations and returns the same floats. So is _subset_table, the core
-    of subset_value_table, which charges nothing: its caller charges.
+    evaluations and returns the same floats.
     """
 
     _known_submodular = False  # True where every instance is submodular; bound_report checks the rest
@@ -136,25 +135,6 @@ class Objective:
         self.eval_count += 3 * len(coins)
         return coins
 
-    def _subset_table(self, elements: Sequence[GroundElement]) -> list[float]:
-        """f over every subset of elements, indexed by bitmask (bit j = elements[j]); charges nothing.
-
-        The subsets are walked depth first, each one's context state its
-        parent's extended by one element, so at most len(elements) + 1
-        states are alive at once.
-        """
-        m = len(elements)
-        table = [0.0] * (1 << m)
-        value_in, extend = self._value_in, self.extend
-
-        def fill(state, mask: int, first: int) -> None:
-            table[mask] = value_in(state, ())
-            for j in range(first, m):
-                fill(extend(state, elements[j]), mask | 1 << j, j + 1)
-
-        fill(self.context(), 0, 0)
-        return table
-
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
 
@@ -192,13 +172,11 @@ class _UnionMaskObjective(Objective):
     _menu_scores; subclasses therefore do not override those four.
     f({(i, a)}) is _counts[i][a] * cell_area.
 
-    Curvature, coin sums and subset tables are counted from the footprints,
-    not evaluated: f(V \\ {a}) lacks the cells only a covers, a coin term's
+    Curvature and coin sums are counted from the footprints, not
+    evaluated: f(V \\ {a}) lacks the cells only a covers, and a coin term's
     two contexts lack the cells that only the agent and its in-neighbours
-    cover (for teams of more than _COIN_CONTEXTS_LIMIT agents), and a table
-    entry is the bit count of its subset's union, met in the middle from
-    the unions of the two halves of the elements. Each count becomes a
-    float as the evaluation it stands for would have.
+    cover (for teams of more than _COIN_CONTEXTS_LIMIT agents). Each count
+    becomes a float as the evaluation it stands for would have.
     """
 
     _known_submodular = True  # a union's cell count times a positive cell_area
@@ -285,18 +263,6 @@ class _UnionMaskObjective(Objective):
                 position += 1
         self.eval_count += 1 + 2 * position
         return worst
-
-    def _subset_table(self, elements: Sequence[GroundElement]) -> list[float]:
-        # meet in the middle: the unions of every subset of the low half of
-        # elements and of the high half, OR-ed pairwise in bitmask order
-        masks = self._masks
-        footprints = [masks[i][a] for i, a in elements]
-        if self._window_count > 1:
-            footprints = _packed(footprints, self._window_bits)
-        half = len(footprints) // 2
-        low, high = _unions(footprints[:half]), _unions(footprints[half:])
-        area = self.cell_area
-        return [(hi | lo).bit_count() * area for hi in high for lo in low]
 
     def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
         n = self.n_agents
@@ -400,25 +366,6 @@ def _split(mask: int, width: int) -> list[int]:
         (int.from_bytes(raw[lo >> 3:(lo + bits + 7) >> 3], "little") >> (lo & 7)) & full
         for lo in range(0, width, bits)
     ]
-
-
-def _unions(masks: Sequence[int]) -> list[int]:
-    """The union of every subset of masks, indexed by bitmask (bit j = masks[j])."""
-    unions = [0]
-    for mask in masks:
-        unions += [u | mask for u in unions]
-    return unions
-
-
-def _packed(footprints: Sequence[tuple[tuple[int, int], ...]], window_bits: int) -> list[int]:
-    """Footprints of (index, window) pairs as ints over only the windows they touch.
-
-    The touched windows are numbered in index order, and window number p
-    holds bits p * window_bits onward; the unions' bit counts are the
-    footprints' own.
-    """
-    place = {idx: p * window_bits for p, idx in enumerate(sorted({idx for pairs in footprints for idx, _ in pairs}))}
-    return [sum([window << place[idx] for idx, window in pairs]) for pairs in footprints]
 
 
 def _as_pairs(stored: int | tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -652,16 +599,22 @@ def subset_value_table(obj: Objective, elements: Sequence[GroundElement]) -> lis
 
     Charges 2^len(elements) evaluations, one per entry, before it reads
     any element; the oracle behind the exhaustive checks and the measures
-    above. Coverage objectives count each entry from footprint unions, by
-    meet in the middle: the unions of every subset of the first half of
-    elements and of the rest, each about 2^(m/2) ints for m elements, are
-    OR-ed pairwise and popcounted, so memory is about 2 * 2^(m/2) unions
-    plus the table. Every other objective walks the subsets depth first,
-    each one's context state its parent's extended by one element, so at
-    most len(elements) + 1 states are alive at once.
+    above. The subsets are walked depth first, each one's context state its
+    parent's extended by one element, so at most len(elements) + 1 states
+    are alive at once.
     """
-    obj.eval_count += 1 << len(elements)
-    return obj._subset_table(elements)
+    m = len(elements)
+    obj.eval_count += 1 << m
+    table = [0.0] * (1 << m)
+    value_in, extend = obj._value_in, obj.extend
+
+    def fill(state, mask: int, first: int) -> None:
+        table[mask] = value_in(state, ())
+        for j in range(first, m):
+            fill(extend(state, elements[j]), mask | 1 << j, j + 1)
+
+    fill(obj.context(), 0, 0)
+    return table
 
 
 def _table_terms(obj: Objective, check_submodular: bool) -> tuple[float, bool]:

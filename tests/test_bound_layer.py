@@ -4,10 +4,10 @@ subset_value_table used to evaluate every subset afresh, _differences walked
 compress/cycle iterators, curvature ran one whole-ground evaluation per
 element, and coin, coin_sum and aposteriori_bound evaluated frozensets. Those
 functions are kept here verbatim as the reference. So are the depth-first
-walk that built every subset table before coverage objectives counted theirs
-from footprint unions, and bound_report's table path as it was, which took
-each element's first differences twice, and bound_report as it was
-before it took a coverage report's c_total from kappa. Results must match
+walk that builds every subset table, copied from subset_value_table, and
+bound_report's table path as it was, which took each element's first
+differences twice, and bound_report as it was before it took a coverage
+report's c_total from kappa. Results must match
 by repr, raised errors by type and message, and charged evaluations by
 eval_count delta. The objectives are grid, disk and windowed coverage (the
 window width patched to 1-64 bits while they are built) and callable toys;
@@ -708,8 +708,8 @@ def _run_or_raise(obj, call):
 @example(seed=4, kind="windowed", window_bits=1, m=16, stray=None)
 @example(seed=5, kind="windowed", window_bits=1, m=0, stray=None)
 @example(seed=6, kind="grid", window_bits=3, m=16, stray="action")
-def test_subset_table_from_unions_equals_the_walk(seed, kind, window_bits, m, stray):
-    """Coverage tables counted from footprint unions equal the walked ones, entry for entry, charge for charge."""
+def test_subset_table_walk_equals_its_verbatim_copy(seed, kind, window_bits, m, stray):
+    """Coverage tables equal those of the walk's verbatim copy, entry for entry, charge for charge."""
     new, old = (_table_objective(kind, random.Random(seed), window_bits) for _ in range(2))
     assert new._window_count > 1 or kind != "windowed"
     rng = random.Random(seed)
@@ -776,29 +776,6 @@ def test_bound_reports_equal_the_walked_twice_differenced_path():
         make = lambda: random_coverage_instance(random.Random(f"m16:{draw}"), max_agents=6, max_actions=4, min_agents=4)
         report, charged = _assert_reports_match(make)
         assert "certified=True" in report and charged >= 1 << 16
-
-
-def test_the_union_kernel_holds_about_two_square_roots_of_unions(monkeypatch):
-    """At m = 16 the kernel packs 16 footprints and builds 2 * 2^8 unions, never 2^16."""
-    built = []
-
-    def counted(name, fn):
-        def wrapper(*args):
-            ints = fn(*args)
-            built.append((name, len(ints)))
-            return ints
-        return wrapper
-
-    monkeypatch.setattr(objective, "_unions", counted("unions", objective._unions))
-    monkeypatch.setattr(objective, "_packed", counted("packed", objective._packed))
-    for kind, window_bits in (("grid", objective._WINDOW_BITS), ("grid", 4), ("disk", 7)):
-        obj = _table_objective(kind, random.Random(16), window_bits)
-        elements = obj.ground()[:16]
-        built.clear()
-        table = subset_value_table(obj, elements)
-        assert len(table) == 1 << 16
-        packed = [("packed", 16)] if obj._window_count > 1 else []
-        assert built == packed + [("unions", 1 << 8), ("unions", 1 << 8)]
 
 
 # --- c_total of counted cells, from kappa --------------------------------------

@@ -721,6 +721,18 @@ def test_each_property_fails_on_its_forced_violation(case, capsys, monkeypatch, 
     assert [line for line in lines if not line.startswith("PASS ")][:-1] == expected
 
 
+def test_a_nan_rag_value_fails_its_lower_bounds(capsys, monkeypatch, serial_pool):
+    # NaN compares false either way, so it must fail the lower bounds rather than pass them
+    _drawn_rag_patch(lambda out: replace(out, value=math.nan))(monkeypatch)
+    assert main(["verify", "--count", "30"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        "FAIL value-above-apriori-bound — instance 0: nan < 5.0",
+        "FAIL value-above-aposteriori-bound — instance 0: nan < 0.0",
+        "2 properties FAILED",
+    ]
+
+
 # the boundary-cell tolerance of ring-bound-dominates-disk-coin, as verify computes it
 _RING_DISK = DiskCoverageObjective([[(5.0, 5.0)]], 1.0, arena=(0.0, 0.0, 10.0, 10.0), resolution=10)
 _RING_TOL = 2 * math.pi * 1.0 * _RING_DISK.cell_area * _RING_DISK.resolution
@@ -818,9 +830,13 @@ def test_each_property_fails_on_its_old_comparison(name, data):
         anchor = data.draw(st.sampled_from(raw))
         shift = data.draw(st.sampled_from([0, 1e-12, -1e-12, 1e-9, -1e-9, _RING_TOL, -_RING_TOL]))
         raw.append(data.draw(st.one_of(_NUMBERS, st.just(anchor + shift))))
-    shapes = _record_shapes()[name]
-    fails = [cli._KINDS[kind][0](value, bound, *tol) for (value, bound), (kind, tol) in zip(site(*raw), shapes)]
-    assert any(fails) == parent(*raw)
+    records = [(value, bound, kind, tol) for (value, bound), (kind, tol) in zip(site(*raw), _record_shapes()[name])]
+    fails = [cli._KINDS[kind][0](value, bound, *tol) for value, bound, kind, tol in records]
+    # the one verdict changed since: a NaN value or bound fails an at-least or at-most record
+    nan_bounded = any(
+        kind in ("at-least", "at-most") and (math.isnan(value) or math.isnan(bound)) for value, bound, kind, _ in records
+    )
+    assert any(fails) == (parent(*raw) or nan_bounded)
 
 
 @pytest.mark.parametrize(

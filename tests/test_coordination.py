@@ -269,6 +269,29 @@ def test_dsm_records_its_access_sets():
     assert out.committed_in_neighbors[4] == frozenset({0, 1, 2, 3})
 
 
+@pytest.mark.parametrize("bad, shown", [(0.0, "0.0"), (False, "False"), (True, "True")])
+def test_dsm_rejects_access_ids_that_are_not_ints(bad, shown):
+    # each of these equals an int id, so InfoDag's predecessor check lets it through
+    obj = modular_objective([2, 2, 2])
+    dag = InfoDag(order=(0, 1, 2), access=(frozenset(), frozenset({0}), frozenset({bad})))
+    before = obj.eval_count
+    with pytest.raises(ValueError, match=rf"^access at position 2 holds {shown}, which is not an int$"):
+        run_dsm(obj, dag)
+    assert obj.eval_count == before
+
+
+def test_dsm_stores_any_integer_type_of_access_id_as_int():
+    class AgentId(int):
+        pass
+
+    obj = modular_objective([2, 2, 2])
+    dag = InfoDag(order=(2, 0, 1), access=(frozenset(), frozenset({AgentId(2)}), frozenset({AgentId(2), 0})))
+    out = run_dsm(obj, dag)
+    assert out.committed_in_neighbors == (frozenset({2}), frozenset({0, 2}), frozenset())
+    assert {type(j) for ids in out.committed_in_neighbors for j in ids} == {int}
+    assert out.actions == run_dsm(obj, full_access_dag((2, 0, 1))).actions
+
+
 def test_dfs_sg_from_spoke_matches_reference_relays():
     obj, g, _ = reference_star_instance()
     out = run_dfs_sg(obj, g, start=0)  # visits the center second

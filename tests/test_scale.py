@@ -68,7 +68,7 @@ def test_rag_at_30_000_agents():
 
 
 def test_bound_report_and_structure_check_at_16_ground_elements():
-    # the 2^16-entry coverage table is counted from about 2 * 2^8 footprint unions
+    # the 2^16-entry coverage table is walked depth first, one extend per entry
     run_capped(
         """
     import random

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
@@ -140,6 +141,8 @@ def main() -> int:
             "nproc": os.cpu_count(),
             # verify's default worker count when MESHCOORD_WORKERS is unset
             "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+            # the pools' default start method: fork on Linux before Python 3.14, forkserver from 3.14
+            "start_method": multiprocessing.get_start_method(),
             "platform": platform.platform(),
         },
         "seed": args.seed,
