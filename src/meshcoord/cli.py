@@ -3,10 +3,10 @@
 Configs are flat `key = value` text files (blank lines and full-line `#`
 comments ignored) whose keys are exactly the fields of MissionConfig and
 ExperimentConfig; `meshcoord run --print-default-config` emits a commented
-template. `verify` prints one PASS/FAIL line per property, a failure with
-where its first failing check was made, the value and the bound. Exit codes: 0 success, 1 property violation, 2
-config or environment error, including an artifact that cannot be written
-and running out of memory.
+template. `verify` prints one PASS/FAIL line per property; a FAIL line names
+where its first failing check was made, its value and the bound it broke.
+Exit codes: 0 success, 1 property violation, 2 config or environment error,
+including too many missions, an unwritable artifact and running out of memory.
 The MESHCOORD_WORKERS environment variable sizes both worker pools, and
 either starts at most one pool, of no more processes than it has tasks:
 - `run` maps batches of the missions that draw the same world, which each
@@ -58,6 +58,7 @@ from meshcoord.scenario import (
     MissionConfig,
     TRACE_HEADER,
     _pool_map,
+    _sweep_missions,
     monte_carlo,
     trace_rows,
 )
@@ -109,6 +110,7 @@ class ExperimentConfig:
             replace(self.mission, algorithm=a, k=k, n_agents=n, data_rate_mbps=r)
             for a, k, n, r in self.variations()
         )
+        _sweep_missions(missions)
         object.__setattr__(self, "_missions", missions)
 
     def missions(self) -> list[MissionConfig]:

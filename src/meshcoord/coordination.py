@@ -312,10 +312,9 @@ def run_dfs_sg(obj: Objective, g: MeshGraph, start: int) -> CoordinationOutcome:
     As in run_sg, the schedule is built first: a hand-off with no directed
     path raises before any agent scores and charges nothing.
     """
-    dag = dfs_order(g, start)
-    if g.n != obj.n_agents:  # the walk's order covers g's agents
-        raise ValueError("order must be a permutation of all agents")
-    return _run_sequential(obj, _schedule("dfs-sg", dag, g, relayed=True))
+    if g.n != obj.n_agents:  # checked before the walk, which costs Θ(n²) for its DAG
+        raise ValueError("graph and objective disagree on the number of agents")
+    return _run_sequential(obj, _schedule("dfs-sg", dfs_order(g, start), g, relayed=True))
 
 
 def run_random_baseline(obj: Objective, rng) -> CoordinationOutcome:

@@ -33,6 +33,17 @@ MOVES = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
 
+# the most world cells, and the most agents, a mission may have: 2^22, just
+# above the 2,000 x 2,000 world of README's 450-agent mission. Peak RSS of one
+# run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
+# 648 MB, as every destination keeps a footprint as wide as the world; a
+# 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
+# an agent); a mission of no steps in a 2,048 x 2,048 world, 32 MB, as the
+# draw holds one byte a cell. Past the limit either size fails by name,
+# before anything is drawn. scaling_instance's world holds 36 cells an
+# agent, so it admits at most 2^22 // 36 = 116,508 agents.
+_MISSION_SIZE_LIMIT = 1 << 22
+
 
 def _clip_move(
     pos: tuple[int, int], move: tuple[int, int], step: int, width: int, height: int
@@ -227,12 +238,15 @@ def scaling_instance(
     The arena grows with the team so neighborhood structure stays local;
     actions are the 8 unit moves at a random magnitude with a 3x3 FOV.
     Returns (objective, positions) so callers can self-configure a graph.
-    n_agents must be of an integer type other than bool, at least 1; it is
-    checked before anything is drawn from rng.
+    n_agents must be of an integer type other than bool, at least 1 and at
+    most _MISSION_SIZE_LIMIT // 36; it is checked before anything is drawn
+    from rng.
     """
     if isinstance(n_agents, bool) or not hasattr(type(n_agents), "__index__") or operator.index(n_agents) < 1:
         raise ValueError(f"n_agents must be an int of at least 1, got {n_agents!r}")
     n_agents = operator.index(n_agents)
+    if n_agents * 36 > _MISSION_SIZE_LIMIT:
+        raise ValueError(f"n_agents may be at most {_MISSION_SIZE_LIMIT // 36:,}, got {n_agents:,}")
     side = max(8, round((n_agents * 36) ** 0.5))
     density = 0.6
     road = _random_rows(rng, side, side, density)

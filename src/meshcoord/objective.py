@@ -13,9 +13,9 @@ import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, repeat
+from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from meshcoord.topology import _int_value
 
@@ -715,12 +715,8 @@ def _submodular_along(gains: list[float], s: int, m: int) -> bool:
     covers both orders; in floating point the other order may round
     differently, which matters only within rounding of the tolerance.
     """
-    for y in range(s, m - 1):  # bit y of the gains' index is element y + 1
-        # the greatest second difference, taken slice by slice without listing them
-        slices = _difference_slices(gains, y)
-        if _greatest(chain.from_iterable(map(sub, hi, lo) for _, hi, lo in slices)) > _EPS:
-            return False
-    return True
+    # bit y of the gains' index is element y + 1
+    return not any(_greatest(_differences(gains, y)) > _EPS for y in range(s, m - 1))
 
 
 def _differences(values: list[float], k: int) -> list[float]:
@@ -731,28 +727,8 @@ def _differences(values: list[float], k: int) -> list[float]:
     differencing again along an element j > k of the original index uses bit
     j - 1.
     """
-    listing = [0.0] * (len(values) >> 1)
-    for where, hi, lo in _difference_slices(values, k):
-        listing[where] = map(sub, hi, lo)
-    return listing
-
-
-def _difference_slices(values: list[float], k: int) -> Iterator[tuple[slice, list[float], list[float]]]:
-    """(where, hi, lo) slices of values; hi[t] - lo[t] over all triples are _differences(values, k).
-
-    where is the place of those differences in _differences' listing. One
-    triple per block of 2^(k+1) entries, or one per offset within a block,
-    whichever is fewer.
-    """
-    half = 1 << k
-    step = half << 1
-    if half * step < len(values):  # fewer offsets than blocks
-        for r in range(half):
-            yield slice(r, None, half), values[r + half::step], values[r::step]
-    else:
-        for start in range(0, len(values), step):
-            where = slice(start >> 1, (start >> 1) + half)
-            yield where, values[start + half:start + step], values[start:start + half]
+    keep = (True,) * (1 << k) + (False,) * (1 << k)  # the indices without bit k
+    return list(map(sub, compress(values[1 << k:], cycle(keep)), compress(values, cycle(keep))))
 
 
 def _least(values: Iterable[float], start: float = math.inf) -> float:

@@ -31,7 +31,7 @@ from meshcoord.coordination import (
     run_rag,
     run_random_baseline,
 )
-from meshcoord.instances import MOVES, _clip_move
+from meshcoord.instances import _MISSION_SIZE_LIMIT, MOVES, _clip_move
 from meshcoord.objective import (
     _UnionMaskObjective,
     parse_road_mask,
@@ -44,15 +44,12 @@ from meshcoord.topology import InfoDag, dfs_order, full_access_dag, knn_graph, s
 
 ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 
-# the most world cells, and the most agents, a mission may have: 2^22, just
-# above the 2,000 x 2,000 world of README's 450-agent mission. Peak RSS of one
-# run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
-# 648 MB, as every destination keeps a footprint as wide as the world; a
-# 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
-# an agent); a mission of no steps in a 2,048 x 2,048 world, 32 MB, as the
-# draw holds one byte a cell. Past the limit either size fails by name,
-# before anything is drawn.
-_MISSION_SIZE_LIMIT = 1 << 22
+# the most missions one sweep may run, trials x variations: 2^18, as each
+# trace is held to the end. Peak RSS of a serial monte_carlo of the default
+# mission (Python 3.11, 2-core x86-64 Linux): 2^18 missions of no steps,
+# 315 MB in 35 s; 20,000 of its 8 steps, 69 MB in 37 s (2.6 KB a mission, so
+# about 700 MB at the limit). Past it a sweep fails before indexing a mission.
+_SWEEP_MISSION_LIMIT = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -416,6 +413,14 @@ def _batches(variations: Sequence[MissionConfig], parts_wanted: int) -> list[lis
     return batches
 
 
+def _sweep_missions(variations: Sequence[MissionConfig]) -> int:
+    """The missions a sweep runs, every variation's trials summed; ValueError past _SWEEP_MISSION_LIMIT."""
+    missions = sum(cfg.trials for cfg in variations)
+    if missions > _SWEEP_MISSION_LIMIT:
+        raise ValueError(f"trials x variations may be at most {_SWEEP_MISSION_LIMIT:,} missions, got {missions:,}")
+    return missions
+
+
 def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> list:
     """[fn(task) for task in tasks], on one pool of min(workers, len(tasks)) processes.
 
@@ -448,11 +453,12 @@ def monte_carlo(
     batches are mapped over a single pool of min(workers, batches)
     processes, so the pool never has more processes than tasks. Traces come
     back in (variation, trial) order however many workers run, so outputs
-    are deterministic either way.
+    are deterministic either way. Past _SWEEP_MISSION_LIMIT missions in all
+    it raises ValueError before any runs.
     """
     if not variations:
         raise ValueError("need at least one variation")
-    missions = sum(cfg.trials for cfg in variations)
+    missions = _sweep_missions(variations)
     batches = _batches(variations, min(workers, missions))
     tasks = [[(variations[v], trial) for v, trial in batch] for batch in batches]
     done = _pool_map(_run_batch, tasks, workers)

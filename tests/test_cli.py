@@ -111,6 +111,15 @@ def test_a_repeated_field_exits_2_naming_both_lines(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_a_sweep_of_too_many_missions_is_a_config_error_naming_trials():
+    limit = scenario._SWEEP_MISSION_LIMIT
+    parse_experiment_config(f"trials = {limit}\n")
+    parse_experiment_config(f"trials = {limit // 2}\nsweep_k = 1 2\n")
+    message = f"^config error: trials x variations may be at most {limit:,} missions, got {limit + 2:,}$"
+    with pytest.raises(ConfigError, match=message):
+        parse_experiment_config(f"trials = {limit // 2 + 1}\nsweep_k = 1 2\n")
+
+
 def test_list_fields_name_their_element_type():
     with pytest.raises(ConfigError, match="config line 1: field 'sweep_k' expects an integer"):
         parse_experiment_config("sweep_k = a\n")

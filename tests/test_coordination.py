@@ -311,6 +311,13 @@ def test_dfs_sg_needs_strong_connectivity():
         run_dfs_sg(obj, edgeless_graph(5), start=0)
 
 
+def test_dfs_sg_checks_the_team_size_before_walking():
+    obj = modular_objective([1, 1, 1])
+    with pytest.raises(ValueError, match="graph and objective disagree on the number of agents"):
+        run_dfs_sg(obj, edgeless_graph(4), start=0)
+    assert obj.eval_count == 0
+
+
 def test_random_baseline_is_seed_deterministic_and_free():
     obj, _, _ = reference_line_instance()
     a = run_random_baseline(obj, random.Random(9))

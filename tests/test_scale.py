@@ -1,6 +1,7 @@
 """The paper's claim that rag's decision time grows linearly with the team,
 checked at scale: each case runs in a fresh interpreter whose address space
-is capped at 1 GiB, so a quadratic memory or time path fails here."""
+is capped at 1 GiB, so a quadratic memory or time path fails here. Sizes
+past the stated limits are refused there by name, before any work."""
 
 import os
 import subprocess
@@ -94,4 +95,41 @@ def test_bound_report_and_structure_check_at_16_ground_elements():
     assert structure.c_total == report.c_total, (structure, report)
     """,
         timeout=120,
+    )
+
+
+def test_scaling_instance_refuses_a_team_past_the_world_limit_before_drawing():
+    # 10^8 agents, 36 cells each, drew for more than 30 s under a 2 GB cap
+    run_capped(
+        """
+    import random
+    from meshcoord.instances import scaling_instance
+    rng = random.Random(0)
+    state = rng.getstate()
+    try:
+        scaling_instance(rng, 10**8)
+    except ValueError as exc:
+        assert str(exc) == "n_agents may be at most 116,508, got 100,000,000", exc
+    else:
+        raise AssertionError("10^8 agents were drawn")
+    assert rng.getstate() == state
+    """,
+        timeout=2,
+    )
+
+
+def test_a_sweep_of_a_billion_missions_exits_2_before_indexing_them(tmp_path):
+    # one dict entry per mission ran out of memory after about 18 s
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"trials = 1000000000\nsteps = 0\noutput_dir = {tmp_path / 'out'}\n")
+    run_capped(
+        f"""
+    import contextlib, io
+    from meshcoord import cli
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["run", {str(config)!r}]) == 2
+    assert "trials x variations may be at most" in err.getvalue(), err.getvalue()
+    """,
+        timeout=2,
     )

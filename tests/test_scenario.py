@@ -323,6 +323,13 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert started == [4]
 
 
+def test_monte_carlo_refuses_too_many_missions_before_indexing_them(monkeypatch):
+    monkeypatch.setattr(scenario, "_batches", lambda *args: pytest.fail("the missions were indexed"))
+    limit = scenario._SWEEP_MISSION_LIMIT
+    with pytest.raises(ValueError, match=f"^trials x variations may be at most {limit:,} missions, got {limit + 1:,}$"):
+        monte_carlo([cfg(trials=limit), cfg(trials=1)])
+
+
 def test_unpickled_configs_are_not_checked_again(monkeypatch):
     config = cfg()
     calls = []

@@ -292,7 +292,11 @@ def test_sequential_core_matches_the_old_loops_on_bad_inputs():
     two = full_access_dag([1, 0])
     assert_same(obj, lambda: old_run_dsm(obj, two), lambda: run_dsm(obj, two))
     line4 = strongly_connected_line_plus(4, 0, 0)
-    assert_same(obj, lambda: old_run_dfs_sg(obj, line4, 0), lambda: run_dfs_sg(obj, line4, 0))
+    # a team-size mismatch is now named as run_sg names it, before the walk
+    assert outcome_and_evals(obj, lambda: old_run_dfs_sg(obj, line4, 0)) == (
+        "error", "order must be a permutation of all agents")
+    assert outcome_and_evals(obj, lambda: run_dfs_sg(obj, line4, 0)) == (
+        "error", "graph and objective disagree on the number of agents")
 
 
 def test_a_leading_nan_score_names_the_agent():
