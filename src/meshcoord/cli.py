@@ -32,16 +32,9 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, get_args, get_origin, get_type_hints
 
-from meshcoord.bounds import (
-    apriori_bound,
-    aposteriori_bound,
-    approx_greedy_bound,
-    bound_report,
-    coin_sum,
-)
+from meshcoord.bounds import approx_greedy_bound, bound_report, coin_sum
 from meshcoord.coordination import (
     BRUTE_FORCE_LIMIT,
-    brute_force_optimum,
     run_dfs_sg,
     run_dsm,
     run_rag,
@@ -52,7 +45,7 @@ from meshcoord.instances import (
     reference_line_instance,
     reference_star_instance,
 )
-from meshcoord.objective import DiskCoverageObjective, coin, coin_ring_bound, curvature
+from meshcoord.objective import DiskCoverageObjective, coin, coin_ring_bound
 from meshcoord.scenario import (
     ALGORITHMS,
     MissionConfig,
@@ -396,18 +389,14 @@ def _instance_checks(seed: int, i: int, max_agents: int, max_actions: int) -> It
     obj, g = random_coverage_instance(rng, max_agents=max_agents, max_actions=max_actions)
     n = obj.n_agents  # at least 2, as dfs-sg needs
     outcome = run_rag(obj, g)
-    _, opt = brute_force_optimum(obj)
-    kappa = curvature(obj)
+    report = bound_report(obj, g, outcome)
+    opt, kappa = report.optimum_value, report.kappa
     tag = f"instance {i}"
     agents = [f"{tag}: agent {j}" for j in range(n)]
 
-    coins = coin_sum(obj, g, outcome.actions)
-    apriori = apriori_bound(opt, kappa, coins)
-    yield "value-above-apriori-bound", tag, outcome.value, "at-least", apriori, 1e-9
-    aposteriori = aposteriori_bound(obj, outcome, opt, kappa)
-    yield "value-above-aposteriori-bound", tag, outcome.value, "at-least", aposteriori, 1e-9
-    eta_one = approx_greedy_bound(opt, kappa, coins, 1.0)
-    yield "approx-greedy-eta1-matches-apriori", tag, eta_one, "close", apriori, (1e-12, 1e-12)
+    yield "value-above-apriori-bound", tag, outcome.value, "at-least", report.apriori, 1e-9
+    yield "value-above-aposteriori-bound", tag, outcome.value, "at-least", report.aposteriori, 1e-9
+    yield "approx-greedy-eta1-matches-apriori", tag, report.approx_greedy, "close", report.apriori, (1e-12, 1e-12)
     half = run_rag(obj, g, eta=0.5, rng=random.Random(f"{seed}:{i}:eta"))
     half_bound = approx_greedy_bound(opt, kappa, coin_sum(obj, g, half.actions), 0.5)
     yield "eta-half-value-above-bound", tag, half.value, "at-least", half_bound, 1e-9

@@ -42,6 +42,10 @@ MOVES = (
 # draw holds one byte a cell. Past the limit either size fails by name,
 # before anything is drawn. scaling_instance's world holds 36 cells an
 # agent, so it admits at most 2^22 // 36 = 116,508 agents.
+# random_coverage_instance's graphs hold up to n^2 edges and its menus n *
+# max_actions actions, for n = max_agents, so n * (n + max_actions) is held to
+# the limit. At its edge, 2,047 agents of 2 actions on a complete graph peaked
+# at 806 MB (within a 1 GiB address-space cap); 64 agents of 65,472, 217 MB.
 _MISSION_SIZE_LIMIT = 1 << 22
 
 
@@ -65,7 +69,8 @@ def random_coverage_instance(
     3x3 field of view displaced by a random move. Graphs are drawn from the
     named generators, k-nearest-neighbor configurations, and sparse random
     digraphs, so connected, disconnected, directed, and empty topologies all
-    occur.
+    occur. Sizes past the limit stated at _MISSION_SIZE_LIMIT raise before
+    anything is drawn from rng.
     """
     if min_agents < 2:  # the kNN graphs draw k from 1 .. n - 1
         raise ValueError(f"min_agents must be at least 2, got {min_agents}")
@@ -73,6 +78,10 @@ def random_coverage_instance(
         raise ValueError(f"max_agents must be at least min_agents ({min_agents}), got {max_agents}")
     if max_actions < 1:
         raise ValueError(f"max_actions must be at least 1, got {max_actions}")
+    if (size := max_agents * (max_agents + max_actions)) > _MISSION_SIZE_LIMIT:
+        raise ValueError(
+            f"max_agents * (max_agents + max_actions) may be at most {_MISSION_SIZE_LIMIT:,}, got {size:,}"
+        )
     n = rng.randint(min_agents, max_agents)
     width = rng.randint(5, 9)
     height = rng.randint(5, 9)

@@ -145,13 +145,6 @@ class Objective:
 # masks wider than this many bits are stored as windows of this many bits
 _WINDOW_BITS = 2048
 
-# up to this many agents, a coverage objective's coin sum builds each agent's
-# context, n unions per agent, rather than counting cells: on scaling_instance
-# teams (Python 3.11) the two cost the same between 20 and 40 agents, and on
-# verify's teams of 2 to 5 the contexts cost a third of the counting
-_COIN_CONTEXTS_LIMIT = 24
-
-
 class _UnionMaskObjective(Objective):
     """An objective whose value depends only on the OR of per-element bitmasks.
 
@@ -175,8 +168,8 @@ class _UnionMaskObjective(Objective):
     Curvature and coin sums are counted from the footprints, not
     evaluated: f(V \\ {a}) lacks the cells only a covers, and a coin term's
     two contexts lack the cells that only the agent and its in-neighbours
-    cover (for teams of more than _COIN_CONTEXTS_LIMIT agents). Each count
-    becomes a float as the evaluation it stands for would have.
+    cover. Each count becomes a float as the evaluation it stands for
+    would have.
     """
 
     _known_submodular = True  # a union's cell count times a positive cell_area
@@ -265,9 +258,6 @@ class _UnionMaskObjective(Objective):
         return worst
 
     def _coins(self, actions: Sequence[GroundElement], in_neighbors: Sequence[Iterable[int]]) -> list[float]:
-        n = self.n_agents
-        if n <= _COIN_CONTEXTS_LIMIT:
-            return super()._coins(actions, in_neighbors)
         masks = self._masks
         cells = [_cell_ids(_as_pairs(masks[i][a]), self._window_bits) for i, a in actions]
         cover = Counter(chain.from_iterable(cells))  # cell -> how many agents' actions cover it
@@ -288,7 +278,7 @@ class _UnionMaskObjective(Objective):
             f_ctx = (total - lost_ctx) * area
             agent, action = actions[i]
             coins.append(self._counts[agent][action] * area - ((total - lost_with) * area - f_ctx))
-        self.eval_count += 3 * n
+        self.eval_count += 3 * self.n_agents
         return coins
 
 

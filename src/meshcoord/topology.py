@@ -244,8 +244,16 @@ def worst_case_cycle(n: int) -> MeshGraph:
     return MeshGraph(n, ins)
 
 
+def _agent_id(g: MeshGraph, j, name: str) -> int:
+    """j as an agent id of g, of any integer type but bool, or ValueError naming the argument name."""
+    if not 0 <= (j := _int_value(j, f"{name} is")) < g.n:
+        raise ValueError(f"{name} {j} is not an agent id in [0, {g.n})")
+    return j
+
+
 def shortest_hops(g: MeshGraph, src: int, dst: int) -> int | None:
-    """Directed BFS hop count from src to dst; None when unreachable."""
+    """Directed BFS hop count from agent src to agent dst of g; None when unreachable."""
+    src, dst = _agent_id(g, src, "src"), _agent_id(g, dst, "dst")
     if src == dst:
         return 0
     dist = {src: 0}
@@ -286,8 +294,7 @@ def dfs_order(g: MeshGraph, start: int) -> InfoDag:
     relayed hand-off has a directed path). Every agent conditions on all of
     its predecessors in the resulting order.
     """
-    if not 0 <= start < g.n:
-        raise ValueError("start must be a valid agent id")
+    start = _agent_id(g, start, "start")
     if not is_strongly_connected(g):
         raise ValueError("graph is not strongly connected")
     order = [start]

@@ -371,14 +371,12 @@ def _nbrs(rng, n, agent):
 
 KINDS = st.sampled_from(["grid", "disk", "windowed", "callable"])
 WINDOW_BITS = st.sampled_from([objective._WINDOW_BITS, 64, 7, 1]) | st.integers(1, 64)
-# 0 makes every coverage coin sum count cells
-COIN_CONTEXTS_LIMIT = st.sampled_from([0, objective._COIN_CONTEXTS_LIMIT])
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=KINDS, window_bits=WINDOW_BITS, limit=COIN_CONTEXTS_LIMIT)
-@example(seed=0, kind="windowed", window_bits=1, limit=0)
-def test_bound_terms_equal_the_evaluating_code(seed, kind, window_bits, limit):
+@given(seed=st.integers(0, 2**32 - 1), kind=KINDS, window_bits=WINDOW_BITS)
+@example(seed=0, kind="windowed", window_bits=1)
+def test_bound_terms_equal_the_evaluating_code(seed, kind, window_bits):
     new, old = _twins(kind, seed, window_bits)
     rng = random.Random(seed)
     n = new.n_agents
@@ -391,10 +389,9 @@ def test_bound_terms_equal_the_evaluating_code(seed, kind, window_bits, limit):
         nbrs = _nbrs(rng, n, agent)
         assert _run(new, lambda: coin(new, agent, actions, nbrs)) == _run(old, lambda: old_coin(old, agent, actions, nbrs))
     g = MeshGraph(n, [_nbrs(rng, n, i) for i in range(n)])
-    with mock.patch.object(objective, "_COIN_CONTEXTS_LIMIT", limit):
-        assert _run(new, lambda: coin_sum(new, g, actions)) == _run(old, lambda: old_coin_sum(old, g, actions))
-        short = actions[:-1]
-        assert _run(new, lambda: coin_sum(new, g, short)) == _run(old, lambda: old_coin_sum(old, g, short))
+    assert _run(new, lambda: coin_sum(new, g, actions)) == _run(old, lambda: old_coin_sum(old, g, actions))
+    short = actions[:-1]
+    assert _run(new, lambda: coin_sum(new, g, short)) == _run(old, lambda: old_coin_sum(old, g, short))
     outcome = SimpleNamespace(actions=actions, committed_in_neighbors=g.in_neighbors)
     kappa, opt = rng.random(), rng.uniform(0, 10)
     assert _run(new, lambda: aposteriori_bound(new, outcome, opt, kappa)) == _run(
@@ -403,15 +400,14 @@ def test_bound_terms_equal_the_evaluating_code(seed, kind, window_bits, limit):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=KINDS, window_bits=WINDOW_BITS, limit=COIN_CONTEXTS_LIMIT)
-def test_bound_terms_on_rag_outcomes_equal_the_evaluating_code(seed, kind, window_bits, limit):
+@given(seed=st.integers(0, 2**32 - 1), kind=KINDS, window_bits=WINDOW_BITS)
+def test_bound_terms_on_rag_outcomes_equal_the_evaluating_code(seed, kind, window_bits):
     new, old = _twins(kind, seed, window_bits)
     rng = random.Random(seed)
     n = new.n_agents
     g = MeshGraph(n, [_nbrs(rng, n, i) for i in range(n)])
     out = run_rag(new, g)
-    with mock.patch.object(objective, "_COIN_CONTEXTS_LIMIT", limit):
-        assert _run(new, lambda: coin_sum(new, g, out.actions)) == _run(old, lambda: old_coin_sum(old, g, out.actions))
+    assert _run(new, lambda: coin_sum(new, g, out.actions)) == _run(old, lambda: old_coin_sum(old, g, out.actions))
     assert _run(new, lambda: aposteriori_bound(new, out, 1.0, 0.5)) == _run(
         old, lambda: old_aposteriori_bound(old, out, 1.0, 0.5)
     )
@@ -556,7 +552,6 @@ def test_curvature_and_coin_sum_count_from_the_footprints(monkeypatch):
     obj, g = coverage_instance(5)
     out = run_rag(obj, g)
     expected = (old_curvature(obj), old_coin_sum(obj, g, out.actions))
-    monkeypatch.setattr(objective, "_COIN_CONTEXTS_LIMIT", 0)
     monkeypatch.setattr(obj, "_value_in", lambda *args: pytest.fail("evaluated"))
     before = obj.eval_count
     assert (curvature(obj), coin_sum(obj, g, out.actions)) == expected
@@ -643,9 +638,9 @@ def test_coin_sum_and_bound_report_reject_a_graph_of_another_size(size):
         bound_report(obj, g, outcome)
 
 
-@pytest.mark.parametrize("n", [objective._COIN_CONTEXTS_LIMIT, objective._COIN_CONTEXTS_LIMIT + 1, 60])
+@pytest.mark.parametrize("n", [2, 5, 24, 25, 60])
 def test_coin_sum_of_a_larger_team_equals_the_evaluating_code(n):
-    """Either side of the team size where coverage coin sums switch from contexts to cell counts."""
+    """Counted coverage coin sums match the evaluating code from verify's team sizes up to 60 agents."""
     obj, positions = scaling_instance(random.Random(n), n)
     g = knn_graph(positions, 4, 12.0)
     actions = run_rag(obj, g).actions

@@ -544,8 +544,8 @@ def test_verify_stdout_is_pinned(capsys):
 
 def test_verify_reports_the_first_failure_per_property(capsys, monkeypatch, serial_pool):
     # on serial_pool, since a pool that spawns its workers would not see the patches
-    apriori_bound, coin = cli.apriori_bound, cli.coin
-    monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
+    apriori_bound, coin = bounds.apriori_bound, cli.coin
+    monkeypatch.setattr(bounds, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
     monkeypatch.setattr(
         cli, "coin", lambda obj, j, *a, **kw: coin(obj, j, *a, **kw) + (1.0 if j == 1 else 0.0)
     )
@@ -579,12 +579,12 @@ def _outcome_patch(name, change, when=lambda obj, kw: True):
     return patch
 
 
-def _bound_patch(name, shift):
-    """Patches cli.<name>, a bound, to return its value plus shift(*args)."""
+def _bound_patch(name, shift, module=cli):
+    """Patches module.<name>, a bound, to return its value plus shift(*args)."""
 
     def patch(monkeypatch):
-        bound = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *args: bound(*args) + shift(*args))
+        bound = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: bound(*args) + shift(*args))
 
     return patch
 
@@ -643,7 +643,7 @@ def _honest_tie_break(monkeypatch):
 # FAIL lines it prints
 FORCED_FAILURES = {
     "aposteriori": (
-        _bound_patch("aposteriori_bound", lambda *a: 1e6),
+        _bound_patch("aposteriori_bound", lambda *a: 1e6, bounds),
         ["FAIL value-above-aposteriori-bound — instance 0: 10.0 < 1000000.0"],
     ),
     "eta-half": (
@@ -862,8 +862,8 @@ def test_verify_stdout_is_the_same_at_any_worker_count(workers, pooled, monkeypa
 
 @pytest.mark.parametrize("workers", ["2", "3", "5", "30"])
 def test_pooled_verify_reports_the_serial_first_failures(workers, capsys, monkeypatch, serial_pool):
-    apriori_bound, coin, checks = cli.apriori_bound, cli.coin, cli._instance_checks
-    monkeypatch.setattr(cli, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
+    apriori_bound, coin, checks = bounds.apriori_bound, cli.coin, cli._instance_checks
+    monkeypatch.setattr(bounds, "apriori_bound", lambda *a, **kw: apriori_bound(*a, **kw) + 1e6)
     monkeypatch.setattr(
         cli, "coin", lambda obj, j, *a, **kw: coin(obj, j, *a, **kw) + (1.0 if j == 1 else 0.0)
     )
@@ -1022,20 +1022,26 @@ def test_verify_builds_each_instance_after_the_last_is_checked(monkeypatch, caps
 
 
 def test_verify_measures_one_coin_sum_per_outcome(monkeypatch, capsys, serial_pool):
-    # one for the eta = 1 outcome, shared by the apriori and eta = 1 checks,
-    # and one for the eta = 1/2 outcome
-    calls = []
-    coin_sum = bounds.coin_sum
+    # coin sums: one for the eta = 1 outcome, shared by the apriori and eta = 1
+    # checks, and one for the eta = 1/2 outcome; one optimum and one curvature
+    # per instance, all measured by bound_report but the eta = 1/2 coin sum
+    calls = {"coin_sum": 0, "brute_force_optimum": 0, "curvature": 0}
 
-    def counted(obj, g, actions):
-        calls.append(actions)
-        return coin_sum(obj, g, actions)
+    def count(name):
+        measure = getattr(bounds, name)
 
-    monkeypatch.setattr(bounds, "coin_sum", counted)
-    monkeypatch.setattr(cli, "coin_sum", counted, raising=False)
+        def counted(*args):
+            calls[name] += 1
+            return measure(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+
+    for name in calls:
+        count(name)
     monkeypatch.setenv("MESHCOORD_WORKERS", "2")  # on serial_pool, so the calls are seen here
     assert main(["verify", "--count", "5"]) == 0
-    assert len(calls) == 2 * 5
+    assert calls == {"coin_sum": 2 * 5, "brute_force_optimum": 5, "curvature": 5}
 
 
 def test_an_isolated_agent_may_not_be_charged_twice_its_menu(monkeypatch, capsys):

@@ -119,6 +119,17 @@ def test_random_coverage_instance_rejects_bad_limits_by_name_before_drawing(kwar
     assert rng.getstate() == state
 
 
+@pytest.mark.parametrize("max_agents, max_actions, size", [(2048, 1, "4,196,352"), (2, 2**21 - 1, "4,194,306")])
+def test_random_coverage_instance_refuses_sizes_just_past_the_limit_before_drawing(max_agents, max_actions, size):
+    # 2,047 agents of 2 actions, or 2 agents of 2^21 - 2, are the most admitted
+    rng = random.Random(0)
+    state = rng.getstate()
+    message = rf"^max_agents \* \(max_agents \+ max_actions\) may be at most 4,194,304, got {size}$"
+    with pytest.raises(ValueError, match=message):
+        random_coverage_instance(rng, max_agents=max_agents, max_actions=max_actions)
+    assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("n", [1, 10, 57, 58, 100, 1000])
 def test_scaling_instance_matches_the_cell_build(n):
     # n = 57 is a 45 x 45 world of 2,025 cells, one plain-int mask each; n = 58 is 46 x 46, past 2,048

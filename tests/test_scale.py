@@ -118,6 +118,26 @@ def test_scaling_instance_refuses_a_team_past_the_world_limit_before_drawing():
     )
 
 
+def test_random_coverage_instance_refuses_a_team_past_the_limit_before_drawing():
+    # 100,000 agents on a quadratic graph ran out of the 1 GiB cap after 6.7 s
+    run_capped(
+        """
+    import random
+    from meshcoord.instances import random_coverage_instance
+    rng = random.Random(0)
+    state = rng.getstate()
+    try:
+        random_coverage_instance(rng, max_agents=100_000, min_agents=100_000)
+    except ValueError as exc:
+        assert str(exc) == "max_agents * (max_agents + max_actions) may be at most 4,194,304, got 10,000,400,000", exc
+    else:
+        raise AssertionError("100,000 agents were drawn")
+    assert rng.getstate() == state
+    """,
+        timeout=2,
+    )
+
+
 def test_a_sweep_of_a_billion_missions_exits_2_before_indexing_them(tmp_path):
     # one dict entry per mission ran out of memory after about 18 s
     config = tmp_path / "exp.cfg"

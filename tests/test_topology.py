@@ -313,6 +313,20 @@ def test_shortest_hops_unreachable_is_none():
     assert shortest_hops(g, 0, 2) is None
 
 
+@pytest.mark.parametrize(
+    "walk, args, message",
+    [
+        (shortest_hops, (-1, 0), r"src -1 is not an agent id in \[0, 3\)"),  # wrapped round to agent 2
+        (shortest_hops, (0, 7), r"dst 7 is not an agent id in \[0, 3\)"),  # read as unreachable
+        (shortest_hops, (7, 0), r"src 7 is not an agent id in \[0, 3\)"),  # an IndexError
+        (dfs_order, (1.0,), "start is 1.0, which is not an int"),  # a TypeError
+    ],
+)
+def test_graph_walks_reject_a_bad_agent_id_by_name(walk, args, message):
+    with pytest.raises(ValueError, match=message):
+        walk(line_graph(3), *args)
+
+
 def test_strong_connectivity():
     assert is_strongly_connected(line_graph(4))
     assert is_strongly_connected(edgeless_graph(1))
@@ -378,7 +392,7 @@ def test_dfs_order_walks_paths_deeper_than_the_recursion_limit():
 def test_dfs_order_requires_strong_connectivity():
     with pytest.raises(ValueError, match="strongly connected"):
         dfs_order(edgeless_graph(3), start=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"start 5 is not an agent id in \[0, 3\)"):
         dfs_order(line_graph(3), start=5)
 
 

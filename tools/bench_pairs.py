@@ -9,7 +9,7 @@ compare against, for example made with `git archive`):
 
     python3 tools/bench_pairs.py --before PARENT --after . --out BENCH_name.json
 
-For each workload, PAIRS pairs (or --pairs) of `bench/run.py --trace 0` runs
+For each workload, PAIRS pairs (or --pairs, at least 2) of `bench/run.py --trace 0` runs
 at seed SEED (or --seed, to measure on a seed not used while writing the change),
 one per checkout, each run from its own checkout so that it measures that
 checkout's src/ and lasting the benchmark's fixed run length (`run_seconds`
@@ -105,6 +105,8 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=PAIRS, help=f"pairs of runs per workload (default {PAIRS})")
     ap.add_argument("--key", help="write under this key of --out, keeping the rest of the file")
     args = ap.parse_args()
+    if args.pairs < 2:  # the quartiles need two runs a side
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
     sides = [("before", args.before), ("after", args.after)]
     problems = []
     results = []
