@@ -16,7 +16,7 @@ from itertools import chain, product
 from typing import Sequence
 
 from meshcoord.objective import GroundElement, Objective
-from meshcoord.topology import InfoDag, MeshGraph, _int_value, dfs_order, full_access_dag, shortest_hops
+from meshcoord.topology import InfoDag, MeshGraph, _int_values, dfs_order, full_access_dag, shortest_hops
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -180,84 +180,62 @@ def run_rag(
     )
 
 
-@dataclass(frozen=True)
-class _Schedule:
-    """The fields of a sequential outcome that follow from the DAG and the relay graph alone."""
+def _schedule(algorithm: str, dag: InfoDag, g: MeshGraph | None) -> dict:
+    """The keyword fields of a sequential outcome that follow from the DAG and g alone.
 
-    algorithm: str
-    dag: InfoDag
-    relayed: bool
-    selection_order: tuple[int, ...]
-    events: tuple[IterationEvent, ...]
-    relay_action_transmissions: int
-    committed_in_neighbors: tuple[frozenset[int], ...]
-
-
-def _schedule(algorithm: str, dag: InfoDag, g: MeshGraph | None, relayed: bool) -> _Schedule:
-    """Everything of a sequential run but its picks, checked before any agent scores.
-
-    Each hand-off relays all commits so far along g's shortest directed
-    path, one breadth-first search each, or one hop without a graph; an
-    unreachable hand-off raises here. relayed=False counts no relay.
+    Checked before any agent scores. In sg and dfs-sg each hand-off relays
+    all commits so far along g's shortest directed path, one breadth-first
+    search each, or one hop without a graph; an unreachable hand-off raises
+    here. dsm relays nothing: it is the value-level rule and models no
+    hand-off.
     """
     order = dag.order
     n = len(order)
     relay = 0
-    if relayed:
-        for pos in range(1, n):
-            src, i = order[pos - 1], order[pos]
-            hops = 1 if g is None else shortest_hops(g, src, i)
-            if hops is None:
-                raise ValueError(f"no directed path from agent {src} to agent {i} for the hand-off")
-            relay += pos * hops
+    for pos in range(1, n) if algorithm != "dsm" else ():
+        src, i = order[pos - 1], order[pos]
+        hops = 1 if g is None else shortest_hops(g, src, i)
+        if hops is None:
+            raise ValueError(f"no directed path from agent {src} to agent {i} for the hand-off")
+        relay += pos * hops
     events = []
     for pos, i in enumerate(order):
         agent = frozenset([i])
         events.append(IterationEvent(pos + 1, agent, False, agent, pos + 1 < n))
     positions = sorted(range(n), key=order.__getitem__)  # agent i decides at positions[i]
-    return _Schedule(
+    return dict(
         algorithm=algorithm,
-        dag=dag,
-        relayed=relayed,
         selection_order=tuple(pos + 1 for pos in positions),
         events=tuple(events),
+        gain_rounds=0,
+        action_rounds=n - 1,
         relay_action_transmissions=relay,
         committed_in_neighbors=tuple(dag.access[pos] for pos in positions),
     )
 
 
-def _run_sequential(obj: Objective, schedule: _Schedule) -> CoordinationOutcome:
-    """One agent at a time in the schedule's order, each conditioning on its access set.
+def _run_sequential(obj: Objective, schedule: dict) -> CoordinationOutcome:
+    """One agent at a time, each conditioning on its access set; schedule is _schedule's fields.
 
-    An agent that sees every predecessor scores against the running state
+    The agent deciding at each position is that event's one selector. An
+    agent that sees every predecessor scores against the running state
     (one free extend per commit), any other against a state built from its
-    access set; either way it costs |V_i| evaluations. A schedule that is
-    not relayed is the value-level rule: the value, which no agent learns,
-    is evaluated once at the end.
+    access set; either way it costs |V_i| evaluations. dsm's value, which
+    no agent learns because nothing is relayed, is evaluated once at the end.
     """
-    n = obj.n_agents
-    dag = schedule.dag
-    chosen: dict[int, GroundElement] = {}
+    access = schedule["committed_in_neighbors"]
+    chosen: list[GroundElement | None] = [None] * obj.n_agents
     running = obj.context()
-    for pos, i in enumerate(dag.order):
-        access = dag.access[pos]
-        state = running if len(access) == pos else obj.context(chosen[j] for j in access)
+    for pos, event in enumerate(schedule["events"]):
+        (i,) = event.selectors
+        state = running if len(access[i]) == pos else obj.context(chosen[j] for j in access[i])
         value, chosen[i] = _pick(i, obj._menu_values(i, state))
         running = obj.extend(running, chosen[i])
-
-    actions = tuple(chosen[i] for i in range(n))
-    return CoordinationOutcome(
-        algorithm=schedule.algorithm,
-        actions=actions,
-        value=value if schedule.relayed else obj.evaluate(actions),
-        selection_order=schedule.selection_order,
-        events=schedule.events,
-        eval_counts=obj.action_counts,  # each agent scores its whole menu once
-        gain_rounds=0,
-        action_rounds=n - 1,
-        relay_action_transmissions=schedule.relay_action_transmissions,
-        committed_in_neighbors=schedule.committed_in_neighbors,
-    )
+    actions = tuple(chosen)
+    if schedule["algorithm"] == "dsm":
+        value = obj.evaluate(actions)
+    # eval_counts: each agent scored its whole menu once
+    return CoordinationOutcome(actions=actions, value=value, eval_counts=obj.action_counts, **schedule)
 
 
 def run_sg(
@@ -282,28 +260,27 @@ def run_sg(
         raise ValueError("order must be a permutation of all agents")
     if g is not None and g.n != obj.n_agents:
         raise ValueError("graph and objective disagree on the number of agents")
-    return _run_sequential(obj, _schedule("sg", full_access_dag(order), g, relayed=True))
+    return _run_sequential(obj, _schedule("sg", full_access_dag(order), g))
 
 
 def run_dsm(obj: Objective, dag: InfoDag) -> CoordinationOutcome:
     """Sequential rule with partial predecessor access per the InfoDag.
 
-    Value-level only: no relay model (relay_action_transmissions stays 0;
-    full-access DAGs reproduce run_sg's selections and value but not its
-    hand-off accounting). The conditioning value f(A_access) is unknown to
-    the agent, so scoring uses augmented-context values, |V_i| evaluations
-    per agent, and the outcome value is evaluated once at the end. Access
-    ids are any integer type but bool, stored as int.
+    Value-level only: each agent reads its access set's actions with no
+    message model behind them, so dsm relays nothing
+    (relay_action_transmissions stays 0; full-access DAGs reproduce run_sg's
+    selections and value but not its hand-off accounting). The conditioning
+    value f(A_access) is unknown to the agent, so scoring uses
+    augmented-context values, |V_i| evaluations per agent, and the outcome
+    value is evaluated once at the end. Access ids are any integer type but
+    bool, stored as int.
     """
     if len(dag.order) != obj.n_agents:
         raise ValueError("dag and objective disagree on the number of agents")
     if not set(map(type, chain.from_iterable(dag.access))) <= {int}:  # the type check runs at C speed
-        access = [
-            frozenset([_int_value(j, f"access at position {pos} holds") for j in ids])
-            for pos, ids in enumerate(dag.access)
-        ]
+        access = (frozenset(_int_values(ids, f"access at position {pos} holds")) for pos, ids in enumerate(dag.access))
         dag = replace(dag, access=tuple(access))
-    return _run_sequential(obj, _schedule("dsm", dag, None, relayed=False))
+    return _run_sequential(obj, _schedule("dsm", dag, None))
 
 
 def run_dfs_sg(obj: Objective, g: MeshGraph, start: int) -> CoordinationOutcome:
@@ -314,7 +291,7 @@ def run_dfs_sg(obj: Objective, g: MeshGraph, start: int) -> CoordinationOutcome:
     """
     if g.n != obj.n_agents:  # checked before the walk, which costs Θ(n²) for its DAG
         raise ValueError("graph and objective disagree on the number of agents")
-    return _run_sequential(obj, _schedule("dfs-sg", dfs_order(g, start), g, relayed=True))
+    return _run_sequential(obj, _schedule("dfs-sg", dfs_order(g, start), g))
 
 
 def run_random_baseline(obj: Objective, rng) -> CoordinationOutcome:

@@ -13,6 +13,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from meshcoord.objective import (
+    _MISSION_SIZE_LIMIT,
     CallableObjective,
     GridCoverageObjective,
     GroundElement,
@@ -32,21 +33,6 @@ from meshcoord.topology import (
 MOVES = (
     (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1),
 )
-
-# the most world cells, and the most agents, a mission may have: 2^22, just
-# above the 2,000 x 2,000 world of README's 450-agent mission. Peak RSS of one
-# run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
-# 648 MB, as every destination keeps a footprint as wide as the world; a
-# 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
-# an agent); a mission of no steps in a 2,048 x 2,048 world, 32 MB, as the
-# draw holds one byte a cell. Past the limit either size fails by name,
-# before anything is drawn. scaling_instance's world holds 36 cells an
-# agent, so it admits at most 2^22 // 36 = 116,508 agents.
-# random_coverage_instance's graphs hold up to n^2 edges and its menus n *
-# max_actions actions, for n = max_agents, so n * (n + max_actions) is held to
-# the limit. At its edge, 2,047 agents of 2 actions on a complete graph peaked
-# at 806 MB (within a 1 GiB address-space cap); 64 agents of 65,472, 217 MB.
-_MISSION_SIZE_LIMIT = 1 << 22
 
 
 def _clip_move(

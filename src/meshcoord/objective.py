@@ -17,7 +17,7 @@ from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from meshcoord.topology import _int_value
+from meshcoord.topology import _int_value, _int_values
 
 # tolerance for float-valued objectives in the exhaustive checks; coverage
 # values are integer counts and never need it
@@ -25,6 +25,22 @@ _EPS = 1e-9
 
 # the largest ground set the exhaustive checks enumerate: a 2^16-entry subset table
 _EXHAUSTIVE_LIMIT = 16
+
+# the most world cells, and the most agents, a mission may have: 2^22, just
+# above the 2,000 x 2,000 world of README's 450-agent mission. Peak RSS of one
+# run_mission (Python 3.11, 2-core x86-64 Linux): that mission's first step,
+# 648 MB, as every destination keeps a footprint as wide as the world; a
+# 400,000-agent random-rule step in a 100 x 100 world, 956 MB (about 2.3 KB
+# an agent); a mission of no steps in a 2,048 x 2,048 world, 32 MB, as the
+# draw holds one byte a cell. Past the limit either size fails by name,
+# before anything is drawn. scaling_instance's world holds 36 cells an
+# agent, so it admits at most 2^22 // 36 = 116,508 agents.
+# random_coverage_instance's graphs hold up to n^2 edges and its menus n *
+# max_actions actions, for n = max_agents, so n * (n + max_actions) is held to
+# the limit. At its edge, 2,047 agents of 2 actions on a complete graph peaked
+# at 716 MB (within a 1 GiB address-space cap); 64 agents of 65,472, 217 MB.
+# A DiskCoverageObjective arena holds at most this many cells.
+_MISSION_SIZE_LIMIT = 1 << 22
 
 
 class GroundElement(NamedTuple):
@@ -57,9 +73,7 @@ class Objective:
     _known_submodular = False  # True where every instance is submodular; bound_report checks the rest
 
     def __init__(self, action_counts: Sequence[int]):
-        counts = tuple(action_counts)
-        if not set(map(type, counts)) <= {int}:  # the type check runs at C speed
-            counts = tuple(_int_value(c, f"action_counts[{i}] is") for i, c in enumerate(counts))
+        counts = _int_values(action_counts, "action_counts[{}] is")
         if not counts or any(c < 1 for c in counts):
             raise ValueError("every agent needs at least one action")
         self.action_counts = counts
@@ -485,13 +499,22 @@ def _checked_mask(mask: int, agent: int, action: int) -> int:
     return mask
 
 
+def _isfinite(x, name: str) -> bool:
+    """math.isfinite(x), or ValueError naming x where it is past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
+
+
 class DiskCoverageObjective(_UnionMaskObjective):
     """Rasterized area (m^2) of the union of sensing disks, clipped to an arena.
 
     centers[i][a] is the disk center (meters) for agent i's action a; every
     disk has the same sensing_radius. A cell counts as covered when its center
     lies within the radius, so all area equalities hold only up to one
-    boundary-cell layer per disk.
+    boundary-cell layer per disk. An arena of more than _MISSION_SIZE_LIMIT
+    cells at the given resolution raises before any disk is built.
     """
 
     def __init__(
@@ -501,25 +524,31 @@ class DiskCoverageObjective(_UnionMaskObjective):
         arena: tuple[float, float, float, float],
         resolution: int = 10,
     ):
-        if not (math.isfinite(sensing_radius) and sensing_radius > 0):
+        if not (_isfinite(sensing_radius, "sensing_radius") and sensing_radius > 0):
             raise ValueError(f"sensing_radius must be positive and finite, got {sensing_radius!r}")
-        if not (math.isfinite(resolution) and resolution >= 1 and resolution % 1 == 0):
+        if not (_isfinite(resolution, "resolution") and resolution >= 1 and resolution % 1 == 0):
             raise ValueError(
                 f"resolution must be a whole number of cells per meter, at least 1, got {resolution!r}"
             )
         for name, bound in zip(("xmin", "ymin", "xmax", "ymax"), arena):
-            if not math.isfinite(bound):
+            if not _isfinite(bound, f"arena bound {name}"):
                 raise ValueError(f"arena bound {name} must be finite, got {bound!r}")
         xmin, ymin, xmax, ymax = arena
         if not (xmax > xmin and ymax > ymin):
             raise ValueError("arena must have positive extent")
+        # cells per side, capped just past the limit so that ceil never meets an overflowed inf
+        self._nx = math.ceil(min((xmax - xmin) * resolution, _MISSION_SIZE_LIMIT + 1))
+        self._ny = math.ceil(min((ymax - ymin) * resolution, _MISSION_SIZE_LIMIT + 1))
+        if self._nx * self._ny > _MISSION_SIZE_LIMIT:
+            raise ValueError(f"the arena at resolution {resolution!r} has more than {_MISSION_SIZE_LIMIT:,} cells")
         self.sensing_radius = float(sensing_radius)
         self.arena = (float(xmin), float(ymin), float(xmax), float(ymax))
         self.resolution = int(resolution)
-        self._nx = math.ceil((xmax - xmin) * resolution)
-        self._ny = math.ceil((ymax - ymin) * resolution)
         self.cell_area = 1.0 / (resolution * resolution)
-        self.centers = tuple(tuple((float(x), float(y)) for x, y in per_agent) for per_agent in centers)
+        try:
+            self.centers = tuple(tuple((float(x), float(y)) for x, y in per_agent) for per_agent in centers)
+        except OverflowError:
+            raise ValueError("centers hold a coordinate past the float range") from None
         for i, per_agent in enumerate(self.centers):
             for a, center in enumerate(per_agent):
                 if not all(map(math.isfinite, center)):
@@ -543,11 +572,12 @@ class DiskCoverageObjective(_UnionMaskObjective):
         for iy in range(iy_lo, iy_hi + 1):
             py = ymin + (iy + 0.5) / res
             dy2 = (py - cy) ** 2
-            row_base = iy * self._nx
+            row = 0  # bit k is cell ix_lo + k, shifted into place once per row
             for ix in range(ix_lo, ix_hi + 1):
                 px = xmin + (ix + 0.5) / res
                 if (px - cx) ** 2 + dy2 <= r2:
-                    mask |= 1 << (row_base + ix)
+                    row |= 1 << (ix - ix_lo)
+            mask |= row << (iy * self._nx + ix_lo)
         return mask
 
 
@@ -766,7 +796,7 @@ def coin(
     a_i's value). Always within [0, f(a_i)] for monotone submodular f.
     """
     agent = _int_value(agent, "agent")
-    nbrs = {_int_value(j, "neighborhood lists agent id") for j in neighborhood}
+    nbrs = set(_int_values(neighborhood, "neighborhood lists agent id"))
     if agent in nbrs:
         raise ValueError("agent may not appear in its own neighborhood")
     n = obj.n_agents

@@ -31,8 +31,9 @@ from meshcoord.coordination import (
     run_rag,
     run_random_baseline,
 )
-from meshcoord.instances import _MISSION_SIZE_LIMIT, MOVES, _clip_move
+from meshcoord.instances import MOVES, _clip_move
 from meshcoord.objective import (
+    _MISSION_SIZE_LIMIT,
     _UnionMaskObjective,
     parse_road_mask,
     random_road_mask,
@@ -318,14 +319,14 @@ def run_mission(cfg: MissionConfig, trial: int = 0, *, _world: _World | None = N
     rng_alg.shuffle(order)
     schedule = None
     if cfg.algorithm == "sg":
-        schedule = _schedule("sg", full_access_dag(order), None, relayed=True)
+        schedule = _schedule("sg", full_access_dag(order), None)
     elif cfg.algorithm == "dfs-sg":
         max_extra = n * (n - 1) // 2 - (n - 1)
         dfs_graph = strongly_connected_line_plus(
             n, min(2 * n, max_extra), seed=rng_alg.randrange(2**32)
         )
         dfs_start = rng_alg.randrange(n)
-        schedule = _schedule("dfs-sg", dfs_order(dfs_graph, dfs_start), dfs_graph, relayed=True)
+        schedule = _schedule("dfs-sg", dfs_order(dfs_graph, dfs_start), dfs_graph)
 
     covered = 0
     records: list[StepRecord] = []

@@ -28,23 +28,20 @@ class MeshGraph:
         if len(in_neighbors) != n:
             raise ValueError("need one in-neighborhood per agent")
         ins = []
-        outs: list[set[int]] = [set() for _ in range(n)]
+        outs: list[list[int]] = [[] for _ in range(n)]  # each frozen once below
         agents = frozenset(range(n))
         for i, nbrs in enumerate(in_neighbors):
-            ids = tuple(nbrs)
-            if not set(map(type, ids)) <= {int}:  # the type check runs at C speed
-                ids = [_int_value(j, f"agent {i} lists neighbor id") for j in ids]
-            fs = frozenset(ids)
+            fs = frozenset(_int_values(nbrs, f"agent {i} lists neighbor id"))
             if i in fs:
                 raise ValueError(f"agent {i} lists itself as a neighbor")
             if not fs <= agents:
                 raise ValueError(f"agent {i} lists unknown agent ids")
             ins.append(fs)
             for j in fs:
-                outs[j].add(i)
+                outs[j].append(i)
         self.n = n
         self.in_neighbors: tuple[frozenset[int], ...] = tuple(ins)
-        self.out_neighbors: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in outs)
+        self.out_neighbors: tuple[frozenset[int], ...] = tuple(map(frozenset, outs))
 
     def edge_count(self) -> int:
         return sum(len(s) for s in self.in_neighbors)
@@ -72,6 +69,14 @@ def _int_value(j, where: str) -> int:
     raise ValueError(f"{where} {j!r}, which is not an int")
 
 
+def _int_values(xs: Iterable, where: str) -> tuple[int, ...]:
+    """xs as a tuple of ints, each as _int_value takes it; where may hold {} for the position."""
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {int}:  # the type check runs at C speed
+        return xs
+    return tuple(_int_value(x, where.format(pos)) for pos, x in enumerate(xs))
+
+
 @dataclass(frozen=True)
 class InfoDag:
     """A decision order plus, per position, the earlier agents it may condition on.
@@ -83,9 +88,7 @@ class InfoDag:
     access: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if not set(map(type, self.order)) <= {int}:  # the type check runs at C speed
-            order = tuple(_int_value(a, f"order position {pos} holds") for pos, a in enumerate(self.order))
-            object.__setattr__(self, "order", order)
+        object.__setattr__(self, "order", _int_values(self.order, "order position {} holds"))
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of 0..n-1")

@@ -8,9 +8,12 @@ that shifted the whole mask once per window, and window_pairs, the clip of
 int masks wider than one window that the span split through
 objective._clipped_pairs replaced. And so is list_road_mask, random_road_mask
 as it was when it carved the world into one list of bools per row, about
-9 bytes a cell, before rows became bytearrays.
+9 bytes a cell, before rows became bytearrays. And disk_mask,
+DiskCoverageObjective's disk as it was rasterized one world-wide OR per
+cell, before each row was built apart and shifted into place once.
 """
 
+import math
 from typing import Sequence
 
 from meshcoord import objective
@@ -144,3 +147,26 @@ def list_road_mask(rng, width: int, height: int, density: float, corridor_width:
             x0 = rng.randrange(width)
             covered += carve(range(x0, min(x0 + corridor_width, width)), range(height))
     return ["".join("#" if c else "." for c in row) for row in road]
+
+
+def disk_mask(disk, center: tuple[float, float]) -> int:
+    """The disk's cells at center as one bitmask, set one world-wide bit at a time."""
+    cx, cy = center
+    xmin, ymin, _, _ = disk.arena
+    res = disk.resolution
+    r = disk.sensing_radius
+    r2 = r * r
+    ix_lo = max(0, math.floor((cx - r - xmin) * res))
+    ix_hi = min(disk._nx - 1, math.ceil((cx + r - xmin) * res))
+    iy_lo = max(0, math.floor((cy - r - ymin) * res))
+    iy_hi = min(disk._ny - 1, math.ceil((cy + r - ymin) * res))
+    mask = 0
+    for iy in range(iy_lo, iy_hi + 1):
+        py = ymin + (iy + 0.5) / res
+        dy2 = (py - cy) ** 2
+        row_base = iy * disk._nx
+        for ix in range(ix_lo, ix_hi + 1):
+            px = xmin + (ix + 0.5) / res
+            if (px - cx) ** 2 + dy2 <= r2:
+                mask |= 1 << (row_base + ix)
+    return mask

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cell_reference import list_road_mask, rect_footprint
+from cell_reference import disk_mask, list_road_mask, rect_footprint
 from conftest import coverage_instance
 from meshcoord import objective
 from meshcoord.instances import logdet_toy, modular_objective, supermodular_toy
@@ -668,6 +668,53 @@ def test_disk_rejects_non_finite_inputs_by_name(bad):
     for center in ((bad, 0.5), (0.5, bad)):
         with pytest.raises(ValueError, match="center of agent 1 action 0"):
             DiskCoverageObjective([[(0.5, 0.5)], [center]], 1.0, arena=(0, 0, 1, 1))
+
+
+def test_disk_rejects_integers_past_the_float_range_by_name():
+    huge = 10**400
+    with pytest.raises(ValueError, match="^sensing_radius is past the float range$"):
+        DiskCoverageObjective([[(0.0, 0.0)]], huge, arena=(0, 0, 1, 1))
+    with pytest.raises(ValueError, match="^resolution is past the float range$"):
+        DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0, 0, 1, 1), resolution=huge)
+    for k, name in enumerate(("xmin", "ymin", "xmax", "ymax")):
+        arena = [0, 0, 1, 1]
+        arena[k] = huge if k >= 2 else -huge
+        with pytest.raises(ValueError, match=f"^arena bound {name} is past the float range$"):
+            DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=tuple(arena))
+    for center in ((huge, 0.5), (0.5, -huge)):
+        with pytest.raises(ValueError, match="^centers hold a coordinate past the float range$"):
+            DiskCoverageObjective([[(0.5, 0.5)], [center]], 1.0, arena=(0, 0, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "arena, resolution",
+    [
+        ((0.0, 0.0, 2049.0, 2048.0), 1),
+        ((0.0, 0.0, 10.0, 10.0), 10**308),
+        ((-1e308, 0.0, 1e308, 1.0), 1),
+    ],
+    ids=["one-row-past-the-limit", "cells-past-the-float-range", "meters-past-the-float-range"],
+)
+def test_disk_refuses_an_arena_past_the_cell_limit_by_name(arena, resolution):
+    with pytest.raises(ValueError, match=rf"^the arena at resolution {resolution} has more than 4,194,304 cells$"):
+        DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=arena, resolution=resolution)
+    # the limit itself is admitted
+    disk = DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0.0, 0.0, 2048.0, 2048.0), resolution=1)
+    assert disk._nx * disk._ny == objective._MISSION_SIZE_LIMIT
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-3.0, 13.0),
+    st.floats(-3.0, 13.0),
+    st.floats(0.05, 6.0),
+    st.integers(1, 7),
+    st.floats(-2.0, 2.0),
+    st.floats(0.3, 9.0),
+)
+def test_disk_rows_shifted_once_match_the_per_cell_mask(cx, cy, radius, resolution, lo, side):
+    disk = DiskCoverageObjective([[(cx, cy)]], radius, arena=(lo, lo, lo + side, lo + 0.7 * side), resolution=resolution)
+    assert disk._disk_mask((cx, cy)) == disk_mask(disk, (cx, cy))
 
 
 def test_parse_road_mask_roundtrip():

@@ -153,3 +153,24 @@ def test_a_sweep_of_a_billion_missions_exits_2_before_indexing_them(tmp_path):
     """,
         timeout=2,
     )
+
+
+ARENA_PAST_THE_CELL_LIMIT = """
+    from meshcoord.objective import DiskCoverageObjective
+    try:
+        DiskCoverageObjective([[(5.0, 5.0)]], 1.0, arena=(0.0, 0.0, 10.0, 10.0), resolution={resolution})
+    except ValueError as exc:
+        assert "resolution" in str(exc) and "arena" in str(exc), exc
+    else:
+        raise AssertionError("an arena past the cell limit was built")
+"""
+
+
+def test_disk_arena_of_10_to_the_12_cells_fails_by_name():
+    # its world-wide mask alone is 125 GB: this used to raise a bare MemoryError
+    run_capped(ARENA_PAST_THE_CELL_LIMIT.format(resolution=10**5), timeout=2)
+
+
+def test_disk_arena_of_10_to_the_8_cells_fails_by_name():
+    # this used to rasterize 10^8 cells, still running after 20 s
+    run_capped(ARENA_PAST_THE_CELL_LIMIT.format(resolution=1000), timeout=2)

@@ -24,6 +24,9 @@ eval_count delta), and likewise what run_rag plus bound_report charge on
 each report of the certify corpus. A run that is not correct, has a failed
 operation, or charges other evaluations than the other checkout makes the
 script exit 1.
+Next to the machine it records each checkout's src/meshcoord line count,
+total and per module, so a design change's net line count is kept with its
+pairs.
 With --key, the comparison is written to --out under that key, next to
 whatever the file already holds.
 """
@@ -96,6 +99,11 @@ def eval_counts(root: str, seed: int) -> dict:
     return json.loads(done.stdout)
 
 
+def source_lines(root: str) -> dict:
+    modules = {p.name: len(p.read_text().splitlines()) for p in sorted(Path(root, "src", "meshcoord").glob("*.py"))}
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="root of the checkout to compare against")
@@ -147,6 +155,7 @@ def main() -> int:
             "start_method": multiprocessing.get_start_method(),
             "platform": platform.platform(),
         },
+        "source_lines": {side: source_lines(root) for side, root in sides},
         "seed": args.seed,
         "seconds_per_run": SECONDS,
         "pairs": args.pairs,
