@@ -7,10 +7,9 @@ of the communication topology (apriori_bound, approx_greedy_bound) or the
 per-agent commit contexts recorded in the outcome (aposteriori_bound);
 curvature_only_bound needs neither. The caller measures the terms once, with
 brute_force_optimum, curvature and coin_sum, and passes them to every
-formula that needs them. bound_report measures them all for one outcome:
-on small instances the optimum comes from the brute-force oracle and the
-report is certified; large instances may substitute a surrogate optimum and
-are flagged uncertified.
+formula that needs them. bound_report measures them all for one outcome,
+with the optimum from the brute-force oracle; a caller holding a surrogate
+optimum applies the formulas to it instead.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ from meshcoord.topology import MeshGraph, is_complete
 class BoundReport:
     """All bound values for one outcome, plus the measures behind them.
 
-    certified is True when optimum_value came from the exhaustive oracle;
-    c_total and curvature_only are None when the ground set exceeds the
+    optimum_value comes from the exhaustive oracle, so certified is always
+    True and eta always 1.0; both stay as fields since the bounds.csv
+    certified column and the benchmark's report digests read them. c_total
+    and curvature_only are None when the ground set exceeds the
     exhaustive-check guard.
     """
 
@@ -113,21 +114,13 @@ def curvature_only_bound(opt: float, complete: bool, submodular: bool, k: float)
     return (1.0 - k) ** 2 * opt
 
 
-def bound_report(
-    obj: Objective,
-    g: MeshGraph,
-    outcome: CoordinationOutcome,
-    eta: float = 1.0,
-    optimum_value: float | None = None,
-) -> BoundReport:
-    """Evaluates every bound for one outcome.
+def bound_report(obj: Objective, g: MeshGraph, outcome: CoordinationOutcome) -> BoundReport:
+    """Evaluates every bound for one outcome, at eta = 1, against the brute-force optimum.
 
-    optimum_value left as None runs the brute-force oracle and marks the
-    report certified; passing a surrogate (e.g. a sequential-greedy value on
-    instances beyond the oracle guard) marks it uncertified. Up to 16 ground
-    elements, the total curvature comes from one subset table, charged 2^m
-    evaluations for m elements, and so does the submodularity check, which
-    coverage objectives skip since their class states it (see _table_terms).
+    Up to 16 ground elements, the total curvature comes from one subset
+    table, charged 2^m evaluations for m elements, and so does the
+    submodularity check, which coverage objectives skip since their class
+    states it (see _table_terms).
     A coverage objective that counts whole cells (cell_area 1.0) builds no
     table: each element's least gain in it is the cells only that element
     covers and its greatest is its own count, the very integers kappa
@@ -135,10 +128,7 @@ def bound_report(
     as if the table were built. Past the guard c_total and curvature_only
     are left out, uncharged.
     """
-    if not 0 < eta <= 1:
-        raise ValueError("eta must be in (0, 1]")
-    certified = optimum_value is None
-    opt = brute_force_optimum(obj)[1] if certified else optimum_value
+    opt = brute_force_optimum(obj)[1]
     kappa = curvature(obj)
     coins = coin_sum(obj, g, outcome.actions)
 
@@ -157,14 +147,14 @@ def bound_report(
         algorithm_value=outcome.value,
         optimum_value=opt,
         apriori=apriori_bound(opt, kappa, coins),
-        apriori_centralized=opt / (1.0 + kappa),
-        apriori_decentralized_floor=(1.0 - kappa) * opt,
+        apriori_centralized=curvature_only_bound(opt, True, True, kappa),
+        apriori_decentralized_floor=curvature_only_bound(opt, False, True, kappa),
         aposteriori=aposteriori_bound(obj, outcome, opt, kappa),
-        approx_greedy=approx_greedy_bound(opt, kappa, coins, eta),
+        approx_greedy=approx_greedy_bound(opt, kappa, coins, 1.0),
         curvature_only=curvature_only,
         coin_sum=coins,
         kappa=kappa,
         c_total=c_total,
-        eta=eta,
-        certified=certified,
+        eta=1.0,
+        certified=True,
     )

@@ -78,36 +78,22 @@ class ExperimentConfig:
     output_dir: str = "out"
     emit: frozenset[str] = frozenset({"traces", "aggregates"})
 
-    def variations(self) -> list[tuple[str, int, int, float]]:
-        """The sweep product as (algorithm, k, n_agents, data_rate_mbps) rows.
-
-        Empty sweep lists fall back to the mission's own value, so the
-        product is never empty.
-        """
-        m = self.mission
-        algorithms = self.sweep_algorithm or (m.algorithm,)
-        ks = self.sweep_k or (m.k,)
-        ns = self.sweep_n_agents or (m.n_agents,)
-        rates = self.sweep_data_rate_mbps or (m.data_rate_mbps,)
-        return [
-            (a, k, n, r)
-            for a in algorithms
-            for k in ks
-            for n in ns
-            for r in rates
-        ]
-
     def __post_init__(self) -> None:
-        # building every variation's MissionConfig checks it, so a bad one fails here
+        # the sweep product; an empty sweep list falls back to the mission's own
+        # value, so it is never empty, and building each MissionConfig checks it
+        m = self.mission
         missions = tuple(
-            replace(self.mission, algorithm=a, k=k, n_agents=n, data_rate_mbps=r)
-            for a, k, n, r in self.variations()
+            replace(m, algorithm=a, k=k, n_agents=n, data_rate_mbps=r)
+            for a in self.sweep_algorithm or (m.algorithm,)
+            for k in self.sweep_k or (m.k,)
+            for n in self.sweep_n_agents or (m.n_agents,)
+            for r in self.sweep_data_rate_mbps or (m.data_rate_mbps,)
         )
         _sweep_missions(missions)
         object.__setattr__(self, "_missions", missions)
 
     def missions(self) -> list[MissionConfig]:
-        """One MissionConfig per sweep variation, in variations() order, built at construction."""
+        """One MissionConfig per sweep variation, the last sweep key varying fastest, built at construction."""
         return list(self._missions)
 
 

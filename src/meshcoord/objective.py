@@ -17,7 +17,7 @@ from itertools import chain, compress, cycle, repeat
 from operator import sub, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from meshcoord.topology import _int_value, _int_values
+from meshcoord.topology import _int_value, _int_values, _isfinite
 
 # tolerance for float-valued objectives in the exhaustive checks; coverage
 # values are integer counts and never need it
@@ -499,14 +499,6 @@ def _checked_mask(mask: int, agent: int, action: int) -> int:
     return mask
 
 
-def _isfinite(x, name: str) -> bool:
-    """math.isfinite(x), or ValueError naming x where it is past the float range."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        raise ValueError(f"{name} is past the float range") from None
-
-
 class DiskCoverageObjective(_UnionMaskObjective):
     """Rasterized area (m^2) of the union of sensing disks, clipped to an arena.
 
@@ -541,6 +533,8 @@ class DiskCoverageObjective(_UnionMaskObjective):
         self._ny = math.ceil(min((ymax - ymin) * resolution, _MISSION_SIZE_LIMIT + 1))
         if self._nx * self._ny > _MISSION_SIZE_LIMIT:
             raise ValueError(f"the arena at resolution {resolution!r} has more than {_MISSION_SIZE_LIMIT:,} cells")
+        if not _isfinite(resolution * resolution, "resolution squared"):  # the cell area below divides by it
+            raise ValueError("resolution squared is past the float range")
         self.sensing_radius = float(sensing_radius)
         self.arena = (float(xmin), float(ymin), float(xmax), float(ymax))
         self.resolution = int(resolution)
@@ -564,10 +558,12 @@ class DiskCoverageObjective(_UnionMaskObjective):
         res = self.resolution
         r = self.sensing_radius
         r2 = r * r
-        ix_lo = max(0, math.floor((cx - r - xmin) * res))
-        ix_hi = min(self._nx - 1, math.ceil((cx + r - xmin) * res))
-        iy_lo = max(0, math.floor((cy - r - ymin) * res))
-        iy_hi = min(self._ny - 1, math.ceil((cy + r - ymin) * res))
+        # index bounds clamped in floats, to one past the arena at most, so that
+        # floor and ceil never meet the inf of a disk far outside, which covers nothing
+        ix_lo = math.floor(min(max((cx - r - xmin) * res, 0.0), self._nx))
+        ix_hi = math.ceil(max(min((cx + r - xmin) * res, self._nx - 1.0), -1.0))
+        iy_lo = math.floor(min(max((cy - r - ymin) * res, 0.0), self._ny))
+        iy_hi = math.ceil(max(min((cy + r - ymin) * res, self._ny - 1.0), -1.0))
         mask = 0
         for iy in range(iy_lo, iy_hi + 1):
             py = ymin + (iy + 0.5) / res
@@ -822,12 +818,16 @@ def coin_ring_bound(r_s: float, r_i: float) -> float:
 
     max(0, pi * [r_s^2 - (r_i - r_s)^2]): the annulus of agent i's disk that
     disks centered at least r_i away can reach. Meaningful for r_i >= r_s;
-    zero from r_i = 2 r_s outward.
+    zero from r_i = 2 r_s outward. Either distance r with pi * r^2 past the
+    float range raises ValueError naming it.
     """
-    if not (math.isfinite(r_s) and r_s > 0):
+    if not (_isfinite(r_s, "sensing radius r_s") and r_s > 0):
         raise ValueError(f"sensing radius r_s must be positive and finite, got {r_s!r}")
-    if not (math.isfinite(r_i) and r_i >= 0):
+    if not (_isfinite(r_i, "separation distance r_i") and r_i >= 0):
         raise ValueError(f"separation distance r_i must be non-negative and finite, got {r_i!r}")
+    for name, r in (("sensing radius r_s", r_s), ("separation distance r_i", r_i)):
+        if math.pi * r * r == math.inf:  # else (r_i - r_s) ** 2 below cannot overflow
+            raise ValueError(f"{name} {r!r} is too large: pi times its square is past the float range")
     return max(0.0, math.pi * (r_s * r_s - (r_i - r_s) ** 2))
 
 
@@ -855,10 +855,15 @@ def random_road_mask(rng, width: int, height: int, density: float, corridor_widt
     """Random corridor map: full-span road bands carved until density is reached.
 
     Deterministic in rng. The achieved density is the first value at or above
-    the target (whole corridors are carved at a time).
+    the target (whole corridors are carved at a time). A mask of more than
+    _MISSION_SIZE_LIMIT cells raises before anything is built or drawn.
     """
     if width < 1 or height < 1:
         raise ValueError("mask dimensions must be positive")
+    if width * height > _MISSION_SIZE_LIMIT:
+        raise ValueError(
+            f"width x height may be at most {_MISSION_SIZE_LIMIT:,} cells, got {width:,} x {height:,}"
+        )
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     if corridor_width < 1:

@@ -9,20 +9,19 @@ rules pay compute in sequence plus per-action-per-hop relays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from meshcoord.coordination import CoordinationOutcome
-from meshcoord.topology import MeshGraph, _int_values
+from meshcoord.topology import MeshGraph, _int_values, _isfinite
 
 
 def tau_c_from_rate(message_bytes: float, data_rate_bps: float) -> float:
     """Seconds to push one action message through a link of the given rate."""
-    if message_bytes <= 0:
-        raise ValueError("message size must be positive")
-    if data_rate_bps <= 0:
-        raise ValueError("data rate must be positive")
+    for name, v in (("message size", message_bytes), ("data rate", data_rate_bps)):
+        if v <= 0:
+            raise ValueError(f"{name} must be positive")
+        _isfinite(v, name)  # names an int past the float range before the division meets it
     return 8.0 * message_bytes / data_rate_bps
 
 
@@ -37,7 +36,7 @@ class DelayModel:
     def __post_init__(self):
         for name in ("tau_f", "tau_c", "tau_hash"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            if not _isfinite(v, name):
                 raise ValueError(f"{name} must be a finite number, got {v}")
             if v < 0:
                 raise ValueError(f"{name} may not be negative")

@@ -69,6 +69,14 @@ def _int_value(j, where: str) -> int:
     raise ValueError(f"{where} {j!r}, which is not an int")
 
 
+def _isfinite(x, name: str) -> bool:
+    """math.isfinite(x), or ValueError naming x where it is past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
+
+
 def _int_values(xs: Iterable, where: str) -> tuple[int, ...]:
     """xs as a tuple of ints, each as _int_value takes it; where may hold {} for the position."""
     xs = tuple(xs)
@@ -124,7 +132,8 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     as no coordinate lies more than 10^6 ranges from the origin. Beyond
     that, or when comm_range squared is not a positive normal float (a zero,
     infinite, NaN or underflowing range), every agent shares one cell. Two
-    ranked agents whose squared distance overflows a float raise ValueError.
+    ranked agents whose squared distance overflows a float raise ValueError,
+    as does an int coordinate or range past the float range.
     """
     if isinstance(k, bool) or not hasattr(type(k), "__index__"):
         raise ValueError(f"k must be an int, got {k!r}")
@@ -132,9 +141,13 @@ def knn_graph(positions: Sequence[tuple[float, float]], k: int, comm_range: floa
     if k < 0:
         raise ValueError("k may not be negative")
     n = len(positions)
-    for i, (x, y) in enumerate(positions):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"agent {i} has a non-finite position ({x!r}, {y!r})")
+    try:
+        for i, (x, y) in enumerate(positions):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"agent {i} has a non-finite position ({x!r}, {y!r})")
+    except OverflowError:
+        raise ValueError(f"agent {i}'s position is past the float range") from None
+    _isfinite(comm_range, "comm_range")  # an int range past the float range raises; inf and NaN pass
     if k == 0:  # nobody is kept, so nobody is ranked
         return edgeless_graph(n)
     range2 = comm_range * comm_range
@@ -254,40 +267,30 @@ def _agent_id(g: MeshGraph, j, name: str) -> int:
     return j
 
 
+def _hops(neighbors: Sequence[Iterable[int]], src: int, dst: int | None = None) -> dict[int, int]:
+    """Breadth-first hop counts from src to the agents it reaches along neighbors; stops once dst has one."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue and dst not in dist:
+        u = queue.popleft()
+        hop = dist[u] + 1
+        for v in neighbors[u]:
+            if v not in dist:
+                dist[v] = hop
+                if v == dst:
+                    break
+                queue.append(v)
+    return dist
+
+
 def shortest_hops(g: MeshGraph, src: int, dst: int) -> int | None:
     """Directed BFS hop count from agent src to agent dst of g; None when unreachable."""
     src, dst = _agent_id(g, src, "src"), _agent_id(g, dst, "dst")
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in g.out_neighbors[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == dst:
-                    return dist[v]
-                queue.append(v)
-    return None
+    return _hops(g.out_neighbors, src, dst).get(dst)
 
 
 def is_strongly_connected(g: MeshGraph) -> bool:
-    if g.n == 1:
-        return True
-
-    def reaches_all(neighbors) -> bool:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == g.n
-
-    return reaches_all(g.out_neighbors) and reaches_all(g.in_neighbors)
+    return len(_hops(g.out_neighbors, 0)) == g.n == len(_hops(g.in_neighbors, 0))
 
 
 def dfs_order(g: MeshGraph, start: int) -> InfoDag:

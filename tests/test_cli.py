@@ -158,7 +158,7 @@ def test_sweep_lists_take_commas_or_spaces():
 
 def test_variations_form_the_full_product():
     exp = parse_experiment_config("sweep_algorithm = rag sg\nsweep_k = 0 2\n")
-    rows = exp.variations()
+    rows = [(m.algorithm, m.k, m.n_agents, m.data_rate_mbps) for m in exp.missions()]
     assert len(rows) == 4
     assert rows[0] == ("rag", 0, 6, 0.25)
     assert rows[-1] == ("sg", 2, 6, 0.25)
@@ -166,7 +166,8 @@ def test_variations_form_the_full_product():
 
 def test_variations_fall_back_to_the_mission_values():
     exp = parse_experiment_config("algorithm = dsm\nk = 3\n")
-    assert exp.variations() == [("dsm", 3, 6, 0.25)]
+    rows = [(m.algorithm, m.k, m.n_agents, m.data_rate_mbps) for m in exp.missions()]
+    assert rows == [("dsm", 3, 6, 0.25)]
 
 
 def test_print_default_config_round_trips(capsys):

@@ -626,6 +626,21 @@ def test_ring_bound_rejects_non_finite_inputs_by_name(bad):
         coin_ring_bound(1.0, bad)
 
 
+@pytest.mark.parametrize(
+    "r_s, r_i, message",
+    [
+        (1e308, 1.5, r"^sensing radius r_s 1e\+308 is too large: pi times its square is past the float range$"),
+        (1.0, 1e308, r"^separation distance r_i 1e\+308 is too large: pi times its square is past the float range$"),
+        (10**400, 1.0, "^sensing radius r_s is past the float range$"),
+        (1.0, 10**400, "^separation distance r_i is past the float range$"),
+    ],
+    ids=["r_s-1e308", "r_i-1e308", "r_s-10^400", "r_i-10^400"],
+)
+def test_ring_bound_names_a_distance_past_the_float_range(r_s, r_i, message):
+    with pytest.raises(ValueError, match=message):
+        coin_ring_bound(r_s, r_i)
+
+
 def test_disk_value_is_rasterized_area():
     disk = DiskCoverageObjective([[(5.0, 5.0)]], 1.0, arena=(0.0, 0.0, 10.0, 10.0), resolution=10)
     area = disk.evaluate(disk.ground())
@@ -715,6 +730,20 @@ def test_disk_refuses_an_arena_past_the_cell_limit_by_name(arena, resolution):
 def test_disk_rows_shifted_once_match_the_per_cell_mask(cx, cy, radius, resolution, lo, side):
     disk = DiskCoverageObjective([[(cx, cy)]], radius, arena=(lo, lo, lo + side, lo + 0.7 * side), resolution=resolution)
     assert disk._disk_mask((cx, cy)) == disk_mask(disk, (cx, cy))
+
+
+def test_disk_far_outside_the_arena_covers_nothing():
+    # the last centre is just outside; the others used to overflow math.floor with an inf
+    centers = [(1e308, 5.0), (-1e308, 5.0), (5.0, 1e308), (5.0, -1e308), (1e308, -1e308), (11.5, 5.0)]
+    disk = DiskCoverageObjective([centers], 1.0, arena=(0.0, 0.0, 10.0, 10.0))
+    assert [disk.evaluate([e]) for e in disk.ground()] == [0.0] * len(centers)
+
+
+@pytest.mark.parametrize("resolution", [10**160, 1e160], ids=["int", "float"])
+def test_disk_refuses_a_resolution_whose_square_is_past_the_float_range(resolution):
+    # one cell of a 1e-300 m arena: within the cell limit, so the cell area is what overflows
+    with pytest.raises(ValueError, match="^resolution squared is past the float range$"):
+        DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0.0, 0.0, 1e-300, 1e-300), resolution=resolution)
 
 
 def test_parse_road_mask_roundtrip():
@@ -842,6 +871,17 @@ def test_random_road_mask_validation():
         random_road_mask(rng, 5, 5, 0.0)
     with pytest.raises(ValueError):
         random_road_mask(rng, 5, 5, 0.5, corridor_width=0)
+
+
+def test_random_road_mask_refuses_a_size_past_the_limit_before_drawing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for width, height in ((10**20, 1), (2049, 2048)):
+        with pytest.raises(
+            ValueError, match=f"^width x height may be at most 4,194,304 cells, got {width:,} x {height:,}$"
+        ):
+            random_road_mask(rng, width, height, 0.5)
+    assert rng.getstate() == state
 
 
 def test_rect_footprint_clips_to_grid():

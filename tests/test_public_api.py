@@ -53,14 +53,12 @@ def test_bound_formulas_take_their_measured_terms_without_defaults(name):
 
 
 def test_bound_report_takes_no_structural_option():
-    """Submodularity comes from the objective: no assume_submodular, no other option."""
+    """Submodularity comes from the objective and the optimum from brute force: no option at all."""
     params = inspect.signature(meshcoord.bound_report).parameters.values()
     assert [(p.name, p.default) for p in params] == [
         ("obj", inspect.Parameter.empty),
         ("g", inspect.Parameter.empty),
         ("outcome", inspect.Parameter.empty),
-        ("eta", 1.0),
-        ("optimum_value", None),
     ]
 
 

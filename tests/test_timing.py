@@ -66,6 +66,20 @@ def test_delay_model_rejects_non_finite_delays_by_name(field, value):
         DelayModel(**delays)
 
 
+@pytest.mark.parametrize("field", ["tau_f", "tau_c", "tau_hash"])
+def test_delay_model_names_an_int_past_the_float_range(field):
+    delays = {"tau_f": 0.001, "tau_c": 0.1, "tau_hash": 0.0, field: 10**400}
+    with pytest.raises(ValueError, match=f"^{field} is past the float range$"):
+        DelayModel(**delays)
+
+
+def test_tau_c_names_an_int_past_the_float_range():
+    with pytest.raises(ValueError, match="^message size is past the float range$"):
+        tau_c_from_rate(10**400, 1.0)
+    with pytest.raises(ValueError, match="^data rate is past the float range$"):
+        tau_c_from_rate(1024, 10**400)
+
+
 def test_rate_constructor_rejects_an_overflowing_tau_c():
     with pytest.raises(ValueError, match="tau_c must be a finite number, got inf"):
         DelayModel.from_rate(tau_f=0.001, tau_hash=0.0, message_bytes=1e308, data_rate_bps=1.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from meshcoord.topology import (
     InfoDag,
     MeshGraph,
+    _hops,
     complete_graph,
     dfs_order,
     edgeless_graph,
@@ -211,6 +212,15 @@ def test_knn_rejects_non_finite_positions():
         knn_graph([(0.0, math.inf)], k=1, comm_range=1.0)
 
 
+def test_knn_names_an_int_past_the_float_range():
+    huge = 10**400
+    for positions in ([(0.0, 0.0), (huge, 0.0)], [(0.0, 0.0), (0.0, -huge)]):
+        with pytest.raises(ValueError, match="^agent 1's position is past the float range$"):
+            knn_graph(positions, k=1, comm_range=1.0)
+    with pytest.raises(ValueError, match="^comm_range is past the float range$"):
+        knn_graph([(0.0, 0.0), (1.0, 0.0)], k=1, comm_range=huge)
+
+
 def test_line_graph_edges():
     g = line_graph(5)
     assert g.in_neighbors == (
@@ -325,6 +335,16 @@ def test_shortest_hops_unreachable_is_none():
 def test_graph_walks_reject_a_bad_agent_id_by_name(walk, args, message):
     with pytest.raises(ValueError, match=message):
         walk(line_graph(3), *args)
+
+
+def test_hops_counts_every_reached_agent_or_stops_once_dst_has_one():
+    g = line_graph(5)
+    assert _hops(g.out_neighbors, 0) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    assert _hops(g.out_neighbors, 0, 2) == {0: 0, 1: 1, 2: 2}
+    assert _hops(g.out_neighbors, 3, 3) == {3: 0}
+    g = MeshGraph(3, [[], [0], []])  # only 0 -> 1 exists
+    assert _hops(g.out_neighbors, 0, 2) == {0: 0, 1: 1}
+    assert _hops(g.in_neighbors, 1) == {1: 0, 0: 1}
 
 
 def test_strong_connectivity():

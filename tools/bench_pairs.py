@@ -25,8 +25,9 @@ each report of the certify corpus. A run that is not correct, has a failed
 operation, or charges other evaluations than the other checkout makes the
 script exit 1.
 Next to the machine it records each checkout's src/meshcoord line count,
-total and per module, so a design change's net line count is kept with its
-pairs.
+total and per module, and under "net" the change's net line count (after
+minus before, total and per module), so a design change's net count is kept
+with its pairs.
 With --key, the comparison is written to --out under that key, next to
 whatever the file already holds.
 """
@@ -104,6 +105,13 @@ def source_lines(root: str) -> dict:
     return {"total": sum(modules.values()), "modules": modules}
 
 
+def net_lines(before: dict, after: dict) -> dict:
+    """after minus before, total and per module; a module only one side has counts 0 on the other."""
+    names = sorted(before["modules"].keys() | after["modules"].keys())
+    modules = {name: after["modules"].get(name, 0) - before["modules"].get(name, 0) for name in names}
+    return {"total": after["total"] - before["total"], "modules": modules}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="root of the checkout to compare against")
@@ -144,6 +152,8 @@ def main() -> int:
     for part in ("scale-rules", "certify-reports"):
         if charged["before"][part] != charged["after"][part]:
             problems.append(f"{part} charged evaluations differ: {charged}")
+    lines = {side: source_lines(root) for side, root in sides}
+    lines["net"] = net_lines(lines["before"], lines["after"])
     doc = {
         "what": __doc__.splitlines()[0],
         "machine": {
@@ -155,7 +165,7 @@ def main() -> int:
             "start_method": multiprocessing.get_start_method(),
             "platform": platform.platform(),
         },
-        "source_lines": {side: source_lines(root) for side, root in sides},
+        "source_lines": lines,
         "seed": args.seed,
         "seconds_per_run": SECONDS,
         "pairs": args.pairs,
