@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from meshcoord.coordination import CoordinationOutcome, brute_force_optimum
 from meshcoord.objective import _EXHAUSTIVE_LIMIT, Objective, _table_terms, _UnionMaskObjective, curvature
-from meshcoord.topology import MeshGraph, is_complete
+from meshcoord.topology import MeshGraph, _isfinite, is_complete
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ def apriori_bound(opt: float, kappa: float, coins: float) -> float:
     f(opt) / (1 + kappa). Valid for monotone submodular 2nd-order-submodular
     objectives.
     """
+    _name_overflows(opt=opt, kappa=kappa, coins=coins)
     return (opt - kappa * coins) / (1.0 + kappa)
 
 
@@ -77,14 +78,14 @@ def aposteriori_bound(obj: Objective, outcome: CoordinationOutcome, opt: float, 
     Raises ValueError, as coin_sum does, unless outcome.actions[i] is an
     action of agent i for every agent i.
     """
+    _name_overflows(opt=opt, kappa=kappa)
     obj._check_actions(outcome.actions)
     if outcome.committed_in_neighbors is None:
         raise ValueError("outcome does not record per-agent commit contexts")
     total = 0.0
     for i, a_i in enumerate(outcome.actions):
         ctx = obj.context(outcome.actions[j] for j in outcome.committed_in_neighbors[i])
-        obj.eval_count += 2  # f(ctx + a_i) and f(ctx)
-        total += obj._value_in(ctx, (a_i,)) - obj._value_in(ctx, ())
+        total += obj.evaluate((a_i,), ctx) - obj.evaluate((), ctx)
     return opt - kappa * total
 
 
@@ -94,6 +95,7 @@ def approx_greedy_bound(opt: float, kappa: float, coins: float, eta: float) -> f
     eta / (1 + eta*kappa) * [f(opt) - (1/eta - 1 + kappa) * coin_sum];
     at eta = 1 this coincides with apriori_bound.
     """
+    _name_overflows(opt=opt, kappa=kappa, coins=coins, eta=eta)
     if not 0 < eta <= 1:
         raise ValueError("eta must be in (0, 1]")
     return eta / (1.0 + eta * kappa) * (opt - (1.0 / eta - 1.0 + kappa) * coins)
@@ -107,11 +109,18 @@ def curvature_only_bound(opt: float, complete: bool, submodular: bool, k: float)
     objectives, with k the total curvature c: (1-c) / (1 + c - c^2) * f(opt)
     on a complete graph, else (1-c)^2 * f(opt).
     """
+    _name_overflows(opt=opt, k=k)
     if submodular:
         return opt / (1.0 + k) if complete else (1.0 - k) * opt
     if complete:
         return (1.0 - k) / (1.0 + k - k * k) * opt
     return (1.0 - k) ** 2 * opt
+
+
+def _name_overflows(**terms: float) -> None:
+    """Raises ValueError naming the first term that is an int past the float range; floats all pass."""
+    for name, value in terms.items():
+        _isfinite(value, name)
 
 
 def bound_report(obj: Objective, g: MeshGraph, outcome: CoordinationOutcome) -> BoundReport:

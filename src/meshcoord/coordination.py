@@ -20,6 +20,8 @@ from meshcoord.topology import InfoDag, MeshGraph, _int_values, dfs_order, full_
 
 BRUTE_FORCE_LIMIT = 10_000_000
 
+ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
+
 TIE_BREAKS = ("max-gain-lowest-id", "min-gain-highest-id")
 
 

@@ -142,12 +142,10 @@ class Objective:
         agent, each neighborhood within the team and without its agent, as
         coin_sum checks.
         """
-        coins = [
+        return [
             _coin_term(self, self.context([a for j, a in enumerate(actions) if j != i and j not in nbrs]), actions[i])
             for i, nbrs in enumerate(in_neighbors)
         ]
-        self.eval_count += 3 * len(coins)
-        return coins
 
     def _value(self, selection: frozenset[GroundElement]) -> float:
         raise NotImplementedError
@@ -518,6 +516,9 @@ class DiskCoverageObjective(_UnionMaskObjective):
     ):
         if not (_isfinite(sensing_radius, "sensing_radius") and sensing_radius > 0):
             raise ValueError(f"sensing_radius must be positive and finite, got {sensing_radius!r}")
+        # _disk_mask squares only the offsets of cells in the disk's clamped span, which this keeps in the float range
+        if float(sensing_radius) * float(sensing_radius) == math.inf:
+            raise ValueError(f"sensing_radius {sensing_radius!r} is too large: its square is past the float range")
         if not (_isfinite(resolution, "resolution") and resolution >= 1 and resolution % 1 == 0):
             raise ValueError(
                 f"resolution must be a whole number of cells per meter, at least 1, got {resolution!r}"
@@ -802,15 +803,14 @@ def coin(
     if not 0 <= agent < n:
         raise ValueError(f"agent {agent!r} is not an agent id in [0, {n})")
     others = obj.context(actions[j] for j in range(n) if j != agent and j not in nbrs)
-    obj.eval_count += 3
     return _coin_term(obj, others, actions[agent])
 
 
 def _coin_term(obj: Objective, others, a_i: GroundElement) -> float:
-    """f(a_i) - [f(others + a_i) - f(others)] for a context state others; charges nothing."""
-    f_single = obj._value_in(obj.context(), (a_i,))
-    f_ctx = obj._value_in(others, ())
-    return f_single - (obj._value_in(others, (a_i,)) - f_ctx)
+    """f(a_i) - [f(others + a_i) - f(others)] for a context state others; three evaluations."""
+    f_single = obj.evaluate((a_i,))
+    f_ctx = obj.evaluate((), others)
+    return f_single - (obj.evaluate((a_i,), others) - f_ctx)
 
 
 def coin_ring_bound(r_s: float, r_i: float) -> float:

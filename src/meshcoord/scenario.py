@@ -25,6 +25,7 @@ from statistics import fmean, pstdev
 from typing import Callable, Iterator, Sequence, get_args, get_type_hints
 
 from meshcoord.coordination import (
+    ALGORITHMS,
     _run_sequential,
     _schedule,
     run_dsm,
@@ -40,10 +41,8 @@ from meshcoord.objective import (
     rect_mask,
     road_bits,
 )
-from meshcoord.timing import DelayModel, decision_time
+from meshcoord.timing import DelayModel, decision_time, tau_c_from_rate
 from meshcoord.topology import InfoDag, dfs_order, full_access_dag, knn_graph, strongly_connected_line_plus
-
-ALGORITHMS = ("rag", "sg", "dfs-sg", "dsm", "random")
 
 # the most missions one sweep may run, trials x variations: 2^18, as each
 # trace is held to the end. Peak RSS of a serial monte_carlo of the default
@@ -150,9 +149,8 @@ class MissionConfig:
             raise ValueError(f"fov_width/fov_height must fit inside the {width}x{height} world")
 
     def delay_model(self) -> DelayModel:
-        return DelayModel.from_rate(
-            self.tau_f, self.tau_hash, self.message_kib * 1024.0, self.data_rate_mbps * 1e6
-        )
+        tau_c = tau_c_from_rate(self.message_kib * 1024.0, self.data_rate_mbps * 1e6)
+        return DelayModel(tau_f=self.tau_f, tau_c=tau_c, tau_hash=self.tau_hash)
 
 
 _FLOAT_FIELDS = tuple(name for name, hint in get_type_hints(MissionConfig).items() if hint is float)

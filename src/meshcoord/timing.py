@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from meshcoord.coordination import CoordinationOutcome
+from meshcoord.coordination import ALGORITHMS, CoordinationOutcome
 from meshcoord.topology import MeshGraph, _int_values, _isfinite
 
 
@@ -40,16 +40,6 @@ class DelayModel:
                 raise ValueError(f"{name} must be a finite number, got {v}")
             if v < 0:
                 raise ValueError(f"{name} may not be negative")
-
-    @classmethod
-    def from_rate(
-        cls,
-        tau_f: float,
-        tau_hash: float,
-        message_bytes: float,
-        data_rate_bps: float,
-    ) -> "DelayModel":
-        return cls(tau_f=tau_f, tau_c=tau_c_from_rate(message_bytes, data_rate_bps), tau_hash=tau_hash)
 
 
 def _rag_eval_cap(action_count: int, in_neighbors: frozenset[int]) -> int:
@@ -88,7 +78,7 @@ def decision_time(outcome: CoordinationOutcome, dm: DelayModel) -> DecisionTime:
         hashes, actions = outcome.gain_rounds, outcome.action_rounds
         seconds = dm.tau_f * busiest + dm.tau_hash * hashes + dm.tau_c * actions
         return DecisionTime(busiest, actions, hashes, seconds)
-    if algorithm not in ("sg", "dfs-sg", "dsm", "random"):
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"no time model for algorithm {algorithm!r}")
     evals = sum(outcome.eval_counts)
     relays = outcome.relay_action_transmissions

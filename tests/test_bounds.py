@@ -154,6 +154,48 @@ def test_curvature_only_beyond_submodular_cases():
     )
 
 
+HUGE = 10**400  # an int past the float range
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda obj, out: apriori_bound(HUGE, 0.5, 1.0), "opt"),
+        (lambda obj, out: apriori_bound(1.0, HUGE, 1.0), "kappa"),
+        (lambda obj, out: apriori_bound(1.0, 0.5, HUGE), "coins"),
+        (lambda obj, out: approx_greedy_bound(HUGE, 0.5, 1.0, 1.0), "opt"),
+        (lambda obj, out: approx_greedy_bound(1.0, 0.5, 1.0, HUGE), "eta"),
+        (lambda obj, out: aposteriori_bound(obj, out, HUGE, 0.5), "opt"),
+        (lambda obj, out: aposteriori_bound(obj, out, 1.0, HUGE), "kappa"),
+        (lambda obj, out: curvature_only_bound(HUGE, True, True, 0.5), "opt"),
+        (lambda obj, out: curvature_only_bound(1.0, False, True, HUGE), "k"),
+    ],
+    ids=["apriori-opt", "apriori-kappa", "apriori-coins", "approx-opt", "approx-eta",
+         "aposteriori-opt", "aposteriori-kappa", "curvature-only-opt", "curvature-only-k"],
+)
+def test_bound_formulas_name_an_int_term_past_the_float_range(call, name):
+    obj, g, _ = reference_line_instance()
+    out = run_rag(obj, g)
+    before = obj.eval_count
+    with pytest.raises(ValueError, match=f"^{name} is past the float range$"):
+        call(obj, out)
+    assert obj.eval_count == before  # refused at entry, before any evaluation
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_bound_formulas_pass_non_finite_floats_through(value):
+    # verify relies on a NaN bound failing its check, so a NaN term must still give one
+    pairs = [
+        (apriori_bound(value, 0.5, 1.0), (value - 0.5) / 1.5),
+        (apriori_bound(1.0, 0.5, value), (1.0 - 0.5 * value) / 1.5),
+        (approx_greedy_bound(value, 0.5, 1.0, 1.0), 1.0 / 1.5 * (value - 0.5)),
+        (curvature_only_bound(value, False, True, 0.5), 0.5 * value),
+        (curvature_only_bound(1.0, False, False, value), (1.0 - value) ** 2),
+    ]
+    for got, want in pairs:
+        assert got == want or (math.isnan(got) and math.isnan(want))
+
+
 def test_logdet_bound_holds_despite_weak_submodularity():
     obj = logdet_toy()
     g = complete_graph(3)

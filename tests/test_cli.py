@@ -277,6 +277,13 @@ def test_invalid_worker_env_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert "MESHCOORD_WORKERS" in capsys.readouterr().err
 
 
+def test_a_worker_count_below_one_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MESHCOORD_WORKERS", "0")
+    path, _ = write_config(tmp_path)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "MESHCOORD_WORKERS must be at least 1\n"
+
+
 def test_worker_count_does_not_change_the_outputs(tmp_path, monkeypatch, capsys):
     sweep = dict(
         sweep_algorithm="rag dfs-sg random",
@@ -485,6 +492,15 @@ def test_verify_caps_one_action_teams_before_drawing_an_instance(agents, capsys,
 def test_verify_runs_the_largest_one_action_team(capsys):
     assert main(["verify", "--max-agents", "23", "--max-actions", "1", "--count", "3"]) == 0
     assert "all properties passed on 3 instances" in capsys.readouterr().out
+
+
+def test_figures_under_a_path_that_cannot_be_created_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("in the way")
+    out = blocker / "figs"
+    assert main(["figures", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot create {str(out)!r}: [Errno")
+    assert blocker.read_text() == "in the way"
 
 
 def test_figures_writes_plot_ready_csvs(tmp_path):

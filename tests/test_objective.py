@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -28,12 +29,21 @@ from meshcoord.objective import (
     validate_structure,
 )
 
+# the largest sensing radius whose square is within the float range, about 1.34e154
+_RADIUS_LIMIT = math.sqrt(sys.float_info.max)
+
 
 def test_objective_rejects_bad_action_counts():
     with pytest.raises(ValueError):
         CallableObjective([], lambda s: 0.0)
     with pytest.raises(ValueError):
         CallableObjective([2, 0], lambda s: 0.0)
+
+
+def test_an_objective_without_a_value_cannot_evaluate():
+    # Objective itself leaves _value to its subclasses
+    with pytest.raises(NotImplementedError, match="^$"):
+        objective.Objective([1]).evaluate([])
 
 
 @pytest.mark.parametrize(
@@ -744,6 +754,28 @@ def test_disk_refuses_a_resolution_whose_square_is_past_the_float_range(resoluti
     # one cell of a 1e-300 m arena: within the cell limit, so the cell area is what overflows
     with pytest.raises(ValueError, match="^resolution squared is past the float range$"):
         DiskCoverageObjective([[(0.0, 0.0)]], 1.0, arena=(0.0, 0.0, 1e-300, 1e-300), resolution=resolution)
+
+
+@pytest.mark.parametrize(
+    "radius", [1e200, 10**200, math.nextafter(_RADIUS_LIMIT, math.inf)], ids=["float", "int", "edge"]
+)
+@pytest.mark.parametrize("center", [(5.0, 1e200), (1e200, 5.0)])
+def test_disk_refuses_a_radius_whose_square_is_past_the_float_range(radius, center):
+    with pytest.raises(ValueError, match="^sensing_radius .+ is too large: its square is past the float range$"):
+        DiskCoverageObjective([[center]], radius, arena=(0.0, 0.0, 10.0, 10.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=1e-3, max_value=_RADIUS_LIMIT),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_disk_of_any_admitted_radius_and_centre_builds_without_overflow(radius, cx, cy):
+    # _disk_mask squares only the offsets of cells within the disk's clamped
+    # span, which an admitted radius keeps within the float range
+    disk = DiskCoverageObjective([[(cx, cy)]], radius, arena=(0.0, 0.0, 10.0, 10.0))
+    assert 0.0 <= disk.evaluate(disk.ground()) <= 100.0
 
 
 def test_parse_road_mask_roundtrip():

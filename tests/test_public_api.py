@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import meshcoord
-from meshcoord import bounds, coordination, objective, scenario, topology
+from meshcoord import bounds, coordination, objective, scenario, timing, topology
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,6 +35,10 @@ REMOVED = [
 def test_removed_names_stay_removed(module, name):
     assert not hasattr(meshcoord, name)
     assert not hasattr(module, name)
+
+
+def test_a_delay_model_is_built_by_its_constructor_only():
+    assert not hasattr(timing.DelayModel, "from_rate")
 
 
 BOUND_FORMULAS = {
@@ -99,6 +103,24 @@ def test_every_private_module_name_is_used_in_the_package():
         if not any(name in loaded for stmt, loaded in loads if stmt is not own)
     ]
     assert dead == []
+
+
+def test_evaluations_outside_the_objective_module_are_charged_by_evaluate():
+    """Outside objective.py no code reads f past evaluate, which charges each read, and one
+    charge is kept by hand: bound_report's, for the whole-cell table it stands in for."""
+    charges, reads = [], []
+    for path in sorted(Path(meshcoord.__file__).parent.glob("*.py")):
+        if path.name == "objective.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.AugAssign) and getattr(node.target, "attr", None) == "eval_count":
+                    charges.append(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "_value_in":
+                    reads.append(where)
+    assert charges == [("bounds.py", "bound_report")]
+    assert reads == []
 
 
 # -S keeps site from loading .pth hooks that would import third-party modules

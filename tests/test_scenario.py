@@ -219,6 +219,16 @@ def test_monte_carlo_orders_runs_by_variation_then_trial():
     assert [s.algorithm for s in summaries] == ["rag", "random"]
 
 
+def test_monte_carlo_needs_a_variation():
+    with pytest.raises(ValueError, match="^need at least one variation$"):
+        monte_carlo([])
+
+
+def test_mission_config_refuses_a_corridor_width_below_one():
+    with pytest.raises(ValueError, match="^corridor_width must be positive$"):
+        MissionConfig(corridor_width=0)
+
+
 def test_parallel_workers_change_nothing():
     variations = [cfg(algorithm="rag", k=2), cfg(algorithm="sg", k=2)]
     serial = monte_carlo(variations, workers=1)

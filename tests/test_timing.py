@@ -53,8 +53,7 @@ def test_tau_c_rejects_nonpositive_inputs():
 def test_delay_model_validation_and_rate_constructor():
     with pytest.raises(ValueError):
         DelayModel(tau_f=-0.001, tau_c=0.1, tau_hash=0.0)
-    dm = DelayModel.from_rate(tau_f=0.001, message_bytes=25 * 1024,
-                              data_rate_bps=0.25e6, tau_hash=0.000256)
+    dm = DelayModel(tau_f=0.001, tau_c=tau_c_from_rate(25 * 1024, 0.25e6), tau_hash=0.000256)
     assert dm.tau_c == 0.8192
 
 
@@ -82,7 +81,7 @@ def test_tau_c_names_an_int_past_the_float_range():
 
 def test_rate_constructor_rejects_an_overflowing_tau_c():
     with pytest.raises(ValueError, match="tau_c must be a finite number, got inf"):
-        DelayModel.from_rate(tau_f=0.001, tau_hash=0.0, message_bytes=1e308, data_rate_bps=1.0)
+        DelayModel(tau_f=0.001, tau_c=tau_c_from_rate(1e308, 1.0), tau_hash=0.0)
 
 
 def test_reference_line_decision_time_is_exact():

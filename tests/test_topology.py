@@ -34,6 +34,10 @@ def test_mesh_graph_derives_out_neighbors():
     assert g.has_edges()
 
 
+def test_mesh_graph_repr_gives_its_size():
+    assert repr(line_graph(3)) == "MeshGraph(n=3, edges=4)"
+
+
 def test_mesh_graph_validation():
     with pytest.raises(ValueError):
         MeshGraph(0, [])
@@ -293,6 +297,11 @@ def test_line_plus_rejects_infeasible_extra_edges():
 def test_line_plus_rejects_negative_extra_edges_by_name():
     with pytest.raises(ValueError, match="extra_edges may not be negative, got -1"):
         strongly_connected_line_plus(5, -1, 0)
+
+
+def test_line_plus_needs_two_agents():
+    with pytest.raises(ValueError, match="^need at least two agents for a line$"):
+        strongly_connected_line_plus(1, 0, 0)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

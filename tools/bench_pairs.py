@@ -20,8 +20,9 @@ pairs the changed checkout's items_per_s and setup_s won.
 
 It also runs each scale-rules rule operation once per checkout, in a fresh
 interpreter, and records the evaluations it charged (the objective's
-eval_count delta), and likewise what run_rag plus bound_report charge on
-each report of the certify corpus. A run that is not correct, has a failed
+eval_count delta), likewise what run_rag plus bound_report charge on
+each report of the certify corpus, and what coin charges for each agent of
+that rag outcome, with an empty neighbourhood. A run that is not correct, has a failed
 operation, or charges other evaluations than the other checkout makes the
 script exit 1.
 Next to the machine it records each checkout's src/meshcoord line count,
@@ -54,29 +55,33 @@ EVAL_COUNTS = r"""
 import json, sys
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/bench"]
 import workloads
-from meshcoord import bounds, coordination
+from meshcoord import bounds, coordination, objective
 seed = int(sys.argv[2])
-inputs = workloads.setup_scale(seed, "full")
-obj = inputs["obj"]
-counts = {}
-for name, _, _, call in workloads._rule_ops(inputs):
+
+def charged(obj, call):
     before = obj.eval_count
     try:
         call()
     except Exception as exc:
-        counts[name] = type(exc).__name__
-    else:
-        counts[name] = obj.eval_count - before
-reports = []
+        return type(exc).__name__
+    return obj.eval_count - before
+
+inputs = workloads.setup_scale(seed, "full")
+counts = {name: charged(inputs["obj"], call) for name, _, _, call in workloads._rule_ops(inputs)}
+reports, coins = [], []
 for obj, g in workloads.setup_certify(seed, "full")["corpus"]:
     before = obj.eval_count
     try:
-        bounds.bound_report(obj, g, coordination.run_rag(obj, g))
+        out = coordination.run_rag(obj, g)
+        bounds.bound_report(obj, g, out)
     except Exception as exc:
         reports.append(type(exc).__name__)
-    else:
-        reports.append(obj.eval_count - before)
-print(json.dumps({"scale-rules": counts, "certify-reports": reports}))
+        coins.append(None)
+        continue
+    reports.append(obj.eval_count - before)
+    # coin with an empty neighbourhood, for each agent of the rag outcome
+    coins.append([charged(obj, lambda: objective.coin(obj, j, out.actions, set())) for j in range(obj.n_agents)])
+print(json.dumps({"scale-rules": counts, "certify-reports": reports, "certify-coins": coins}))
 """
 
 
@@ -149,7 +154,7 @@ def main() -> int:
         entry["setup_s_pairs_won"] = sum(a["setup_s"] < b["setup_s"] for a, b in zip(runs["after"], runs["before"]))
         results.append(entry)
     charged = {side: eval_counts(root, args.seed) for side, root in sides}
-    for part in ("scale-rules", "certify-reports"):
+    for part in ("scale-rules", "certify-reports", "certify-coins"):
         if charged["before"][part] != charged["after"][part]:
             problems.append(f"{part} charged evaluations differ: {charged}")
     lines = {side: source_lines(root) for side, root in sides}
@@ -172,6 +177,7 @@ def main() -> int:
         "results": results,
         "scale_rules_charged_evaluations": {side: c["scale-rules"] for side, c in charged.items()},
         "certify_reports_charged_evaluations": {side: c["certify-reports"] for side, c in charged.items()},
+        "certify_coins_charged_evaluations": {side: c["certify-coins"] for side, c in charged.items()},
     }
     out = Path(args.out)
     if args.key:
